@@ -70,6 +70,11 @@ else
     python -m pytest -q
 fi
 
+echo "== benchmark harness tests (perfbench/tests) =="
+# The end-to-end benchmark's own checks (committed result digests, span
+# install/restore); they live outside pytest's testpaths.
+python3 -m pytest perfbench/tests -q
+
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.
 # Skips cleanly (exit 0) where the 'coverage' package is not installed;

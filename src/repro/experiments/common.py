@@ -28,6 +28,7 @@ wrappers over :func:`run_config`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace as _dc_replace
@@ -123,14 +124,38 @@ class SequenceResult:
 
 def make_model(profile: FunctionProfile, cfg: RunConfig) -> FunctionModel:
     """Build the (possibly scaled) trace generator for one function."""
-    if not math.isclose(cfg.instruction_scale, 1.0, rel_tol=1e-12):
-        profile = profile.scaled(cfg.instruction_scale)
-    return FunctionModel(profile, seed=cfg.seed)
+    return _scaled_model(profile, cfg.seed, cfg.instruction_scale)
+
+
+def _scaled_model(profile: FunctionProfile, seed: int,
+                  instruction_scale: float) -> FunctionModel:
+    if not math.isclose(instruction_scale, 1.0, rel_tol=1e-12):
+        profile = profile.scaled(instruction_scale)
+    return FunctionModel(profile, seed=seed)
 
 
 def make_traces(profile: FunctionProfile, cfg: RunConfig) -> List[InvocationTrace]:
-    model = make_model(profile, cfg)
-    return [model.invocation_trace(i) for i in range(cfg.invocations)]
+    """The ``cfg.invocations`` traces of ``profile`` under ``cfg``: read-only,
+    and shared with every cell on the same generation inputs, so each
+    trace is generated and compiled to its columnar IR once (see
+    :func:`_trace_set`)."""
+    return list(_trace_set(profile, cfg.seed, cfg.instruction_scale,
+                           cfg.invocations))
+
+
+@functools.lru_cache(maxsize=1)
+def _trace_set(profile: FunctionProfile, seed: int, instruction_scale: float,
+               invocations: int) -> Tuple[InvocationTrace, ...]:
+    """Per-process memo behind :func:`make_traces`, keyed on exactly the
+    generation inputs (``backend`` and ``warmup`` do not change a trace).
+
+    One set suffices because sweeps submit their grid function-major, so
+    a function's cells run back to back.  The value is a read-only pure
+    function of the key, so a pool worker's copy cannot diverge from a
+    serial run's.
+    """
+    model = _scaled_model(profile, seed, instruction_scale)
+    return tuple(model.invocation_trace(i) for i in range(invocations))
 
 
 def _measure(sim: Simulator, traces: List[InvocationTrace], cfg: RunConfig,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class FunctionModel:
         self._hot = [seg for seg in self._spine if seg.hot and not seg.optional]
         self._loop_hosts = self._pick_loop_hosts(rng)
         self._branch_pcs = self._assign_branch_sites(rng)
+        self._segment_sites = self._index_branch_sites()
         self._data_blocks = self._build_data_arena()
         # Per-segment taken-probability of its representative branch sites;
         # stable across invocations so warm predictors can train.
@@ -124,6 +125,18 @@ class FunctionModel:
             offsets = rng.choice(seg.n_blocks, size=n, replace=False)
             pcs.extend(int(seg.blocks[int(o)]) + 16 for o in offsets)
         return pcs
+
+    def _index_branch_sites(self) -> Dict[str, List[int]]:
+        """Each segment's branch sites: the PCs of ``_branch_pcs`` (in that
+        order) that fall within the segment's span, looked up per visit by
+        :meth:`_emit_branch_burst` instead of rescanning every site."""
+        pcs = np.asarray(self._branch_pcs, dtype=np.int64)
+        index: Dict[str, List[int]] = {}
+        for seg in self._spine:
+            inside = (pcs >= seg.blocks[0]) & (pcs <= seg.blocks[-1] + LINE_SIZE)
+            index[seg.name] = [self._branch_pcs[int(i)]
+                               for i in np.nonzero(inside)[0]]
+        return index
 
     def _build_data_arena(self) -> np.ndarray:
         n_blocks = max(64, self.profile.data_ws_bytes // LINE_SIZE)
@@ -223,8 +236,7 @@ class FunctionModel:
 
     def _emit_branch_burst(self, builder: TraceBuilder, seg: CodeSegment,
                            visits: int, rng: np.random.Generator) -> None:
-        sites = [pc for pc in self._branch_pcs
-                 if seg.blocks[0] <= pc <= seg.blocks[-1] + LINE_SIZE]
+        sites = self._segment_sites[seg.name]
         if not sites:
             return
         execs = max(1, visits * seg.n_blocks // max(1, len(sites)))
@@ -276,6 +288,3 @@ class FunctionModel:
     def footprint_blocks(self, index: int) -> "set[int]":
         """Unique instruction blocks of invocation ``index`` (Fig. 6a)."""
         return self.invocation_trace(index).instruction_blocks()
-
-    def expected_footprint_bytes(self) -> int:
-        return self.profile.footprint_bytes

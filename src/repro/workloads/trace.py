@@ -49,6 +49,14 @@ KIND_NAMES = {IFETCH: "IFETCH", LOAD: "LOAD", STORE: "STORE",
               BRANCH: "BRANCH", LOOP: "LOOP"}
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark ``arrays`` read-only: traces and their IR may be shared by
+    every simulation cell of a process, so a write would leak across
+    cells."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """A tight loop: ``iterations`` passes over ``blocks`` (byte addresses).
@@ -99,11 +107,15 @@ class InvocationTrace:
         n = len(self.kinds)
         if not (len(self.addrs) == len(self.args) == len(self.args2) == n):
             raise TraceError("trace arrays must have equal length")
+        _freeze(self.kinds, self.addrs, self.args, self.args2)
 
     def columnar(self) -> "ColumnarTrace":
         """The columnar IR of this trace, built once and cached on the
-        trace object (never in module state, so sweeps stay deterministic
-        and workers stay independent)."""
+        trace object.  The trace may itself be shared -- through the
+        per-process trace memo of
+        :func:`repro.experiments.common.make_traces` -- and so may its IR;
+        both are read-only pure functions of the generation inputs, so
+        sweeps stay deterministic and workers stay independent."""
         if self._columnar is None:
             self._columnar = ColumnarTrace.from_trace(self)
         return self._columnar
@@ -250,6 +262,7 @@ class MachineColumns:
         self.retire = ct.args / width
         self.fb = ct.args2 * taken_penalty
         self.step0 = self.retire + self.fb
+        _freeze(self.retire, self.fb, self.step0)
         self.retire_list = self.retire.tolist()
         self.fb_list = self.fb.tolist()
         self.step0_list = self.step0.tolist()
@@ -339,8 +352,9 @@ class ColumnarTrace:
     plus a decoded *op program* that run-length-encodes repeated block
     walks: the batch interpreter in :mod:`repro.sim.batch` consumes ops,
     not events, and charges whole walks at a time.  Everything here is a
-    pure function of the trace -- machine-dependent float columns are
-    cached per ``(issue width, taken-branch penalty)`` on first use.
+    pure function of the trace, and every array is read-only --
+    machine-dependent float columns are cached per ``(issue width,
+    taken-branch penalty)`` on first use.
 
     Built once per trace via :meth:`InvocationTrace.columnar`.
     """
@@ -416,6 +430,9 @@ class ColumnarTrace:
             else:
                 ops.append((OP_EVENTS, start, end))
             regions[start:end] = len(ops) - 1
+        ifetch_idx = np.nonzero(is_fetch)[0]
+        loop_idx = np.nonzero(kinds == LOOP)[0]
+        _freeze(blocks, pages, regions, ifetch_idx, loop_idx)
         return cls(
             kinds=kinds, addrs=addrs, args=trace.args, args2=trace.args2,
             blocks=blocks, pages=pages, regions=regions, ops=ops,
@@ -423,8 +440,7 @@ class ColumnarTrace:
             kinds_list=kinds.tolist(), addrs_list=addrs.tolist(),
             args_list=trace.args.tolist(), args2_list=trace.args2.tolist(),
             blocks_list=blocks.tolist(), pages_list=pages.tolist(),
-            ifetch_idx=np.nonzero(is_fetch)[0],
-            loop_idx=np.nonzero(kinds == LOOP)[0],
+            ifetch_idx=ifetch_idx, loop_idx=loop_idx,
             instr_total=trace.total_instructions,
         )
 
@@ -503,7 +519,7 @@ class TraceBuilder:
             self.fetch(addr, insts_per_block, taken_branches_per_block)
 
     def build(self) -> InvocationTrace:
-        """Freeze the builder into an immutable-ish trace."""
+        """Freeze the builder into an immutable trace."""
         return InvocationTrace(
             kinds=np.asarray(self._kinds, dtype=np.uint8),
             addrs=np.asarray(self._addrs, dtype=np.int64),

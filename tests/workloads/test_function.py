@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.experiments.common import RunConfig, make_model
+from repro.units import LINE_SIZE
 from repro.workloads.function import FunctionModel
+from repro.workloads.suite import SUITE, get_profile
 from repro.workloads.trace import BRANCH, IFETCH, LOAD, LOOP, STORE
 
 
@@ -100,3 +103,21 @@ class TestScaledProfiles:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             tiny_profile.scaled(0.0)
+
+
+def scanned_sites(model, seg):
+    """The slow oracle: the linear scan over every branch PC that the
+    per-segment index replaces."""
+    return [pc for pc in model._branch_pcs
+            if seg.blocks[0] <= pc <= seg.blocks[-1] + LINE_SIZE]
+
+
+class TestBranchSiteIndex:
+    @pytest.mark.parametrize("scale", ["full", "fast"])
+    @pytest.mark.parametrize("abbrev", [p.abbrev for p in SUITE])
+    def test_index_equals_linear_scan(self, abbrev, scale):
+        cfg = RunConfig.full() if scale == "full" else RunConfig.fast()
+        model = make_model(get_profile(abbrev), cfg)
+        assert set(model._segment_sites) == {s.name for s in model._spine}
+        for seg in model._spine:
+            assert model._segment_sites[seg.name] == scanned_sites(model, seg)
