@@ -68,6 +68,8 @@ def keepalive_study() -> None:
     print(format_table(
         ["keep-alive TTL", "warm invocations", "evictions"], rows,
         title="Keep-alive policy vs. warm rate (60 instances, ~8s IAT)"))
+    print("Every instance's first invocation is a cold start, so even a "
+          "60-minute\nTTL stays below 100% warm over two minutes.")
     print("Providers keep instances warm 5-60 minutes (Sec. 2.1): long "
           "TTLs buy\nwarm starts at the cost of resident memory -- which "
           "is exactly what\ncreates the lukewarm population.\n")

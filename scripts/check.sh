@@ -67,6 +67,8 @@ if [[ "${1:-}" == "--fast" ]]; then
         --ignore=tests/test_golden_figures.py
 else
     echo "== pytest (full tier-1 suite, incl. golden-trace comparator) =="
+    # Also the examples smoke: tests/integration/test_examples.py runs
+    # every examples/*.py script and fails on a non-zero exit.
     python -m pytest -q
 fi
 

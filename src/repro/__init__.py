@@ -32,8 +32,7 @@ Quickstart::
 
 One-shot cold runs need no simulator at all --
 ``simulate(trace, skylake())`` builds one; hand-written traces come from
-:class:`repro.workloads.TraceBuilder`.  The historical ``LukewarmCore``
-name still resolves but emits a :class:`DeprecationWarning`.
+:class:`repro.workloads.TraceBuilder`.
 """
 
 from repro.core import Jukebox, PIF, PIFParams, pif_ideal_params
@@ -52,7 +51,6 @@ from repro.sim import (
     SKYLAKE,
     InvocationResult,
     JukeboxParams,
-    LukewarmCore,
     MachineParams,
     MemoryHierarchy,
     Simulator,
@@ -82,7 +80,6 @@ __all__ = [
     "InvocationResult",
     "Jukebox",
     "JukeboxParams",
-    "LukewarmCore",
     "MachineParams",
     "MemoryHierarchy",
     "MetadataError",

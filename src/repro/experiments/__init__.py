@@ -13,12 +13,7 @@ from repro.experiments.common import (
     config_names,
     register_config,
     run_all_configs,
-    run_baseline,
     run_config,
-    run_jukebox,
-    run_perfect_icache,
-    run_pif,
-    run_reference,
 )
 
 __all__ = [
@@ -28,10 +23,5 @@ __all__ = [
     "config_names",
     "register_config",
     "run_all_configs",
-    "run_baseline",
     "run_config",
-    "run_jukebox",
-    "run_perfect_icache",
-    "run_pif",
-    "run_reference",
 ]

@@ -20,17 +20,12 @@ Experiment modules may register additional configs with
 :func:`register_config` (e.g. ``contended`` in ``fig01_iat``); an engine
 :class:`~repro.engine.job.Job` names its registering module as the
 ``provider`` so worker processes can resolve it.
-
-The historical ``run_reference``/``run_baseline``/``run_jukebox``/
-``run_perfect_icache``/``run_pif`` entry points survive as deprecated thin
-wrappers over :func:`run_config`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -217,8 +212,8 @@ def run_config(profile: FunctionProfile, machine: Optional[MachineParams],
                cfg: RunConfig, config: str, **opts: Any) -> Any:
     """Run one simulation cell: dispatch ``config`` through the registry.
 
-    This is the single entry point behind both the deprecated ``run_*``
-    wrappers and :func:`repro.engine.executors.execute_job`.
+    This is the single way to run a configuration, and what
+    :func:`repro.engine.executors.execute_job` calls.
     """
     try:
         builder = CONFIGS[config]
@@ -311,61 +306,6 @@ class _TeeHook:
     def on_l2_inst_miss(self, vaddr: int, cycle: float) -> None:
         for hook in self._hooks:
             hook.on_l2_inst_miss(vaddr, cycle)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated closure-style entry points (pre-engine API).
-
-def _deprecation_message(old_name: str, config: str) -> str:
-    return (f"{old_name}() is deprecated; use "
-            f"run_config(profile, machine, cfg, {config!r}) or submit a "
-            f"repro.engine Job")
-
-
-# Each wrapper calls warnings.warn() itself with a literal stacklevel=2,
-# so the warning is attributed to the *caller's* line -- the place that
-# actually needs migrating -- rather than to a shared helper frame.
-
-def run_reference(profile: FunctionProfile, machine: MachineParams,
-                  cfg: RunConfig) -> SequenceResult:
-    """Deprecated: use ``run_config(profile, machine, cfg, "reference")``."""
-    warnings.warn(_deprecation_message("run_reference", "reference"),
-                  DeprecationWarning, stacklevel=2)
-    return run_config(profile, machine, cfg, "reference")
-
-
-def run_baseline(profile: FunctionProfile, machine: MachineParams,
-                 cfg: RunConfig) -> SequenceResult:
-    """Deprecated: use ``run_config(profile, machine, cfg, "baseline")``."""
-    warnings.warn(_deprecation_message("run_baseline", "baseline"),
-                  DeprecationWarning, stacklevel=2)
-    return run_config(profile, machine, cfg, "baseline")
-
-
-def run_jukebox(profile: FunctionProfile, machine: MachineParams,
-                cfg: RunConfig) -> SequenceResult:
-    """Deprecated: use ``run_config(profile, machine, cfg, "jukebox")``."""
-    warnings.warn(_deprecation_message("run_jukebox", "jukebox"),
-                  DeprecationWarning, stacklevel=2)
-    return run_config(profile, machine, cfg, "jukebox")
-
-
-def run_perfect_icache(profile: FunctionProfile, machine: MachineParams,
-                       cfg: RunConfig) -> SequenceResult:
-    """Deprecated: use ``run_config(profile, machine, cfg, "perfect")``."""
-    warnings.warn(_deprecation_message("run_perfect_icache", "perfect"),
-                  DeprecationWarning, stacklevel=2)
-    return run_config(profile, machine, cfg, "perfect")
-
-
-def run_pif(profile: FunctionProfile, machine: MachineParams, cfg: RunConfig,
-            params: PIFParams,
-            with_jukebox: bool = False) -> SequenceResult:
-    """Deprecated: use ``run_config(..., "pif", params=..., with_jukebox=...)``."""
-    warnings.warn(_deprecation_message("run_pif", "pif"),
-                  DeprecationWarning, stacklevel=2)
-    return run_config(profile, machine, cfg, "pif", params=params,
-                      with_jukebox=with_jukebox)
 
 
 def run_all_configs(profile: FunctionProfile, machine: MachineParams,

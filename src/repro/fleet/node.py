@@ -49,8 +49,6 @@ def build_node(config: FleetConfig, node: int,
         cores=config.cores_per_node,
         memory_gb=config.memory_gb_per_node,
         service_time_ms=config.service_time_ms,
-        enforce_memory=True,
-        cold_start_penalty_ms=config.cold_start_penalty_ms,
         coldstart=make_coldstart_spec(config),
     )
     sim = ServerSimulator(config=server_cfg,

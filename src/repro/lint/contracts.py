@@ -189,7 +189,7 @@ def check_topdown(breakdown, rel_tol: float = 1e-9,
 
 
 def check_invocation(result) -> None:
-    """Validate one ``InvocationResult`` as produced by ``LukewarmCore.run``."""
+    """Validate one ``InvocationResult`` as produced by ``Simulator.run``."""
     if not _ENABLED:
         return
     if result.instructions < 0:

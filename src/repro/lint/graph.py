@@ -94,7 +94,7 @@ class FunctionInfo:
     raw_calls: List[Tuple[str, int, bool]] = field(default_factory=list)
     decorators: Tuple[str, ...] = ()
     #: Local ``name = Ctor(...)`` assignments (first one wins), letting
-    #: ``core = LukewarmCore(...); core.run(...)`` resolve into methods.
+    #: ``sim = Simulator(...); sim.run(...)`` resolve into methods.
     ctor_assigns: Dict[str, str] = field(default_factory=dict)
 
 

@@ -23,7 +23,6 @@ class WarmInstance:
 
     instance_id: str
     profile: FunctionProfile
-    created_ms: float = 0.0
     #: Core the instance last ran on (affects private-cache reuse).
     last_core: Optional[int] = None
     last_invocation_ms: Optional[float] = None
@@ -70,11 +69,6 @@ class WarmInstance:
         self.invocations += 1
         if cold:
             self.cold_starts += 1
-
-    def idle_ms(self, now_ms: float) -> float:
-        if self.last_invocation_ms is None:
-            return now_ms - self.created_ms
-        return now_ms - self.last_invocation_ms
 
     def allocate_jukebox_metadata(self, per_buffer_bytes: int) -> None:
         """Reserve the two per-instance metadata buffers (Sec. 3.4.1)."""

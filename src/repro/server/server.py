@@ -43,22 +43,10 @@ class ServerConfig:
     service_time_ms: float = 1.0
     #: Per-instance Jukebox metadata (two buffers x 16KB = 32KB).
     jukebox_metadata_bytes_per_instance: int = 32 * 1024
-    #: When True the simulator tracks the *warm set* (instances invoked
-    #: within their keep-alive TTL), frees memory on eviction, and drops
-    #: cold arrivals that no longer fit in ``memory_gb`` -- the fleet
-    #: admission model.  The default False keeps the legacy behaviour
-    #: (all registered instances resident, nothing ever dropped)
-    #: bit-for-bit.
-    enforce_memory: bool = False
-    #: Extra service latency charged to a cold-started invocation
-    #: (container/runtime bring-up).  0.0 keeps legacy timing exact.
-    #: This scalar is the *constant* cold-start model; richer models are
-    #: selected via ``coldstart``.
-    cold_start_penalty_ms: float = 0.0
-    #: Cold-start model selection.  None keeps the scalar penalty above
-    #: (wrapped in a constant model whose arithmetic is byte-identical
-    #: to the pre-model code path).
-    coldstart: Optional[ColdStartSpec] = None
+    #: Cold-start model charged to every cold-started invocation
+    #: (container/runtime bring-up); the default constant model charges
+    #: 0 ms.
+    coldstart: ColdStartSpec = field(default_factory=ColdStartSpec)
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
@@ -76,23 +64,10 @@ class ServerConfig:
             raise ConfigurationError(
                 f"jukebox metadata bytes must be >= 0, got "
                 f"{self.jukebox_metadata_bytes_per_instance}")
-        if not math.isfinite(self.cold_start_penalty_ms) \
-                or self.cold_start_penalty_ms < 0:
+        if not isinstance(self.coldstart, ColdStartSpec):
             raise ConfigurationError(
-                f"cold_start_penalty_ms must be finite and >= 0, got "
-                f"{self.cold_start_penalty_ms}")
-        if self.coldstart is not None \
-                and not isinstance(self.coldstart, ColdStartSpec):
-            raise ConfigurationError(
-                f"coldstart must be a ColdStartSpec or None, got "
+                f"coldstart must be a ColdStartSpec, got "
                 f"{type(self.coldstart).__name__}")
-
-    def coldstart_spec(self) -> ColdStartSpec:
-        """The effective model spec (scalar penalty when unset)."""
-        if self.coldstart is not None:
-            return self.coldstart
-        return ColdStartSpec(kind="constant",
-                             constant_ms=self.cold_start_penalty_ms)
 
     @property
     def memory_bytes(self) -> int:
@@ -108,7 +83,7 @@ class ServerStats:
     arrivals: int = 0
     invocations: int = 0
     cold_starts: int = 0
-    #: Arrivals rejected by memory admission (``enforce_memory`` only).
+    #: Cold arrivals rejected because they no longer fit in memory.
     dropped: int = 0
     evictions: int = 0
     interleave_degrees: List[int] = field(default_factory=list)
@@ -166,7 +141,7 @@ class ServerSimulator:
                  seed: int = 0) -> None:
         self.config = config if config is not None else ServerConfig()
         self.keepalive = keepalive if keepalive is not None else FixedTTL(10.0)
-        self.coldstart = make_coldstart_model(self.config.coldstart_spec())
+        self.coldstart = make_coldstart_model(self.config.coldstart)
         self._rng = np.random.default_rng(seed)
         self._instances: Dict[str, WarmInstance] = {}
         self._arrivals: Dict[str, ArrivalProcess] = {}
@@ -212,32 +187,27 @@ class ServerSimulator:
     def run(self, duration_ms: float) -> ServerStats:
         """Simulate invocation traffic for ``duration_ms``.
 
-        Two admission models share this loop.  The legacy model
-        (``enforce_memory=False``) keeps every registered instance
-        resident and detects eviction lazily at the instance's own next
-        arrival; it is bit-identical to the pre-fleet simulator.  The
-        fleet model (``enforce_memory=True``) maintains the *warm set*
-        explicitly: evictions are reaped from a TTL expiry heap as
-        simulated time advances, eviction frees the instance's memory,
-        and a cold arrival that no longer fits in ``memory_gb`` is
-        *dropped* (counted, not served).  Either way every arrival is
-        exactly one of served or dropped -- the conservation invariant
+        The simulator maintains the *warm set*: an instance joins it at
+        its first admitted arrival (a cold start), evictions are reaped
+        from a TTL expiry heap as simulated time advances, eviction frees
+        the instance's memory, and a cold arrival that no longer fits in
+        ``memory_gb`` is *dropped* (counted, not served).  Every arrival
+        is exactly one of served or dropped -- the conservation invariant
         the fleet property battery checks.
         """
         if duration_ms <= 0:
             raise ConfigurationError(f"duration must be positive: {duration_ms}")
         cfg = self.config
         stats = self.stats
-        enforce = cfg.enforce_memory
         # Event heap of (time, tiebreak, instance_id).
         heap: List[Tuple[float, int, str]] = []
         for iid, proc in self._arrivals.items():
             heapq.heappush(heap, (proc.next_iat(), next(self._counter), iid))
 
-        # Warm-set bookkeeping (enforce_memory only).  ``_expiry_at``
-        # dedups the lazy TTL heap: an entry is live only while it equals
-        # the instance's scheduled expiry, so re-invocations never let
-        # the heap grow past one live entry per warm instance.
+        # Warm-set bookkeeping.  ``expiry_at`` dedups the lazy TTL heap:
+        # an entry is live only while it equals the instance's scheduled
+        # expiry, so re-invocations never let the heap grow past one live
+        # entry per warm instance.
         capacity = cfg.memory_bytes
         warm: Set[str] = set()
         warm_mem = 0
@@ -284,28 +254,18 @@ class ServerSimulator:
                 break
             inst = self._instances[iid]
             stats.arrivals += 1
-            cold = False
-            if enforce:
-                reap_expired(now)
-                if iid not in warm:
-                    # Cold arrival: admit if it fits, else drop.
-                    if warm_mem + inst.memory_bytes > capacity:
-                        stats.dropped += 1
-                        nxt = now + self._arrivals[iid].next_iat()
-                        if nxt <= duration_ms:
-                            heapq.heappush(
-                                heap, (nxt, next(self._counter), iid))
-                        continue
-                    cold = True
-                    warm.add(iid)
-                    warm_mem += inst.memory_bytes
-            else:
-                # Legacy lazy check: was the instance evicted while idle?
-                idle = inst.idle_ms(now)
-                if inst.invocations > 0 and self.keepalive.should_evict(iid,
-                                                                        idle):
-                    cold = True
-                    stats.evictions += 1
+            reap_expired(now)
+            cold = iid not in warm
+            if cold:
+                # Cold arrival: admit if it fits, else drop.
+                if warm_mem + inst.memory_bytes > capacity:
+                    stats.dropped += 1
+                    nxt = now + self._arrivals[iid].next_iat()
+                    if nxt <= duration_ms:
+                        heapq.heappush(heap, (nxt, next(self._counter), iid))
+                    continue
+                warm.add(iid)
+                warm_mem += inst.memory_bytes
             if inst.last_invocation_ms is not None:
                 self.keepalive.observe_iat(iid, now - inst.last_invocation_ms)
                 stats.iats_ms.append(now - inst.last_invocation_ms)
@@ -335,23 +295,17 @@ class ServerSimulator:
                 stats.cold_starts += 1
             if inst.interleave_degrees:
                 stats.interleave_degrees.append(inst.interleave_degrees[-1])
-            if enforce:
-                schedule_expiry(iid, now)
-                peak_warm = max(peak_warm, len(warm))
-                peak_mem = max(peak_mem, warm_mem)
+            schedule_expiry(iid, now)
+            peak_warm = max(peak_warm, len(warm))
+            peak_mem = max(peak_mem, warm_mem)
 
             nxt = now + self._arrivals[iid].next_iat()
             if nxt <= duration_ms:
                 heapq.heappush(heap, (nxt, next(self._counter), iid))
 
         stats.simulated_ms = duration_ms
-        if enforce:
-            stats.peak_warm_instances = peak_warm
-            stats.peak_memory_bytes = peak_mem
-        else:
-            stats.peak_warm_instances = len(self._instances)
-            stats.peak_memory_bytes = sum(
-                inst.memory_bytes for inst in self._instances.values())
+        stats.peak_warm_instances = peak_warm
+        stats.peak_memory_bytes = peak_mem
         stats.jukebox_metadata_bytes = sum(
             inst.jukebox_metadata_bytes for inst in self._instances.values())
         return stats
@@ -361,9 +315,3 @@ class ServerSimulator:
     @property
     def instances(self) -> Dict[str, WarmInstance]:
         return dict(self._instances)
-
-    def memory_pressure(self) -> float:
-        """Fraction of server memory held by warm instances."""
-        total = self.config.memory_gb * 1024 * MB
-        used = sum(inst.memory_bytes for inst in self._instances.values())
-        return used / total

@@ -2,7 +2,7 @@
 analytic core timing model (the gem5 stand-in, DESIGN.md Sec. 1)."""
 
 from repro.sim.cache import SetAssocCache
-from repro.sim.core import BACKENDS, InvocationResult, LukewarmCore, Simulator
+from repro.sim.core import BACKENDS, InvocationResult, Simulator
 from repro.sim.hierarchy import FillQueue, MemoryHierarchy, RegionSummaries
 from repro.sim.params import (
     BROADWELL,
@@ -32,7 +32,6 @@ __all__ = [
     "HierarchyStats",
     "InvocationResult",
     "JukeboxParams",
-    "LukewarmCore",
     "MachineParams",
     "MemoryParams",
     "MemoryTraffic",

@@ -53,9 +53,10 @@ How the speed is won, without changing a single float:
   geometry), so invocation 40 of a function reuses the tables built by
   invocation 0.
 
-Skipped zero-adds rely on ``x + 0.0 == x`` bitwise, which holds for every
-accumulator here: all start at non-negative values and only non-negative
-charges are added, so ``-0.0`` can never arise.
+Skipped zero-adds, and the zero fill stalls a store adds in the shared
+load/store transcription, rely on ``x + 0.0 == x`` bitwise, which holds
+for every accumulator here: all start at non-negative values and only
+non-negative charges are added, so ``-0.0`` can never arise.
 """
 
 from __future__ import annotations
@@ -162,10 +163,15 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     # data-side counters are touched by no other code during a run).
     f_data = hier._f_data
     w_dtlb = hier._dtlb_walk * f_data
-    c_l2d = hier._l2_lat * f_data
-    c_llcd = (hier._l2_lat + hier._llc_lat * contention) * f_data
-    c_memd = (hier._l2_lat + hier._llc_lat * contention
-              + memory.params.latency * contention) * f_data
+    # L2/LLC/memory fill stall per data-access kind.  Stores charge none
+    # (write-allocate fills retire through the store buffer).
+    fill_stall = {
+        LOAD: (hier._l2_lat * f_data,
+               (hier._l2_lat + hier._llc_lat * contention) * f_data,
+               (hier._l2_lat + hier._llc_lat * contention
+                + memory.params.latency * contention) * f_data),
+        STORE: (0.0, 0.0, 0.0),
+    }
     dtlb = hier.dtlb
     dtlb_sets = dtlb._sets
     dtlb_mask = dtlb._set_mask
@@ -251,11 +257,12 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
 
         The loop zips precomputed per-event columns (kind, address, cache
         block, page, arg, steady mispredict rate) instead of indexing six
-        lists per event, splits the LOAD and STORE paths (stores charge no
-        fill stall), and shortcuts the D-TLB when the page equals the
-        previous data access's page -- that page is by construction the
-        MRU entry of its set, so the scalar path would neither move nor
-        charge anything."""
+        lists per event, runs LOADs and STOREs through one transcription
+        that differs only in the per-kind fill-stall triple (stores charge
+        none), and shortcuts the D-TLB when the page equals the previous
+        data access's page -- that page is by construction the MRU entry
+        of its set, so the scalar path would neither move nor charge
+        anything."""
         nonlocal cycle, mispredicts, bubbles, td_fl, td_bs, td_bb, bm
         nonlocal d_cold, d_execs, d_btb_lookups, d_btb_misses
         nonlocal n_dtlb_h, n_dtlb_m, n_l1d_h, n_l1d_m, n_l1d_pfh
@@ -264,7 +271,7 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
         for kind, addr, block, page, arg, steady in zip(
                 kinds_l[lo:hi], addrs_l[lo:hi], blocks_l[lo:hi],
                 pages_l[lo:hi], args_l[lo:hi], steady_l[lo:hi]):
-            if kind == LOAD:
+            if kind == LOAD or kind == STORE:
                 if block == prev_block:
                     n_dtlb_h += 1
                     n_l1d_h += 1
@@ -302,6 +309,7 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                         cycle += st
                     continue
                 n_l1d_m += 1
+                c_l2, c_llc, c_mem = fill_stall[kind]
                 if block in l2_res:
                     lru2 = l2_sets[block & l2_mask]
                     if lru2[-1] != block:
@@ -309,7 +317,7 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                         lru2.append(block)
                     l2_pf.discard(block)
                     n_l2d_h += 1
-                    st += c_l2d
+                    st += c_l2
                 else:
                     n_l2d_m += 1
                     lru3 = llc_sets[block & llc_mask]
@@ -319,109 +327,11 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                             lru3.append(block)
                         llc_pf.discard(block)
                         n_llc_dh += 1
-                        st += c_llcd
+                        st += c_llc
                     else:
                         n_llc_dm += 1
                         mem_data_bytes += LINE_SIZE
-                        st += c_memd
-                        if len(lru3) >= llc_assoc:
-                            victim = lru3.pop(0)
-                            llc_res.discard(victim)
-                            if victim in llc_pf:
-                                llc_pf.discard(victim)
-                        lru3.append(block)
-                        llc_res.add(block)
-                    lru2 = l2_sets[block & l2_mask]
-                    if len(lru2) >= l2_assoc:
-                        victim = lru2.pop(0)
-                        l2_res.discard(victim)
-                        if victim in l2_pf:
-                            l2_pf.discard(victim)
-                    lru2.append(block)
-                    l2_res.add(block)
-                l1d_lru = l1d_sets[block & l1d_mask]
-                if len(l1d_lru) >= l1d_assoc:
-                    victim = l1d_lru.pop(0)
-                    l1d_res.discard(victim)
-                    if victim in l1d_pf:
-                        l1d_pf.discard(victim)
-                l1d_lru.append(block)
-                l1d_res.add(block)
-                if next_line:
-                    nb = block + 1
-                    if nb not in l1d_res and (nb in l2_res or nb in llc_res):
-                        lru = l1d_sets[nb & l1d_mask]
-                        if len(lru) >= l1d_assoc:
-                            victim = lru.pop(0)
-                            l1d_res.discard(victim)
-                            if victim in l1d_pf:
-                                l1d_pf.discard(victim)
-                        lru.append(nb)
-                        l1d_res.add(nb)
-                        l1d_pf.add(nb)
-                if st:
-                    td_bb += st
-                    cycle += st
-            elif kind == STORE:
-                # Same residency/LRU effects as a LOAD, but stores charge
-                # only the D-TLB walk (write-allocate fills are off the
-                # critical path in the scalar model).
-                if block == prev_block:
-                    n_dtlb_h += 1
-                    n_l1d_h += 1
-                    continue
-                prev_block = block
-                if page == prev_page:
-                    st = 0.0
-                    n_dtlb_h += 1
-                else:
-                    prev_page = page
-                    lru = dtlb_sets[page & dtlb_mask]
-                    if page in lru:
-                        if lru[-1] != page:
-                            lru.remove(page)
-                            lru.append(page)
-                        n_dtlb_h += 1
-                        st = 0.0
-                    else:
-                        if len(lru) >= dtlb_assoc:
-                            lru.pop(0)
-                        lru.append(page)
-                        n_dtlb_m += 1
-                        st = w_dtlb
-                if block in l1d_res:
-                    l1d_lru = l1d_sets[block & l1d_mask]
-                    if l1d_lru[-1] != block:
-                        l1d_lru.remove(block)
-                        l1d_lru.append(block)
-                    n_l1d_h += 1
-                    if block in l1d_pf:
-                        l1d_pf.discard(block)
-                        n_l1d_pfh += 1
-                    if st:
-                        td_bb += st
-                        cycle += st
-                    continue
-                n_l1d_m += 1
-                if block in l2_res:
-                    lru2 = l2_sets[block & l2_mask]
-                    if lru2[-1] != block:
-                        lru2.remove(block)
-                        lru2.append(block)
-                    l2_pf.discard(block)
-                    n_l2d_h += 1
-                else:
-                    n_l2d_m += 1
-                    lru3 = llc_sets[block & llc_mask]
-                    if block in llc_res:
-                        if lru3[-1] != block:
-                            lru3.remove(block)
-                            lru3.append(block)
-                        llc_pf.discard(block)
-                        n_llc_dh += 1
-                    else:
-                        n_llc_dm += 1
-                        mem_data_bytes += LINE_SIZE
+                        st += c_mem
                         if len(lru3) >= llc_assoc:
                             victim = lru3.pop(0)
                             llc_res.discard(victim)

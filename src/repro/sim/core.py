@@ -27,13 +27,11 @@ Two execution backends share this model (DESIGN.md Sec. 12):
   scalar results *bit for bit* (enforced by the differential battery).
 
 Prefer the :func:`repro.sim.simulate` facade over constructing a
-:class:`Simulator` directly.  The historical ``LukewarmCore`` name
-survives as a deprecated alias pinned to the scalar backend.
+:class:`Simulator` directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -242,20 +240,3 @@ class Simulator:
                 td.fetch_latency += steady
                 cycle += steady
         return cycle
-
-
-class LukewarmCore(Simulator):
-    """Deprecated alias of :class:`Simulator`, pinned to the scalar
-    backend (the behaviour every pre-redesign caller observed).
-
-    Use :func:`repro.sim.simulate` -- or :class:`Simulator` when you need
-    to hold warm state across invocations -- instead.
-    """
-
-    def __init__(self, machine: MachineParams,
-                 hierarchy: Optional[MemoryHierarchy] = None) -> None:
-        warnings.warn(
-            "LukewarmCore is deprecated; use repro.sim.simulate() or "
-            "repro.sim.Simulator(machine, backend=...) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(machine, hierarchy, backend="scalar")

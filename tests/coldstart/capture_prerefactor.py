@@ -11,6 +11,11 @@ kept so the provenance of the snapshot is reviewable and so a future
 intentional timing change can re-freeze it in one step::
 
     PYTHONPATH=src python tests/coldstart/capture_prerefactor.py
+
+The committed file also holds a ``server_legacy`` scenario per seed,
+captured from a lazy-eviction admission model the server no longer has;
+the battery does not read it, and the file is kept byte-for-byte as
+captured.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.coldstart.model import ColdStartSpec
 from repro.engine import canonicalize
 from repro.fleet.config import FleetConfig
 from repro.fleet.region import simulate_region
@@ -58,26 +64,13 @@ def run_server_enforced(seed: int):
     """Warm-set admission model with a short TTL: plenty of cold starts,
     every one charged the scalar 120ms penalty."""
     sim = ServerSimulator(
-        config=ServerConfig(cores=4, enforce_memory=True,
-                            cold_start_penalty_ms=120.0),
+        config=ServerConfig(cores=4,
+                            coldstart=ColdStartSpec(constant_ms=120.0)),
         keepalive=FixedTTL(ttl_minutes=0.05),
         seed=seed)
     for i, profile in enumerate(SUITE[:8]):
         sim.add_instance(profile,
                          make_arrival_process("poisson", 800.0,
-                                              seed=seed * 1000 + i))
-    return sim.run(15_000.0)
-
-
-def run_server_legacy(seed: int):
-    """Legacy lazy-eviction path (enforce_memory=False) with a penalty."""
-    sim = ServerSimulator(
-        config=ServerConfig(cores=4, cold_start_penalty_ms=35.0),
-        keepalive=FixedTTL(ttl_minutes=0.02),
-        seed=seed)
-    for i, profile in enumerate(SUITE[:8]):
-        sim.add_instance(profile,
-                         make_arrival_process("lognormal", 600.0,
                                               seed=seed * 1000 + i))
     return sim.run(15_000.0)
 
@@ -98,8 +91,6 @@ def main() -> None:
         payload[str(seed)] = {
             "server_enforced": canonical(
                 server_stats_dict(run_server_enforced(seed))),
-            "server_legacy": canonical(
-                server_stats_dict(run_server_legacy(seed))),
             "fleet": canonical(run_fleet(seed)),
         }
     DATA_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -6,10 +6,10 @@ Three families of pins, per the spectrum issue:
   :class:`~repro.coldstart.model.ColdStartModel` must reproduce, byte
   for byte, the canonical JSON the scalar ``cold_start_penalty_ms``
   arithmetic produced *before* the refactor, for the server simulator
-  (both admission models) and the fleet, on three seeds.  The expected
-  strings live in ``data/prerefactor.json``, captured at the last
-  pre-refactor commit by ``capture_prerefactor.py`` -- they are history,
-  not a fixture this suite may regenerate.
+  and the fleet, on three seeds.  The expected strings live in
+  ``data/prerefactor.json``, captured at the last pre-refactor commit by
+  ``capture_prerefactor.py`` -- they are history, not a fixture this
+  suite may regenerate.
 * **Lukewarm convergence** -- as invocation frequency rises into the
   keep-alive window, a spectrum cell is *exactly* today's lukewarm
   simulation: same cycles, same instructions, byte-identical canonical
@@ -37,7 +37,7 @@ from tests.coldstart import capture_prerefactor as cap
 DATA_PATH = Path(__file__).parent / "data" / "prerefactor.json"
 
 SEEDS = cap.SEEDS
-SCENARIOS = ("server_enforced", "server_legacy", "fleet")
+SCENARIOS = ("server_enforced", "fleet")
 
 
 def canonical(value) -> str:
@@ -59,9 +59,6 @@ def test_constant_model_is_byte_identical_to_scalar_path(
     if scenario == "server_enforced":
         actual = cap.canonical(
             cap.server_stats_dict(cap.run_server_enforced(seed)))
-    elif scenario == "server_legacy":
-        actual = cap.canonical(
-            cap.server_stats_dict(cap.run_server_legacy(seed)))
     else:
         actual = cap.canonical(cap.run_fleet(seed))
     assert actual == prerefactor[str(seed)][scenario], (

@@ -10,12 +10,7 @@ from repro.experiments.common import (
     config_names,
     register_config,
     run_all_configs,
-    run_baseline,
     run_config,
-    run_jukebox,
-    run_perfect_icache,
-    run_pif,
-    run_reference,
 )
 from repro.sim.params import skylake
 
@@ -92,80 +87,40 @@ class TestConfigRegistry:
         del CONFIGS["_test_cfg_dup"]
 
 
-class TestDeprecatedWrappers:
-    def test_wrappers_warn_and_forward(self, tiny_profile):
-        m = skylake()
-        cases = [
-            (run_reference, "reference", {}),
-            (run_baseline, "baseline", {}),
-            (run_jukebox, "jukebox", {}),
-            (run_perfect_icache, "perfect", {}),
-        ]
-        for wrapper, config, opts in cases:
-            with pytest.warns(DeprecationWarning, match=wrapper.__name__):
-                via_wrapper = wrapper(tiny_profile, m, CFG, **opts)
-            direct = run_config(tiny_profile, m, CFG, config, **opts)
-            assert via_wrapper.cycles == direct.cycles
-            assert via_wrapper.instructions == direct.instructions
-
-    def test_warning_points_at_the_caller(self, tiny_profile):
-        """stacklevel=2 attributes the warning to the *calling* line, not
-        to common.py or a helper frame -- what makes `python -W error`
-        output actionable during a migration."""
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            run_reference(tiny_profile, skylake(), CFG)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_pif_wrapper_forwards_params(self, tiny_profile):
-        m = skylake()
-        params = pif_ideal_params()
-        with pytest.warns(DeprecationWarning, match="run_pif"):
-            via_wrapper = run_pif(tiny_profile, m, CFG, params,
-                                  with_jukebox=True)
-        direct = run_config(tiny_profile, m, CFG, "pif", params=params,
-                            with_jukebox=True)
-        assert via_wrapper.cycles == direct.cycles
-
-
 class TestDrivers:
     def test_reference_faster_than_baseline(self, tiny_profile):
         m = skylake()
-        ref = run_reference(tiny_profile, m, CFG)
-        base = run_baseline(tiny_profile, m, CFG)
+        ref = run_config(tiny_profile, m, CFG, "reference")
+        base = run_config(tiny_profile, m, CFG, "baseline")
         assert ref.cycles < base.cycles
         assert ref.instructions == base.instructions
 
     def test_measured_count_respects_warmup(self, tiny_profile):
-        seq = run_reference(tiny_profile, skylake(), CFG)
+        seq = run_config(tiny_profile, skylake(), CFG, "reference")
         assert len(seq.results) == CFG.invocations - CFG.warmup
 
     def test_jukebox_between_baseline_and_perfect(self, tiny_profile):
         m = skylake()
-        base = run_baseline(tiny_profile, m, CFG)
-        jb = run_jukebox(tiny_profile, m, CFG)
-        perfect = run_perfect_icache(tiny_profile, m, CFG)
+        base = run_config(tiny_profile, m, CFG, "baseline")
+        jb = run_config(tiny_profile, m, CFG, "jukebox")
+        perfect = run_config(tiny_profile, m, CFG, "perfect")
         assert perfect.cycles < jb.cycles < base.cycles
 
     def test_jukebox_reports_collected(self, tiny_profile):
-        jb = run_jukebox(tiny_profile, skylake(), CFG)
+        jb = run_config(tiny_profile, skylake(), CFG, "jukebox")
         assert len(jb.jukebox_reports) == CFG.invocations - CFG.warmup
         assert all(r.replay.lines_prefetched > 0 for r in jb.jukebox_reports)
 
     def test_pif_runs(self, tiny_profile):
-        seq = run_pif(tiny_profile, skylake(), CFG, PIFParams())
+        seq = run_config(tiny_profile, skylake(), CFG, "pif",
+                         params=PIFParams())
         assert seq.cycles > 0
 
     def test_combined_jukebox_pif(self, tiny_profile):
         m = skylake()
-        base = run_baseline(tiny_profile, m, CFG)
-        combo = run_pif(tiny_profile, m, CFG, pif_ideal_params(),
-                        with_jukebox=True)
+        base = run_config(tiny_profile, m, CFG, "baseline")
+        combo = run_config(tiny_profile, m, CFG, "pif",
+                           params=pif_ideal_params(), with_jukebox=True)
         assert combo.cycles < base.cycles
         assert combo.jukebox_reports
 
@@ -174,6 +129,6 @@ class TestDrivers:
         assert set(results) == {"reference", "baseline", "jukebox", "perfect"}
 
     def test_sequence_result_helpers(self, tiny_profile):
-        seq = run_baseline(tiny_profile, skylake(), CFG)
+        seq = run_config(tiny_profile, skylake(), CFG, "baseline")
         assert seq.cpi == pytest.approx(seq.cycles / seq.instructions)
         assert seq.mean_mpki("l2", "inst") > 0

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import engine
+from repro.coldstart.model import ColdStartSpec
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import make_keepalive
 from repro.fleet.plan import node_seed_for, plan_region
@@ -24,25 +25,34 @@ from repro.workloads.suite import SUITE
 
 SEEDS = (3, 17, 2022)
 
+#: (seed, cold-start kind) cases.  The constant-model cases keep the
+#: bare-seed ids that test selections and result histories refer to.
+ONE_NODE_CASES = (
+    [pytest.param(seed, "constant", id=str(seed)) for seed in SEEDS]
+    + [pytest.param(seed, "spectrum", id=f"spectrum-{seed}")
+       for seed in SEEDS])
+
 
 def canonical(value) -> str:
     return json.dumps(engine.canonicalize(value), sort_keys=True,
                       separators=(",", ":"))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_one_node_fleet_matches_server_simulator(seed):
+@pytest.mark.parametrize("seed,coldstart", ONE_NODE_CASES)
+def test_one_node_fleet_matches_server_simulator(seed, coldstart):
     """Hand-build the node with server/workload APIs only and compare."""
     cfg = FleetConfig(nodes=1, instances=60, functions=12,
-                      duration_ms=15_000.0, mean_iat_ms=800.0, seed=seed)
+                      duration_ms=15_000.0, mean_iat_ms=800.0,
+                      coldstart=coldstart, seed=seed)
     plan = plan_region(cfg)
 
     sim = ServerSimulator(
         config=ServerConfig(cores=cfg.cores_per_node,
                             memory_gb=cfg.memory_gb_per_node,
                             service_time_ms=cfg.service_time_ms,
-                            enforce_memory=True,
-                            cold_start_penalty_ms=cfg.cold_start_penalty_ms),
+                            coldstart=ColdStartSpec(
+                                kind=coldstart,
+                                constant_ms=cfg.cold_start_penalty_ms)),
         keepalive=make_keepalive(cfg),
         seed=node_seed_for(cfg, 0))
     for spec in plan[0]:
@@ -106,9 +116,9 @@ def test_shard_count_never_changes_results():
         assert canonical(simulate_region(cfg, shards=shards)) == baseline
 
 
-def test_legacy_server_path_unchanged_by_service_scale():
-    """enforce_memory=False with default scale is the pre-fleet model:
-    same RNG draw order, same stats, no drops ever."""
+def test_server_run_deterministic_at_default_service_scale():
+    """Two runs on one seed draw the same service times; with memory to
+    spare every arrival is served."""
     def run():
         sim = ServerSimulator(ServerConfig(cores=4), seed=9)
         for i, profile in enumerate(SUITE[:8]):

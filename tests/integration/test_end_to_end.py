@@ -12,10 +12,8 @@ from repro.core.jukebox import Jukebox
 from repro.experiments.common import (
     RunConfig,
     make_traces,
-    run_baseline,
-    run_jukebox,
-    run_perfect_icache,
-    run_reference,
+    run_all_configs,
+    run_config,
 )
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, broadwell, skylake
@@ -29,12 +27,7 @@ CFG = RunConfig(invocations=4, warmup=2, instruction_scale=0.35)
 def auth_g_runs():
     profile = get_profile("Auth-G")
     m = skylake()
-    return {
-        "reference": run_reference(profile, m, CFG),
-        "baseline": run_baseline(profile, m, CFG),
-        "jukebox": run_jukebox(profile, m, CFG),
-        "perfect": run_perfect_icache(profile, m, CFG),
-    }
+    return run_all_configs(profile, m, CFG)
 
 
 class TestLukewarmPhenomenon:
@@ -97,7 +90,7 @@ class TestJukeboxEffectiveness:
 class TestLanguageEffects:
     def test_python_metadata_exceeds_budget(self):
         """Python/NodeJS metadata truncates at 16KB (Figs. 8 and 11)."""
-        jb = run_jukebox(get_profile("Email-P"), skylake(), CFG)
+        jb = run_config(get_profile("Email-P"), skylake(), CFG, "jukebox")
         assert any(r.recorded_dropped > 0 or r.recorded_bytes > 15 * KB
                    for r in jb.jukebox_reports)
 
@@ -106,8 +99,8 @@ class TestLanguageEffects:
 
         def coverage(abbrev):
             profile = get_profile(abbrev)
-            base = run_baseline(profile, m, CFG)
-            jb = run_jukebox(profile, m, CFG)
+            base = run_config(profile, m, CFG, "baseline")
+            jb = run_config(profile, m, CFG, "jukebox")
             covered = sum(r.replay.covered for r in jb.jukebox_reports)
             misses = sum(r.stats.l2.inst_misses for r in base.results)
             return covered / misses
@@ -122,8 +115,8 @@ class TestBroadwellEffect:
         from repro.sim.params import MODE_EVALUATION
         profile = get_profile("Email-P")
         m = broadwell(mode=MODE_EVALUATION)
-        base = run_baseline(profile, m, CFG)
-        jb = run_jukebox(profile, m, CFG)
+        base = run_config(profile, m, CFG, "baseline")
+        jb = run_config(profile, m, CFG, "jukebox")
         l2_reduction = 1 - jb.mean_mpki("l2", "inst") / base.mean_mpki("l2", "inst")
         llc_reduction = 1 - jb.mean_mpki("llc", "inst") / base.mean_mpki("llc", "inst")
         assert llc_reduction > 0.6

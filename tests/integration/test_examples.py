@@ -39,3 +39,11 @@ class TestPrefetcherComparison:
 def test_other_examples_run(script):
     out = run_example(script)
     assert "|" in out  # produced at least one table
+
+
+def test_every_example_is_smoke_tested():
+    """The tests above cover every script in examples/, so a new example
+    cannot land without a smoke run."""
+    covered = {"quickstart.py", "prefetcher_comparison.py",
+               "server_characterization.py", "custom_function.py"}
+    assert {p.name for p in EXAMPLES.glob("*.py")} == covered

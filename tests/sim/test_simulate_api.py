@@ -1,8 +1,7 @@
 """The stable ``repro.sim.simulate()`` facade and the backend plumbing.
 
-The API-redesign contract: ``simulate()`` is the single public entry point
-for executing a trace, ``Simulator(backend=...)`` carries warm state, and
-the historical ``LukewarmCore`` name survives only as a deprecated shim.
+The API contract: ``simulate()`` is the single public entry point for
+executing a trace, and ``Simulator(backend=...)`` carries warm state.
 """
 
 import pytest
@@ -11,7 +10,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig
 from repro.sim import BACKENDS, simulate
-from repro.sim.core import LukewarmCore, Simulator
+from repro.sim.core import Simulator
 from repro.sim.params import skylake
 from repro.workloads import TraceBuilder
 
@@ -86,24 +85,3 @@ class TestBackendSelection:
     def test_runconfig_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError, match="unknown simulation"):
             RunConfig(backend="simd")
-
-
-class TestLukewarmCoreShim:
-    def test_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="LukewarmCore"):
-            LukewarmCore(skylake())
-
-    def test_shim_pins_scalar_backend(self):
-        with pytest.warns(DeprecationWarning):
-            core = LukewarmCore(skylake())
-        assert core.backend == "scalar"
-
-    def test_shim_is_a_simulator(self):
-        with pytest.warns(DeprecationWarning):
-            core = LukewarmCore(skylake())
-        assert isinstance(core, Simulator)
-        trace = small_trace()
-        assert core.run(trace).cycles == simulate(trace, skylake()).cycles
-
-    def test_still_exported_for_compatibility(self):
-        assert "LukewarmCore" in repro.__all__

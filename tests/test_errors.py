@@ -33,7 +33,7 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_headline_classes_exported(self):
-        for name in ("Jukebox", "LukewarmCore", "FunctionModel", "PIF",
+        for name in ("Jukebox", "Simulator", "FunctionModel", "PIF",
                      "skylake", "broadwell", "SUITE", "get_profile"):
             assert name in repro.__all__
 
