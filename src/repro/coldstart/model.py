@@ -130,7 +130,11 @@ class SnapshotState:
     The data side (:class:`PageReplayState`) records and replays the
     page-fault working set; the instruction side holds the
     :class:`~repro.core.snapshot.MetadataSnapshot` image so a restore
-    can re-arm the Jukebox replayer captured with the snapshot.
+    can re-arm the Jukebox replayer captured with the snapshot.  That
+    side is the test oracle for the spectrum's cold cells, which run the
+    lukewarm Jukebox sequence instead.  The two agree only while every
+    invocation records something: an empty capture keeps the older
+    image, where a lukewarm Jukebox would replay nothing.
     """
 
     def __init__(self, pages: PageReplayState) -> None:

@@ -15,12 +15,11 @@ optimization pays off:
   to today's lukewarm results.
 * **cold** (``iat > ttl``) -- the keep-alive policy reclaimed the
   instance; every invocation restores a snapshot (page faults, REAP
-  record/replay under the ``page_replay`` toggle), re-runs library
-  initialization (trimmed under ``init_trim``) and executes with cold
-  microarchitectural state.  Under the ``jukebox`` toggle the
-  instruction-side metadata image captured with the snapshot re-arms
-  the replayer on restore (:class:`repro.coldstart.model.SnapshotState`
-  composing with :mod:`repro.core.snapshot`).
+  record/replay under the ``page_replay`` toggle) and re-runs library
+  initialization (trimmed under ``init_trim``).  It executes the
+  lukewarm sequence: a cold boot also starts from flushed state, and
+  under ``jukebox`` the snapshot restores exactly the metadata the
+  previous invocation recorded, which the lukewarm Jukebox replays.
 
 Every cell is a content-addressed engine job (cached, parallel,
 SIGKILL-resumable); the sweep emits ``coldstart.*`` trace events.
@@ -28,6 +27,7 @@ SIGKILL-resumable); the sweep emits ``coldstart.*`` trace events.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,16 +36,10 @@ from repro.coldstart.model import ColdStartSpec, SpectrumColdStart
 from repro.engine import Job, sweep
 from repro.engine.sweep import current_context
 from repro.errors import ConfigurationError
-from repro.experiments.common import (
-    RunConfig,
-    make_traces,
-    register_config,
-    run_config,
-)
+from repro.experiments.common import RunConfig, register_config, run_config
 from repro.obs import records as _obs
-from repro.sim.core import Simulator
 from repro.sim.params import MachineParams, skylake
-from repro.sim.simulate import simulate
+from repro.workloads.profiles import FunctionProfile
 from repro.workloads.suite import get_profile
 
 #: Swept inter-arrival times in ms (0 = back-to-back warm anchor; the
@@ -115,6 +109,21 @@ def _cell_dict(regime: str, iat_ms: float, freq_ghz: float,
     }
 
 
+@functools.lru_cache(maxsize=3)
+def _sequence(profile: FunctionProfile, machine: MachineParams,
+              cfg: RunConfig, config: str) -> Tuple[int, float, int]:
+    """Per-process memo of ``run_config(...)``'s immutable
+    ``(measured invocations, cycles, instructions)``.
+
+    Keyed on the full ``cfg``, so a scalar re-simulation is never served
+    a columnar result.  A function's cells need at most three sequences
+    and sweeps run function-major, so three entries suffice (the
+    argument :func:`~repro.experiments.common._trace_set` makes for one).
+    """
+    seq = run_config(profile, machine, cfg, config)
+    return len(seq.results), seq.cycles, seq.instructions
+
+
 @register_config("spectrum_point")
 def _build_spectrum_point(profile, machine: MachineParams, cfg: RunConfig,
                           iat_ms: float = 0.0,
@@ -124,58 +133,35 @@ def _build_spectrum_point(profile, machine: MachineParams, cfg: RunConfig,
                           init_trim: bool = False) -> Dict:
     """One (function, variant, IAT) cell of the spectrum sweep.
 
-    Warm and lukewarm cells delegate to the registry's ``reference`` /
-    ``baseline`` / ``jukebox`` builders, so their simulated sequences
-    are byte-identical to the existing experiments (the convergence
-    property the differential battery pins).  Cold cells charge the
-    :mod:`repro.coldstart` model per invocation on top of a
-    flushed-state execution whose Jukebox (when enabled) is restored
-    from the snapshot's metadata image each time.
+    Warm cells take the ``reference`` sequence, lukewarm and cold cells
+    ``baseline`` (``jukebox`` under the toggle), byte-identical to the
+    registry's configs (the differential battery pins both), so each
+    sequence is simulated once per process (:func:`_sequence`).  Cold
+    cells may reuse the lukewarm Jukebox sequence because every
+    invocation records something (a flushed invocation's first fetch
+    misses the L2), so a snapshot never keeps an older image.  They
+    also charge the :mod:`repro.coldstart` model per invocation.
     """
     freq_ghz = machine.core.freq_ghz
     regime = classify_regime(iat_ms, ttl_ms)
-    if regime == REGIME_WARM:
-        seq = run_config(profile, machine, cfg, "reference")
-        return _cell_dict(regime, iat_ms, freq_ghz, len(seq.results),
-                          seq.cycles, seq.instructions)
-    if regime == REGIME_LUKEWARM:
-        seq = run_config(profile, machine, cfg,
-                         "jukebox" if jukebox else "baseline")
-        return _cell_dict(regime, iat_ms, freq_ghz, len(seq.results),
-                          seq.cycles, seq.instructions)
+    config = ("reference" if regime == REGIME_WARM
+              else "jukebox" if jukebox else "baseline")
+    n, cycles, instructions = _sequence(profile, machine, cfg, config)
+    if regime != REGIME_COLD:
+        return _cell_dict(regime, iat_ms, freq_ghz, n, cycles, instructions)
 
     # Cold regime: every invocation is a snapshot restore.
     model = SpectrumColdStart(ColdStartSpec(
         kind="spectrum", page_replay=page_replay, init_trim=init_trim))
-    state = model.state_for("cell", profile)
-    sim = Simulator(machine, backend=cfg.backend)
-    measured = []
-    charges = []
-    first_restore_page_ms = 0.0
-    for i, trace in enumerate(make_traces(profile, cfg)):
-        charge = model.cold_start("cell", profile)
-        if i == 0:
-            first_restore_page_ms = charge.page_ms
-        sim.flush_microarch_state()
-        jb = state.restore_jukebox(machine.jukebox) if jukebox else None
-        if jb is not None:
-            jb.begin_invocation(sim.hierarchy)
-        result = simulate(trace, sim=sim)
-        if jb is not None:
-            jb.end_invocation(sim.hierarchy, result)
-            state.capture_metadata(jb)
-        if i >= cfg.warmup:
-            measured.append(result)
-            charges.append(charge)
-    n = len(measured)
-    last = charges[-1]
+    charges = [model.cold_start("cell", profile)
+               for _ in range(cfg.invocations)]
+    measured = charges[cfg.warmup:]
+    last = measured[-1]
     return _cell_dict(
-        regime, iat_ms, freq_ghz, n,
-        sum(r.cycles for r in measured),
-        sum(r.instructions for r in measured),
-        init_ms=sum(c.init_ms for c in charges) / n,
-        page_ms=sum(c.page_ms for c in charges) / n,
-        first_restore_page_ms=first_restore_page_ms,
+        regime, iat_ms, freq_ghz, n, cycles, instructions,
+        init_ms=sum(c.init_ms for c in measured) / n,
+        page_ms=sum(c.page_ms for c in measured) / n,
+        first_restore_page_ms=charges[0].page_ms,
         replay_page_ms=last.page_ms,
         faulted_pages=last.faulted_pages,
         prefetched_pages=last.prefetched_pages,

@@ -60,6 +60,7 @@ from repro.experiments import (
 from repro.experiments.common import RunConfig
 from repro.faults import parse_fault_plan
 from repro.sim.core import BACKENDS
+from repro.workloads.suite import BY_ABBREV
 
 #: Environment variable overriding the default result-cache location.
 CACHE_DIR_ENV = "LUKEWARM_CACHE_DIR"
@@ -255,6 +256,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    unknown = [f for f in args.functions or () if f not in BY_ABBREV]
+    if unknown:
+        print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(BY_ABBREV)}", file=sys.stderr)
         return 2
     if args.no_cache and args.cache_dir is not None:
         print("--no-cache and --cache-dir contradict each other; "

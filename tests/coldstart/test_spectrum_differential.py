@@ -1,6 +1,6 @@
 """Differential battery: the cold-start refactor against its ground truths.
 
-Three families of pins, per the spectrum issue:
+Four families of pins:
 
 * **Legacy byte-identity** -- the constant-penalty
   :class:`~repro.coldstart.model.ColdStartModel` must reproduce, byte
@@ -15,6 +15,11 @@ Three families of pins, per the spectrum issue:
   simulation: same cycles, same instructions, byte-identical canonical
   JSON against the registry's ``baseline``/``jukebox``/``reference``
   configs.
+* **Cold reuse** -- a cold cell executes the lukewarm sequence.  The
+  oracle boots every invocation from a snapshot: flush, restore a
+  Jukebox from the snapshot's metadata image, simulate, capture the
+  image again.  Its measured invocations must equal the ``baseline`` /
+  ``jukebox`` configs' byte for byte.
 * **Replay beats recording** -- restoring twice, the second (replayed)
   restore's page cost is strictly below the first (recording) restore,
   for every profile in the suite.
@@ -28,8 +33,11 @@ import pytest
 import repro.experiments.ext_spectrum  # noqa: F401  (registers spectrum_point)
 from repro import engine
 from repro.coldstart import PageReplayState, working_set_pages
-from repro.experiments.common import RunConfig, run_config
+from repro.coldstart.model import SnapshotState
+from repro.experiments.common import RunConfig, make_traces, run_config
+from repro.sim.core import Simulator
 from repro.sim.params import skylake
+from repro.sim.simulate import simulate
 from repro.workloads.suite import SUITE, get_profile
 
 from tests.coldstart import capture_prerefactor as cap
@@ -117,6 +125,65 @@ def test_back_to_back_cell_matches_reference_config():
     assert cell["regime"] == "warm"
     assert canonical(cell["cycles"]) == canonical(ref.cycles)
     assert cell["instructions"] == ref.instructions
+
+
+# ---------------------------------------------------------------------------
+# Cold reuse: a per-invocation snapshot-boot loop is the oracle.
+
+COLD_CFG = RunConfig(invocations=3, warmup=1, instruction_scale=0.05)
+COLD_CASES = ([(p.abbrev, 1) for p in SUITE]
+              + [(abbrev, 4242) for abbrev in ("Auth-G", "ProdL-G", "Fib-P")])
+
+
+def cold_boot_sequence(profile, machine, cfg, jukebox):
+    """Every invocation boots from a snapshot: flushed microarchitectural
+    state and, under Jukebox, a replayer restored from the metadata image
+    the previous invocation captured (:class:`SnapshotState`)."""
+    state = SnapshotState(PageReplayState(pages=working_set_pages(profile)))
+    sim = Simulator(machine, backend=cfg.backend)
+    measured = []
+    for i, trace in enumerate(make_traces(profile, cfg)):
+        sim.flush_microarch_state()
+        jb = state.restore_jukebox(machine.jukebox) if jukebox else None
+        if jb is not None:
+            jb.begin_invocation(sim.hierarchy)
+        result = simulate(trace, sim=sim)
+        if jb is not None:
+            jb.end_invocation(sim.hierarchy, result)
+            state.capture_metadata(jb)
+        if i >= cfg.warmup:
+            measured.append(result)
+    return measured
+
+
+@pytest.mark.parametrize("jukebox", [False, True], ids=["base", "jb"])
+@pytest.mark.parametrize("abbrev,seed", COLD_CASES,
+                         ids=[f"{a}-s{s}" for a, s in COLD_CASES])
+def test_cold_boot_sequence_is_the_lukewarm_sequence(abbrev, seed, jukebox):
+    machine = skylake()
+    profile = get_profile(abbrev)
+    cfg = COLD_CFG.replace(seed=seed)
+    oracle = cold_boot_sequence(profile, machine, cfg, jukebox)
+    seq = run_config(profile, machine, cfg,
+                     "jukebox" if jukebox else "baseline")
+    assert canonical(oracle) == canonical(seq.results)
+
+
+@pytest.mark.parametrize("jukebox", [False, True], ids=["base", "jb"])
+@pytest.mark.parametrize("abbrev", CONV_FUNCTIONS)
+def test_cold_cell_matches_lukewarm_sequence(abbrev, jukebox):
+    """The convergence family's cold case, at the cheaper cold scale."""
+    machine = skylake()
+    profile = get_profile(abbrev)
+    seq = run_config(profile, machine, COLD_CFG,
+                     "jukebox" if jukebox else "baseline")
+    cell = run_config(profile, machine, COLD_CFG, "spectrum_point",
+                      iat_ms=1_800_000.0, ttl_ms=600_000.0,
+                      jukebox=jukebox, page_replay=True, init_trim=True)
+    assert cell["regime"] == "cold"
+    assert cell["invocations"] == len(seq.results)
+    assert canonical(cell["cycles"]) == canonical(seq.cycles)
+    assert cell["instructions"] == seq.instructions
 
 
 # ---------------------------------------------------------------------------

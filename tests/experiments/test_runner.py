@@ -150,6 +150,20 @@ class TestMain:
         assert main(["fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,unknown", [
+        (["fig10", "--fast", "--functions", "Nope"], "Nope"),
+        (["all", "--keep-going", "--functions", "Auth-G", "Nope", "Nix"],
+         "Nope, Nix"),
+    ])
+    def test_unknown_function_is_a_usage_error(self, capsys, argv, unknown):
+        """Nothing runs, so it is not an experiment failure (exit 3)."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown functions: {unknown}\n" in captured.err
+        assert "known: " in captured.err and "ProdL-G" in captured.err
+        assert "experiment(s) failed" not in captured.err
+
     def test_rejects_nonpositive_jobs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table2", "--jobs", "0"])
