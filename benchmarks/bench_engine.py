@@ -23,10 +23,10 @@ The CLI reports two kinds of cells:
   speedup is bounded by that serial fraction (3.5-5x, Amdahl); the JSON
   records both kinds side by side rather than hiding the distinction.
 
-Timing is best-of-N wall clock per backend with the trace IR and
-region-summary tables warmed outside the timed region -- exactly the
-steady state a long sweep runs in (traces are reused across the sweep
-grid, so IR construction amortizes to zero there).
+Timing is best-of-N wall clock per backend with the trace IR warmed
+outside the timed region -- exactly the steady state a long sweep runs
+in (traces are reused across the sweep grid, so IR construction
+amortizes to zero there).
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def _ifetch_kernel():
 
 def _time_lukewarm(traces, backend, reps):
     """Best-of-``reps`` wall time of a flushed (lukewarm) pass over
-    ``traces``, IR and summary tables pre-warmed."""
+    ``traces``, IR pre-warmed."""
     import time
 
     from repro.sim.core import Simulator
     from repro.sim.simulate import simulate
 
     sim = Simulator(skylake(), backend=backend)
-    for trace in traces:  # untimed: builds the IR + summary tables
+    for trace in traces:  # untimed: builds the IR
         simulate(trace, sim=sim)
         sim.hierarchy.finish_invocation()
     best = None

@@ -77,12 +77,14 @@ echo "== benchmark harness tests (perfbench/tests) =="
 # install/restore); they live outside pytest's testpaths.
 python3 -m pytest perfbench/tests -q
 
-echo "== benchmark correctness (perfbench/run.py spectrum-pool) =="
-# One real spectrum command on seed 1 (about 7 s): exits 1 when its
-# result digest differs from the one committed in perfbench/digests.json
-# or a seeded-random cell's scalar re-simulation disagrees with the
-# cached columnar result.
+echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold) =="
+# One real command per workload on seed 1 (about 7 s and 12 s): each exits
+# 1 when its result digest differs from the one committed in
+# perfbench/digests.json or a seeded-random cell's scalar re-simulation
+# disagrees with the cached columnar result.  fig10-cold runs baseline,
+# jukebox and perfect cells over a Python, a Node and a Go function.
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
+python3 perfbench/run.py --workload fig10-cold --seconds 0
 
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.

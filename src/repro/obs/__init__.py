@@ -6,7 +6,7 @@ Three pieces, all injected rather than global:
   executor, and retry activity, timestamped only by an injectable clock
   (:class:`TickClock` / :class:`FrozenClock` for deterministic tests);
 * :class:`MetricsRegistry` -- counters/gauges/histograms with canonical
-  JSON export, published into by ``engine.sweep`` and ``sim.stats``;
+  JSON export, published into by ``engine.sweep``;
 * ``python -m repro.obs summarize`` -- the trace aggregation report.
 
 See DESIGN.md §10 for the record schema and determinism rules.

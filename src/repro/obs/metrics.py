@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is the numeric side of the observability
 layer: where the tracer records *what happened*, the registry records
 *how much*.  ``engine.sweep`` publishes its :class:`SweepStats` deltas
-into one, ``sim.stats`` objects publish their hierarchy counters, and
-the runner writes the whole registry to disk behind ``--metrics-out``.
+into one, and the runner writes the whole registry to disk behind
+``--metrics-out``.
 
 Like the tracer, a registry is injected -- never a module-level
 singleton (REPRO008) -- and its export is canonical: instruments sort by

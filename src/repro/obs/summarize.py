@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceSchemaError
 from repro.obs import records
@@ -97,7 +97,11 @@ class TraceSummary:
     coldstart_sweeps: int = 0
     coldstart_points: int = 0
     coldstart_cold_points: int = 0
-    timings: Dict[str, JobTiming] = field(default_factory=dict)
+    #: Per-cell timings keyed by (sweep ordinal, task index): labels
+    #: repeat when a sweep runs several cells of one function/config, or
+    #: two sweeps reuse a cell.  Events before any ``sweep.begin`` fall
+    #: in sweep 0.
+    timings: Dict[Tuple[int, int], JobTiming] = field(default_factory=dict)
 
     @property
     def cache_lookups(self) -> int:
@@ -113,6 +117,14 @@ class TraceSummary:
         timed = [t for t in self.timings.values() if t.wall_time is not None]
         timed.sort(key=lambda t: (-t.wall_time, t.job))
         return timed[:n]
+
+
+def _timing(summary: TraceSummary, fields: Dict[str, object]) -> JobTiming:
+    """The timing of the cell a dispatch/harvest record names, created on
+    first sight; ``job`` is only its printed label."""
+    return summary.timings.setdefault(
+        (summary.sweeps, fields.get("index")),
+        JobTiming(job=str(fields.get("job", "?"))))
 
 
 def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
@@ -158,17 +170,13 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
             if (int(fields.get("attempt", 0)) == 0
                     and int(fields.get("dispatch", 0)) == 0):
                 first_dispatches += 1
-            timing = summary.timings.setdefault(
-                str(fields.get("job", "?")),
-                JobTiming(job=str(fields.get("job", "?"))))
+            timing = _timing(summary, fields)
             timing.dispatches += 1
             if timing.first_dispatch_t is None and event.t is not None:
                 timing.first_dispatch_t = event.t
         elif kind == records.HARVEST:
             summary.harvests += 1
-            timing = summary.timings.setdefault(
-                str(fields.get("job", "?")),
-                JobTiming(job=str(fields.get("job", "?"))))
+            timing = _timing(summary, fields)
             timing.harvests += 1
             if event.t is not None:
                 timing.last_harvest_t = event.t

@@ -3,7 +3,7 @@ analytic core timing model (the gem5 stand-in, DESIGN.md Sec. 1)."""
 
 from repro.sim.cache import SetAssocCache
 from repro.sim.core import BACKENDS, InvocationResult, Simulator
-from repro.sim.hierarchy import FillQueue, MemoryHierarchy, RegionSummaries
+from repro.sim.hierarchy import FillQueue, MemoryHierarchy
 from repro.sim.params import (
     BROADWELL,
     SKYLAKE,
@@ -38,7 +38,6 @@ __all__ = [
     "MemoryHierarchy",
     "MODE_CHARACTERIZATION",
     "MODE_EVALUATION",
-    "RegionSummaries",
     "SKYLAKE",
     "SetAssocCache",
     "Simulator",

@@ -21,14 +21,18 @@ How the speed is won, without changing a single float:
   every walk.
 * **Bulk walk classes.**  A walk whose pattern is (a) fully L1-I-resident,
   (b) fully L2-resident, or (c) resident nowhere is charged with a closed
-  form: constant per-event stalls (plus exact I-TLB page-run adjustments),
-  per-level hit/miss counters bumped ``n`` at a time, and the aggregate
-  LRU effect applied through the bulk methods of
-  :class:`repro.sim.cache.SetAssocCache`.  Anything that does not prove a
-  class's preconditions -- pending prefetch flags, in-flight fill queues,
-  an active ``on_fetch`` hook, perfect-I$ mode, partial residency -- falls
-  back to a per-event path for that walk only, reusing the very same
-  ``access_instr`` method as the scalar backend.
+  form: constant per-event stalls (plus exact I-TLB page-run adjustments)
+  and per-level hit/miss counters bumped ``n`` at a time.  Each class
+  then runs one loop over ``pattern.unique_last`` that applies, block by
+  block, the cache updates ``access_instr`` makes through
+  :meth:`repro.sim.cache.SetAssocCache.lookup` and ``insert``: a hit
+  moves the line to MRU; a fill pops the LRU victim, drops its residency
+  and prefetch flag (counting an unused L2 prefetch) and appends the new
+  line.  Anything that does not prove a class's preconditions -- pending
+  prefetch flags, in-flight fill queues, an active ``on_fetch`` hook,
+  perfect-I$ mode, partial residency -- falls back to a per-event path
+  for that walk only, reusing the very same ``access_instr`` method as
+  the scalar backend.
 * **Precomputed accumulator totals.**  ``td.retiring`` and
   ``td.fetch_bandwidth`` receive only *state-independent* adds in the
   scalar interpreter (per-IFETCH ``insts/width`` and per-LOOP spec
@@ -48,10 +52,6 @@ How the speed is won, without changing a single float:
   accumulating statistics in local integers flushed once per run.  The
   transcriptions are unconditional: those paths never interact with
   record hooks, fill queues or perfect-I$ mode.
-* **Memoized region summaries.**  Per-pattern set groupings are cached in
-  :class:`repro.sim.hierarchy.RegionSummaries` keyed on (pattern, cache
-  geometry), so invocation 40 of a function reuses the tables built by
-  invocation 0.
 
 Skipped zero-adds, and the zero fill stalls a store adds in the shared
 load/store transcription, rely on ``x + 0.0 == x`` bitwise, which holds
@@ -130,7 +130,6 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     memory = hier.memory
     l1i_fills = hier.l1i_fills
     l2_fills = hier.l2_fills
-    summaries = hier.region_summaries
 
     hook = hier.record_hook
     hook_fetch_noop = hook is None or getattr(hook, "fetch_is_noop", False)
@@ -228,19 +227,13 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     itlb_mask = itlb._set_mask
     itlb_assoc = itlb.assoc
 
-    # --- fused cold-walk insert plans -----------------------------------
-    # When every group is a singleton (the common case: pattern blocks hit
-    # distinct sets at every level) and no pending-prefetch flags exist at
-    # the touched levels, the per-level bulk passes collapse into one loop
-    # over precomputed (set index per level, block) tuples.  The levels
-    # are independent structures, so interleaving per block is
-    # state-identical to the per-level passes.
+    # --- L1-I structures for the bulk walk classes ----------------------
+    # (the L2 and LLC are aliased by the data path above)
     l1i_sets = l1i._sets
-    l1i_pf = l1i._pf_pending
+    l1i_mask = l1i._set_mask
     l1i_assoc = l1i.assoc
+    l1i_pf = l1i._pf_pending
     l1i_res = l1i._resident
-    fused_miss_key = ("m3", llc_mask, l2_mask, l1i._set_mask)
-    fused_hit_key = ("h2", l2_mask, l1i._set_mask)
 
     # State-dependent Top-Down accumulators live in locals (one attribute
     # store per run instead of per event); each receives exactly the
@@ -531,7 +524,8 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     # page (walk 1 had no TLB miss, or ``pattern.itlb_fits`` bounds
     # pages-per-set by the associativity) -- the remaining walks are
     # guaranteed all-hits with *zero* state change: they reduce to one
-    # cycle fold plus counter bumps.
+    # cycle fold plus counter bumps.  Walk 1's fills never set a prefetch
+    # flag, so residency is the only L1-I fact left to check.
 
     def fold_repeats(lo: int, hi: int) -> None:
         """Charge all-hit repeat walks ``[lo, hi)``: pure ``step0`` fold,
@@ -541,6 +535,19 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
         charge_hits(lo, hi, _EMPTY)
         stats.l1i.inst_hits += n
         sources["l1"] = sources.get("l1", 0) + n
+
+    def fold_after_fill(first_hi: int, hi: int, miss_idx: List[int],
+                        pattern) -> int:
+        """Fold the repeat walks ``[first_hi, hi)`` after a walk 1 that
+        filled the L1-I, when every pattern block is still resident (a
+        set holding more pattern blocks than ways evicts some of them).
+        Returns the first unconsumed event index."""
+        if (first_hi < hi and l1i_res.issuperset(pattern.unique_last)
+                and (not miss_idx
+                     or pattern.itlb_fits(itlb_mask, itlb_assoc))):
+            fold_repeats(first_hi, hi)
+            return hi
+        return first_hi
 
     def bulk_l1_hits(lo: int, hi: int, period: int, pattern) -> None:
         """Every remaining walk hits the L1-I: residency cannot change
@@ -559,72 +566,43 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                 charge_hits(first_hi, hi, miss_idx)
                 stats.l1i.inst_hits += hi - first_hi
                 sources["l1"] = sources.get("l1", 0) + (hi - first_hi)
-        l1i.bulk_reorder(summaries.groups(pattern, l1i))
+        for blk in pattern.unique_last:
+            lru = l1i_sets[blk & l1i_mask]
+            if lru[-1] != blk:
+                lru.remove(blk)
+                lru.append(blk)
 
     def bulk_l2_hits(lo: int, hi: int, period: int, pattern) -> int:
         """Walk 1 of ``[lo, hi)`` served entirely by the L2 (distinct
-        blocks, none in the L1-I, no pending prefetch flags); repeat
-        walks fold when the L1-I insert provably kept every block.
-        Returns the first unconsumed event index."""
+        blocks, none in the L1-I, no pending prefetch flags on them):
+        each block moves to MRU in the L2 and fills the L1-I.  Returns
+        the first unconsumed event index."""
         first_hi = lo + period
         miss_idx = walk_itlb(lo, first_hi, period, pattern)
         charge_const(lo, first_hi, c_l2hit, cw_l2hit, steps_l2hit, miss_idx)
         stats.l1i.inst_misses += period
         stats.l2.inst_hits += period
         sources["l2"] = sources.get("l2", 0) + period
-        fused = False
-        if not l1i_pf:
-            fused = pattern.groups_cache.get(fused_hit_key)
-            if fused is None:
-                p_l2 = summaries.groups(pattern, l2)
-                p_l1 = summaries.groups(pattern, l1i)
-                if p_l2.flat is None or p_l1.flat is None:
-                    fused = False
-                else:
-                    # All-singleton groups list blocks in unique_last
-                    # order for every mask, so the plans zip up
-                    # block-for-block.
-                    fused = [(si2, si1, blk)
-                             for (si2, blk), (si1, _b) in zip(p_l2.flat,
-                                                              p_l1.flat)]
-                pattern.groups_cache[fused_hit_key] = fused
-        if fused is not False:
-            # Mirror upkeep is batched: victims cannot be this walk's
-            # blocks (contains_none precondition), so one bulk difference
-            # plus one bulk update lands the same final index.
-            victims1: list = []
-            v1ap = victims1.append
-            for si2, si1, blk in fused:
-                lru = l2_sets[si2]
-                if lru[-1] != blk:
-                    lru.remove(blk)
-                    lru.append(blk)
-                lru = l1i_sets[si1]
-                if len(lru) >= l1i_assoc:
-                    v1ap(lru[0])
-                    del lru[0]
+        for blk in pattern.unique_last:
+            lru = l2_sets[blk & l2_mask]
+            if lru[-1] != blk:
+                lru.remove(blk)
                 lru.append(blk)
-            if victims1:
-                l1i_res.difference_update(victims1)
-            l1i_res.update(pattern.unique_last)
-            fits = True
-        else:
-            l2.bulk_reorder(summaries.groups(pattern, l2))
-            plan = summaries.groups(pattern, l1i)
-            l1i.bulk_insert_new(plan)
-            fits = plan.max_group <= l1i_assoc
-        if (first_hi < hi and fits
-                and (not miss_idx
-                     or pattern.itlb_fits(itlb_mask, itlb_assoc))):
-            fold_repeats(first_hi, hi)
-            return hi
-        return first_hi
+            lru = l1i_sets[blk & l1i_mask]
+            if len(lru) >= l1i_assoc:
+                victim = lru.pop(0)
+                l1i_res.discard(victim)
+                if victim in l1i_pf:
+                    l1i_pf.discard(victim)
+            lru.append(blk)
+            l1i_res.add(blk)
+        return fold_after_fill(first_hi, hi, miss_idx, pattern)
 
     def bulk_misses(lo: int, hi: int, period: int, pattern) -> int:
         """Walk 1 of ``[lo, hi)`` with distinct blocks resident nowhere
         on chip and no record hook: every fetch is a compulsory miss to
-        DRAM.  Repeat walks fold as in :func:`bulk_l2_hits`.  Returns
-        the first unconsumed event index."""
+        DRAM that fills the LLC, the L2 and the L1-I.  Returns the first
+        unconsumed event index."""
         first_hi = lo + period
         miss_idx = walk_itlb(lo, first_hi, period, pattern)
         charge_const(lo, first_hi, c_miss, cw_miss, steps_miss, miss_idx)
@@ -633,70 +611,36 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
         stats.llc.inst_misses += period
         memory.traffic.demand_inst += period * LINE_SIZE
         sources["memory"] = sources.get("memory", 0) + period
-        fused = False
-        if not (llc_pf or l2_pf or l1i_pf):
-            fused = pattern.groups_cache.get(fused_miss_key)
-            if fused is None:
-                p_llc = summaries.groups(pattern, llc)
-                p_l2 = summaries.groups(pattern, l2)
-                p_l1 = summaries.groups(pattern, l1i)
-                if (p_llc.flat is None or p_l2.flat is None
-                        or p_l1.flat is None):
-                    fused = False
-                else:
-                    fused = [(si3, si2, si1, blk)
-                             for (si3, blk), (si2, _b), (si1, _c)
-                             in zip(p_llc.flat, p_l2.flat, p_l1.flat)]
-                pattern.groups_cache[fused_miss_key] = fused
-        if fused is not False:
-            # Batched mirror upkeep; see the note in bulk_l2_hits.
-            victims3: list = []
-            victims2: list = []
-            victims1 = []
-            v3ap = victims3.append
-            v2ap = victims2.append
-            v1ap = victims1.append
-            for si3, si2, si1, blk in fused:
-                lru = llc_sets[si3]
-                if len(lru) >= llc_assoc:
-                    v3ap(lru[0])
-                    del lru[0]
-                lru.append(blk)
-                lru = l2_sets[si2]
-                if len(lru) >= l2_assoc:
-                    v2ap(lru[0])
-                    del lru[0]
-                lru.append(blk)
-                lru = l1i_sets[si1]
-                if len(lru) >= l1i_assoc:
-                    v1ap(lru[0])
-                    del lru[0]
-                lru.append(blk)
-            unique = pattern.unique_last
-            if victims3:
-                llc_res.difference_update(victims3)
-            llc_res.update(unique)
-            if victims2:
-                l2_res.difference_update(victims2)
-            l2_res.update(unique)
-            if victims1:
-                l1i_res.difference_update(victims1)
-            l1i_res.update(unique)
-            fits = True
-        else:
-            llc.bulk_insert_new(summaries.groups(pattern, llc))
-            unused = l2.bulk_insert_new(summaries.groups(pattern, l2))
-            if unused:
-                stats.l2.prefetched_unused += unused
-            plan = summaries.groups(pattern, l1i)
-            l1i.bulk_insert_new(plan)
-            fits = plan.max_group <= l1i_assoc
-        if (first_hi < hi and fits
-                and (not miss_idx
-                     or pattern.itlb_fits(itlb_mask, itlb_assoc))):
-            fold_repeats(first_hi, hi)
-            return hi
-        return first_hi
+        unused = 0
+        for blk in pattern.unique_last:
+            lru = llc_sets[blk & llc_mask]
+            if len(lru) >= llc_assoc:
+                victim = lru.pop(0)
+                llc_res.discard(victim)
+                if victim in llc_pf:
+                    llc_pf.discard(victim)
+            lru.append(blk)
+            llc_res.add(blk)
+            lru = l2_sets[blk & l2_mask]
+            if len(lru) >= l2_assoc:
+                victim = lru.pop(0)
+                l2_res.discard(victim)
+                if victim in l2_pf:
+                    l2_pf.discard(victim)
+                    unused += 1
+            lru.append(blk)
+            l2_res.add(blk)
+            lru = l1i_sets[blk & l1i_mask]
+            if len(lru) >= l1i_assoc:
+                victim = lru.pop(0)
+                l1i_res.discard(victim)
+                if victim in l1i_pf:
+                    l1i_pf.discard(victim)
+            lru.append(blk)
+            l1i_res.add(blk)
+        if unused:
+            stats.l2.prefetched_unused += unused
+        return fold_after_fill(first_hi, hi, miss_idx, pattern)
 
     for op in ct.ops:
         if op[0] == OP_EVENTS:

@@ -1,10 +1,12 @@
-"""Branch direction predictor and BTB models.
+"""Branch direction and BTB models.
 
 Table 1 specifies an LTAGE (gShare + bimodal) direction predictor with an
-8K-entry BTB.  We model the gShare+bimodal pair with a simple chooser (a
-"tournament-lite" approximation of LTAGE: tagged geometric history tables
-mainly improve long-history correlation, which our synthetic branch traces
-do not exercise) and a set-associative BTB.
+8K-entry BTB.  Traces carry branches as per-site bursts rather than
+dynamic outcomes, so direction prediction is modelled per site
+(:class:`SiteBranchModel`): a cold mispredict the first time a site runs
+after a flush, then a steady-state rate derived from the site's bias,
+standing in for a trained gShare/bimodal pair.  Branch targets go through
+a set-associative :class:`BTB`.
 
 The predictor matters to the reproduction for two reasons:
 
@@ -19,82 +21,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.sim.params import CoreParams
-
-
-class BimodalTable:
-    """A table of 2-bit saturating counters indexed by PC."""
-
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
-        self._mask = entries - 1
-        self._counters = bytearray([2] * entries)  # weakly taken
-
-    def predict(self, index: int) -> bool:
-        return self._counters[index & self._mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        i = index & self._mask
-        c = self._counters[i]
-        if taken:
-            if c < 3:
-                self._counters[i] = c + 1
-        elif c > 0:
-            self._counters[i] = c - 1
-
-    def flush(self) -> None:
-        for i in range(self.entries):
-            self._counters[i] = 2
-
-
-class BranchPredictor:
-    """gShare + bimodal direction predictor with a chooser."""
-
-    def __init__(self, params: CoreParams) -> None:
-        self.params = params
-        self.bimodal = BimodalTable(params.bimodal_entries)
-        self.gshare = BimodalTable(params.gshare_entries)
-        self.chooser = BimodalTable(params.bimodal_entries)
-        self._history = 0
-        self._history_mask = (1 << params.gshare_history_bits) - 1
-        self.lookups = 0
-        self.mispredicts = 0
-
-    def _gshare_index(self, pc: int) -> int:
-        return (pc >> 2) ^ self._history
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Predict branch at ``pc``, train on the outcome.
-
-        Returns True when the prediction was *correct*.
-        """
-        self.lookups += 1
-        bi = self.bimodal.predict(pc >> 2)
-        gs = self.gshare.predict(self._gshare_index(pc))
-        use_gshare = self.chooser.predict(pc >> 2)
-        prediction = gs if use_gshare else bi
-        correct = prediction == taken
-
-        # Train: chooser moves toward whichever component was right.
-        if bi != gs:
-            self.chooser.update(pc >> 2, gs == taken)
-        self.bimodal.update(pc >> 2, taken)
-        self.gshare.update(self._gshare_index(pc), taken)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
-
-        if not correct:
-            self.mispredicts += 1
-        return correct
-
-    def flush(self) -> None:
-        """Reset all predictor state (lukewarm baseline, Sec. 5.2)."""
-        self.bimodal.flush()
-        self.gshare.flush()
-        self.chooser.flush()
-        self._history = 0
-
-    def reset_stats(self) -> None:
-        self.lookups = 0
-        self.mispredicts = 0
 
 
 class SiteBranchModel:

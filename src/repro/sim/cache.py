@@ -29,34 +29,6 @@ from repro.sim.params import CacheParams
 _POLLUTION_BIT = 1 << 60
 
 
-class GroupPlan:
-    """Per-set grouping of a block pattern for one cache geometry.
-
-    Wraps the ``set_groups`` result with the two derived facts the bulk
-    paths exploit: ``flat`` is a ``[(set_index, block), ...]`` list when
-    every group is a singleton (the overwhelmingly common case -- a short
-    pattern spread across many sets), letting :meth:`SetAssocCache.\
-bulk_reorder` and :meth:`SetAssocCache.bulk_insert_new` skip the general
-    per-group machinery; ``max_group`` bounds how many pattern blocks
-    share one set, which callers compare against ``assoc`` to prove that
-    a bulk insert left *every* pattern block resident.
-    """
-
-    __slots__ = ("groups", "flat", "max_group")
-
-    def __init__(self, groups: List[Tuple[int, List[int], frozenset]]) -> None:
-        self.groups = groups
-        max_group = 0
-        for _idx, ordered, _members in groups:
-            if len(ordered) > max_group:
-                max_group = len(ordered)
-        self.max_group = max_group
-        self.flat: Optional[List[Tuple[int, int]]] = None
-        if max_group <= 1:
-            self.flat = [(set_idx, ordered[0])
-                         for set_idx, ordered, _members in groups]
-
-
 class SetAssocCache:
     """A set-associative, write-allocate cache with true-LRU replacement."""
 
@@ -133,119 +105,13 @@ class SetAssocCache:
         return evicted, evicted_unused
 
     # ------------------------------------------------------------------
-    # Bulk operations for the columnar backend (repro.sim.batch)
+    # Residency queries for the columnar backend (repro.sim.batch)
     #
-    # Each bulk method is the exact aggregate of a sequence of the scalar
-    # operations above: the batch interpreter proves the preconditions
-    # (residency, distinctness, prefetch-flag disjointness) *before*
-    # calling, and the per-set effect is computed in one pass instead of
-    # one lookup()/insert() per event.  Sets are independent, so applying
-    # the per-set aggregate preserves the event-order semantics bit for
-    # bit.
+    # The batch interpreter proves a bulk walk class's preconditions
+    # (residency, prefetch-flag disjointness) with these before charging
+    # a walk in bulk; the cache updates themselves are the lookup() and
+    # insert() steps above, transcribed block by block.
     # ------------------------------------------------------------------
-
-    def set_groups(self, blocks: Sequence[int]) -> List[Tuple[int, List[int], frozenset]]:
-        """Group ``blocks`` (kept in order) by the set they map to.
-
-        Returns ``[(set_index, blocks_in_order, block_set), ...]`` -- the
-        shape both bulk operations consume.  Group order follows first
-        occurrence, so the result is deterministic for a given input.
-        """
-        mask = self._set_mask
-        grouped: "dict[int, List[int]]" = {}
-        for block in blocks:
-            grouped.setdefault(block & mask, []).append(block)
-        return [(set_idx, members, frozenset(members))
-                for set_idx, members in grouped.items()]
-
-    def bulk_reorder(self, plan: "GroupPlan") -> None:
-        """Aggregate LRU effect of demand-hitting every planned block.
-
-        Equivalent to calling :meth:`lookup` once per block in access
-        order, provided every block is resident and none carries a pending
-        prefetch flag: untouched lines keep their relative order at the
-        LRU end, touched lines move to the MRU end in last-access order
-        (which is the order the plan carries them in).
-        """
-        sets = self._sets
-        if plan.flat is not None:
-            # Singleton groups: the lookup() LRU move, directly.
-            for set_idx, block in plan.flat:
-                lru = sets[set_idx]
-                if lru[-1] != block:
-                    lru.remove(block)
-                    lru.append(block)
-            return None
-        for set_idx, ordered, members in plan.groups:
-            lru = sets[set_idx]
-            if len(lru) == len(ordered):
-                lru[:] = ordered
-            else:
-                lru[:] = [b for b in lru if b not in members] + ordered
-        return None
-
-    def bulk_insert_new(self, plan: "GroupPlan") -> int:
-        """Aggregate effect of demand-inserting absent, distinct blocks.
-
-        Equivalent to calling ``insert(block)`` once per block in order
-        when no block is currently resident.  Returns the number of
-        evicted lines that were unused prefetches (the only eviction
-        consequence the scalar paths account).
-        """
-        sets = self._sets
-        assoc = self.assoc
-        pf_pending = self._pf_pending
-        resident = self._resident
-        evicted_unused = 0
-        if not pf_pending:
-            # No pending prefetch flags anywhere: the insert sequence is a
-            # pure bounded queue -- the final set content is the last
-            # ``assoc`` elements of (old LRU order + insertions) and no
-            # eviction can be an unused prefetch.
-            if plan.flat is not None:
-                for set_idx, block in plan.flat:
-                    lru = sets[set_idx]
-                    if len(lru) >= assoc:
-                        resident.discard(lru[0])
-                        del lru[0]
-                    lru.append(block)
-                    resident.add(block)
-                return 0
-            for set_idx, ordered, _members in plan.groups:
-                lru = sets[set_idx]
-                overflow = len(lru) + len(ordered) - assoc
-                if overflow > 0:
-                    if overflow >= len(lru):
-                        # The whole old content -- and the first inserted
-                        # blocks, which never survive the sequence -- are
-                        # evicted; only the tail of ``ordered`` remains.
-                        resident.difference_update(lru)
-                        lru[:] = ordered[overflow - len(lru):]
-                        resident.update(lru)
-                        continue
-                    resident.difference_update(lru[:overflow])
-                    del lru[:overflow]
-                lru.extend(ordered)
-                resident.update(ordered)
-            return 0
-        for set_idx, ordered, _members in plan.groups:
-            lru = sets[set_idx]
-            if len(lru) + len(ordered) <= assoc:
-                # No evictions possible: appending in order is the whole
-                # effect of the insert sequence.
-                lru.extend(ordered)
-                resident.update(ordered)
-                continue
-            for block in ordered:
-                if len(lru) >= assoc:
-                    victim = lru.pop(0)
-                    resident.discard(victim)
-                    if victim in pf_pending:
-                        pf_pending.discard(victim)
-                        evicted_unused += 1
-                lru.append(block)
-                resident.add(block)
-        return evicted_unused
 
     def contains_all(self, blocks: Sequence[int]) -> bool:
         """True when every block is resident (no LRU side effects)."""

@@ -20,17 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from repro.sim.cache import GroupPlan, SetAssocCache
+from repro.sim.cache import SetAssocCache
 from repro.sim.memory import MainMemory
 from repro.sim.params import MachineParams
 from repro.sim.stats import HierarchyStats
 from repro.sim.tlb import TLB
 from repro.units import LINE_SHIFT, PAGE_SHIFT
-
-#: Cap on memoized region-summary entries per hierarchy.  Entries are small
-#: (a few dozen ints); the cap only guards against unbounded growth when one
-#: worker process executes many distinct functions.
-SUMMARY_CACHE_ENTRIES = 8192
 
 
 class RecordHook(Protocol):
@@ -98,49 +93,6 @@ class FillQueue:
         self.inflight.clear()
 
 
-class RegionSummaries:
-    """Memoized per-region summaries for the columnar backend.
-
-    A *region* is one :class:`repro.workloads.trace.WalkPattern` -- the
-    period of a repeated instruction-block walk.  The batch interpreter
-    needs each region's blocks grouped by cache set (per level geometry)
-    to apply bulk LRU updates; those groupings are pure functions of
-    ``(pattern, set mask)``, so they are computed once and reused across
-    every invocation of the same function -- the same segment walked in
-    invocation 40 reuses the tables built in invocation 0.
-
-    Owned by a :class:`MemoryHierarchy` (never module state: worker
-    processes must not share mutable globals) and deliberately *not*
-    cleared by :meth:`MemoryHierarchy.flush_caches` -- flushing changes
-    residency, not geometry.
-    """
-
-    def __init__(self) -> None:
-        self._groups: Dict[tuple, GroupPlan] = {}
-
-    def groups(self, pattern, cache: SetAssocCache) -> GroupPlan:
-        """``pattern.unique_last`` grouped by set for ``cache``'s geometry,
-        as a :class:`~repro.sim.cache.GroupPlan`.
-
-        Two memo tiers: the pattern object's own ``groups_cache`` (cheap
-        integer key, hit by every repeat walk within a trace) backed by
-        the content-keyed shared table (hit by the same segment appearing
-        in other invocations' traces, whose patterns are distinct
-        objects)."""
-        mask = cache._set_mask
-        plan = pattern.groups_cache.get(mask)
-        if plan is None:
-            key = (pattern.key, mask)
-            plan = self._groups.get(key)
-            if plan is None:
-                if len(self._groups) >= SUMMARY_CACHE_ENTRIES:
-                    self._groups.clear()
-                plan = GroupPlan(cache.set_groups(pattern.unique_last))
-                self._groups[key] = plan
-            pattern.groups_cache[mask] = plan
-        return plan
-
-
 class MemoryHierarchy:
     """A full private-L1/L2 + shared-LLC hierarchy for one core."""
 
@@ -159,9 +111,6 @@ class MemoryHierarchy:
         self.l1i_fills = FillQueue()
         #: Optional prefetcher hooks (record logic / PIF training).
         self.record_hook: Optional[RecordHook] = None
-        #: Memoized per-region tables for the columnar backend; survives
-        #: cache flushes (geometry, not residency).
-        self.region_summaries = RegionSummaries()
         #: Perfect-I-cache mode: an infinite magic I-cache that accumulates
         #: the union footprint across invocations and survives flushes
         #: (Sec. 5.2, configuration (3)).

@@ -128,7 +128,9 @@ class CoreParams:
     #: MSHRs, so the *charged* per-miss cost is well below the raw latency
     #: (this is what keeps the perfect-I$ bound at ~+31%, Fig. 10).
     inst_stall_dram: float = 0.32
-    #: Direction predictor: 2-bit bimodal + gshare tables (entries each).
+    #: Direction predictor: 2-bit bimodal + gshare tables (entries each),
+    #: as Table 1 lists them; the simulator models direction prediction
+    #: per branch site (:class:`repro.sim.branch.SiteBranchModel`).
     bimodal_entries: int = 4096
     gshare_entries: int = 16384
     gshare_history_bits: int = 12

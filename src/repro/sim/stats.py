@@ -89,23 +89,6 @@ class AccessStats:
         """Contract check: counters balance and nothing went negative."""
         contracts.check_access_stats(self, name=name)
 
-    def publish(self, registry, prefix: str) -> None:
-        """Publish counters into a :class:`repro.obs.MetricsRegistry`.
-
-        Counter names are ``<prefix>.<field>``; values are *added*, so
-        publishing per-invocation deltas accumulates totals across a run.
-        """
-        registry.counter(f"{prefix}.inst_hits").inc(self.inst_hits)
-        registry.counter(f"{prefix}.inst_misses").inc(self.inst_misses)
-        registry.counter(f"{prefix}.data_hits").inc(self.data_hits)
-        registry.counter(f"{prefix}.data_misses").inc(self.data_misses)
-        registry.counter(f"{prefix}.inst_prefetch_hits").inc(
-            self.inst_prefetch_hits)
-        registry.counter(f"{prefix}.data_prefetch_hits").inc(
-            self.data_prefetch_hits)
-        registry.counter(f"{prefix}.prefetched_unused").inc(
-            self.prefetched_unused)
-
 
 @dataclass
 class MemoryTraffic:
@@ -187,21 +170,6 @@ class MemoryTraffic:
         """Contract check: demand/metadata traffic classes are sane."""
         contracts.check_memory_traffic(self, name=name)
 
-    def publish(self, registry, prefix: str) -> None:
-        """Publish byte counters into a :class:`repro.obs.MetricsRegistry`."""
-        registry.counter(f"{prefix}.demand_inst").inc(self.demand_inst)
-        registry.counter(f"{prefix}.demand_data").inc(self.demand_data)
-        # The two prefetch classes are only meaningful in aggregate (credits
-        # re-classify bytes between them), so clamp transient negatives.
-        registry.counter(f"{prefix}.prefetch_useful").inc(
-            max(0, self.prefetch_useful))
-        registry.counter(f"{prefix}.prefetch_overpredicted").inc(
-            max(0, self.prefetch_overpredicted))
-        registry.counter(f"{prefix}.metadata_record").inc(
-            self.metadata_record)
-        registry.counter(f"{prefix}.metadata_replay").inc(
-            self.metadata_replay)
-
 
 @dataclass
 class HierarchyStats:
@@ -255,9 +223,3 @@ class HierarchyStats:
     def validate(self, name: str = "hierarchy") -> None:
         """Contract check across every level plus DRAM traffic."""
         contracts.check_hierarchy_stats(self, name=name)
-
-    def publish(self, registry, prefix: str = "sim") -> None:
-        """Publish every level plus DRAM traffic under ``<prefix>.*``."""
-        for level, stats in self.levels().items():
-            stats.publish(registry, f"{prefix}.{level}")
-        self.memory.publish(registry, f"{prefix}.memory")

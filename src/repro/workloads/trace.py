@@ -173,20 +173,13 @@ class WalkPattern:
     """
 
     __slots__ = ("addrs", "blocks", "block_set", "unique_last",
-                 "all_distinct", "page_runs", "key", "groups_cache",
-                 "_tlb_fits")
+                 "all_distinct", "page_runs", "_tlb_fits")
 
     def __init__(self, addrs: Sequence[int]) -> None:
-        #: Per-set-geometry block groupings, keyed by set mask (filled by
-        #: :class:`repro.sim.hierarchy.RegionSummaries`).  The grouping is
-        #: a pure function of (blocks, mask), so caching on the pattern is
-        #: sound for any cache with that mask.
-        self.groups_cache: Dict[int, object] = {}
         #: Memoized :meth:`itlb_fits` verdicts keyed by TLB geometry.
         self._tlb_fits: Dict[Tuple[int, int], bool] = {}
         self.addrs: Tuple[int, ...] = tuple(int(a) for a in addrs)
         self.blocks: Tuple[int, ...] = tuple(a >> LINE_SHIFT for a in self.addrs)
-        self.key = self.blocks
         self.block_set = frozenset(self.blocks)
         # Deduplicate keeping the *last* occurrence: after one pass, the
         # LRU order of the touched blocks is their last-access order.

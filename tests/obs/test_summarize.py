@@ -59,8 +59,8 @@ class TestSummarize:
 
     def test_per_job_wall_time_from_clock(self):
         summary = summarize(consistent_stream())
-        slow = summary.timings["slow"]
-        fast = summary.timings["fast"]
+        slow = summary.timings[(1, 1)]
+        fast = summary.timings[(1, 2)]
         # TickClock stamps seq order: slow spans dispatch@4 .. harvest@9.
         assert slow.wall_time == pytest.approx(9.0 - 4.0)
         assert slow.dispatches == 2 and slow.harvests == 1
@@ -77,8 +77,41 @@ class TestSummarize:
                   TraceEvent.make(1, records.HARVEST, job="x", index=0,
                                   attempt=0, ok=True)]
         summary = summarize(events)
-        assert summary.timings["x"].wall_time is None
+        assert summary.timings[(0, 0)].wall_time is None
         assert summary.slowest() == []
+
+    def test_cells_sharing_a_label_time_separately(self):
+        # A spectrum sweep labels all its cells function/config alike.
+        tracer = Tracer(clock=TickClock())
+        tracer.emit(records.SWEEP_BEGIN, jobs=2, policy="raise")
+        for index in (0, 1):
+            tracer.emit(records.DISPATCH, job="F/point", index=index,
+                        attempt=0)
+        for index in (0, 1):
+            tracer.emit(records.HARVEST, job="F/point", index=index,
+                        attempt=0, ok=True)
+        summary = summarize(tracer.events)
+        assert sorted(summary.timings) == [(1, 0), (1, 1)]
+        # seq: sweep.begin@0, dispatches@1,2, harvests@3,4.
+        assert [t.wall_time for t in summary.slowest()] == [
+            pytest.approx(3.0 - 1.0), pytest.approx(4.0 - 2.0)]
+        assert all(t.job == "F/point" and t.dispatches == 1
+                   and t.harvests == 1 for t in summary.slowest())
+
+    def test_sweeps_reusing_a_label_time_separately(self):
+        tracer = Tracer(clock=TickClock())
+        for _sweep in range(2):
+            tracer.emit(records.SWEEP_BEGIN, jobs=1, policy="raise")
+            tracer.emit(records.DISPATCH, job="F/baseline", index=0,
+                        attempt=0)
+            tracer.emit(records.HARVEST, job="F/baseline", index=0,
+                        attempt=0, ok=True)
+        summary = summarize(tracer.events)
+        assert sorted(summary.timings) == [(1, 0), (2, 0)]
+        assert [t.wall_time for t in summary.slowest()] == [
+            pytest.approx(1.0), pytest.approx(1.0)]
+        text = render_summary(summary)
+        assert text.count("F/baseline  1.000000s (1 dispatch, 1 harvest)") == 2
 
     @pytest.mark.parametrize("field,delta", [("hits", 1), ("misses", -1),
                                              ("retries", 1)])

@@ -6,13 +6,16 @@ canonical JSON encoding equals the scalar reference's, and must leave the
 simulator in exactly the same microarchitectural state (cache LRU orders,
 prefetch ledgers, TLBs, predictor training, BTB contents, counters).
 
-Three tiers of evidence:
+Four tiers of evidence:
 
 * the full Table-2 suite (all 20 profiles), flushed and warm;
+* every simulating registered config (record hooks, fill queues, perfect
+  I$, prefetch flags) on three profiles, whole sequence results compared;
 * seeded-random :class:`TraceBuilder` programs exercising event mixes the
   generator never emits (the property battery);
 * targeted shapes that aim at the bulk-execution preconditions (repeat
-  folding, fused inserts, prefetch interactions).
+  folding, set conflicts, prefetch-flagged victims), some starting from a
+  prepared hierarchy.
 """
 
 import json
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.engine.job import canonicalize
-from repro.experiments.common import RunConfig, make_traces
+from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
 from repro.sim.simulate import simulate
@@ -54,8 +57,12 @@ def full_state(sim):
             btb.lookups, btb.misses)
 
 
-def run_sequence(traces, backend, flush):
+def run_sequence(traces, backend, flush, prepare=None):
+    """Run ``traces`` back to back on a fresh simulator; ``prepare(sim)``
+    (if given) sets up the starting hierarchy state first."""
     sim = Simulator(skylake(), backend=backend)
+    if prepare is not None:
+        prepare(sim)
     results = []
     for trace in traces:
         if flush:
@@ -65,11 +72,16 @@ def run_sequence(traces, backend, flush):
     return canonical_json(results), full_state(sim)
 
 
-def assert_backends_identical(traces, flush):
-    scalar_json, scalar_state = run_sequence(traces, "scalar", flush)
-    columnar_json, columnar_state = run_sequence(traces, "columnar", flush)
+def assert_backends_identical(traces, flush, prepare=None):
+    """Compare both backends; returns the scalar results' canonical form
+    so callers can check that a shape reached the state it aims at."""
+    scalar_json, scalar_state = run_sequence(traces, "scalar", flush,
+                                             prepare)
+    columnar_json, columnar_state = run_sequence(traces, "columnar", flush,
+                                                 prepare)
     assert columnar_json == scalar_json
     assert columnar_state == scalar_state
+    return json.loads(scalar_json)
 
 
 class TestTable2Suite:
@@ -86,6 +98,30 @@ class TestTable2Suite:
     def test_warm_sequence_identical(self, abbrev):
         traces = make_traces(get_profile(abbrev), self.CFG)
         assert_backends_identical(traces, flush=False)
+
+
+class TestRegisteredConfigs:
+    """Byte identity of whole sequence results, Jukebox reports included,
+    for every simulating config: record hooks (Jukebox, PIF), fill queues
+    and prefetch flags reach the bulk preconditions here."""
+
+    CFG = RunConfig(invocations=3, warmup=1, instruction_scale=0.05)
+    CONFIGS = (("reference", {}), ("baseline", {}), ("jukebox", {}),
+               ("perfect", {}), ("pif", {}), ("pif", {"with_jukebox": True}))
+
+    # Profile-major order, so each profile's traces are generated once.
+    @pytest.mark.parametrize("config,opts", CONFIGS,
+                             ids=[c + ("+jb" if o else "")
+                                  for c, o in CONFIGS])
+    @pytest.mark.parametrize("abbrev", ("Auth-G", "Fib-P", "ProdL-G"))
+    def test_sequence_result_identical(self, abbrev, config, opts):
+        profile = get_profile(abbrev)
+        scalar, columnar = (
+            canonical_json([run_config(profile, skylake(),
+                                       self.CFG.replace(backend=backend),
+                                       config, **opts)])
+            for backend in ("scalar", "columnar"))
+        assert columnar == scalar
 
 
 def random_trace(seed: int):
@@ -200,3 +236,76 @@ class TestTargetedShapes:
             b.branch_site(0x500000 + site * 4, executions=1 + site % 7,
                           taken_prob=(site % 11) / 10.0)
         assert_backends_identical([b.build()], flush=True)
+
+
+def walk_trace(addrs, walks):
+    """``walks`` back-to-back passes over ``addrs`` (one walk op)."""
+    b = TraceBuilder()
+    for _ in range(walks):
+        for addr in addrs:
+            b.fetch(addr, insts=4)
+    return b.build()
+
+
+class TestPreparedHierarchy:
+    """Bulk walk classes entered from a prepared hierarchy: the same
+    preparation runs on both backends before the first trace.
+
+    Skylake geometry: the L1-I is 8-way with 64 sets, the L2 8-way with
+    2048 sets and the LLC 16-way with 8192 sets, so block ``b`` shares an
+    L1-I set with ``b + 64 * j``, an L2 set with ``b + 2048 * j`` and an
+    LLC set with ``b + 8192 * j``.
+    """
+
+    WALK = tuple(range(100, 112))  # distinct blocks, one per L1-I set
+
+    @staticmethod
+    def fill_set(cache, block, stride, prefetch):
+        """Fill ``block``'s set of ``cache`` with other lines."""
+        for j in range(1, cache.assoc + 1):
+            cache.insert(block + stride * j, prefetch=prefetch)
+
+    def test_l2_hit_walk_evicts_prefetched_l1i_lines(self):
+        def prepare(sim):
+            h = sim.hierarchy
+            for blk in self.WALK:
+                h.l2.insert(blk)
+                self.fill_set(h.l1i, blk, 64, prefetch=True)
+
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)],
+            flush=False, prepare=prepare)
+        assert results[0]["stats"]["l2"]["inst_hits"] == len(self.WALK)
+
+    def test_miss_walk_evicts_unused_prefetches(self):
+        def prepare(sim):
+            h = sim.hierarchy
+            for blk in self.WALK:
+                self.fill_set(h.llc, blk, 8192, prefetch=True)
+                self.fill_set(h.l2, blk, 2048, prefetch=True)
+                self.fill_set(h.l1i, blk, 64, prefetch=True)
+
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)],
+            flush=False, prepare=prepare)
+        assert results[0]["stats"]["llc"]["inst_misses"] == len(self.WALK)
+        assert results[0]["stats"]["l2"]["prefetched_unused"] == len(self.WALK)
+
+    @pytest.mark.parametrize("n", (2, 5, 8, 9, 16))
+    def test_l2_hit_walk_sharing_one_l1i_set(self, n):
+        # ``n`` blocks in L1-I set 0 (distinct L2 sets), the set already
+        # full: up to 8 the repeat walks fold, beyond 8 walk 1 evicts its
+        # own blocks and the repeats cannot fold.
+        blocks = [64 * i for i in range(1, n + 1)]
+
+        def prepare(sim):
+            h = sim.hierarchy
+            for blk in blocks:
+                h.l2.insert(blk)
+            for j in range(8):
+                h.l1i.insert(64 * (100 + j), prefetch=j % 2 == 0)
+
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in blocks], walks=4)],
+            flush=False, prepare=prepare)
+        assert results[0]["stats"]["l2"]["inst_hits"] >= n

@@ -1,81 +1,9 @@
-"""Tests for the branch predictor, BTB and per-site aggregate model."""
+"""Tests for the BTB and the per-site branch model."""
 
 import pytest
 
-from repro.sim.branch import BTB, BimodalTable, BranchPredictor, SiteBranchModel
+from repro.sim.branch import BTB, SiteBranchModel
 from repro.sim.params import CoreParams
-
-
-class TestBimodalTable:
-    def test_initial_prediction_weakly_taken(self):
-        table = BimodalTable(16)
-        assert table.predict(0)
-
-    def test_learns_not_taken(self):
-        table = BimodalTable(16)
-        table.update(3, False)
-        table.update(3, False)
-        assert not table.predict(3)
-
-    def test_saturates(self):
-        table = BimodalTable(16)
-        for _ in range(10):
-            table.update(3, True)
-        table.update(3, False)
-        assert table.predict(3)  # one bad outcome can't flip a saturated counter
-
-    def test_flush_resets(self):
-        table = BimodalTable(16)
-        table.update(3, False)
-        table.update(3, False)
-        table.flush()
-        assert table.predict(3)
-
-    def test_index_wraps(self):
-        table = BimodalTable(16)
-        table.update(16 + 3, False)
-        table.update(16 + 3, False)
-        assert not table.predict(3)
-
-
-class TestBranchPredictor:
-    def test_learns_stable_branch(self):
-        bp = BranchPredictor(CoreParams())
-        pc = 0x1000
-        for _ in range(20):
-            bp.predict_and_update(pc, True)
-        before = bp.mispredicts
-        for _ in range(100):
-            bp.predict_and_update(pc, True)
-        assert bp.mispredicts == before
-
-    def test_alternating_branch_learned_by_gshare(self):
-        bp = BranchPredictor(CoreParams())
-        pc = 0x2000
-        outcomes = [bool(i % 2) for i in range(600)]
-        for t in outcomes[:300]:
-            bp.predict_and_update(pc, t)
-        before = bp.mispredicts
-        for t in outcomes[300:]:
-            bp.predict_and_update(pc, t)
-        # History-based prediction captures strict alternation well.
-        assert bp.mispredicts - before < 30
-
-    def test_flush_forgets(self):
-        bp = BranchPredictor(CoreParams())
-        pc = 0x3000
-        for _ in range(50):
-            bp.predict_and_update(pc, False)
-        bp.flush()
-        assert not bp.predict_and_update(pc, False)  # mispredicts again
-
-    def test_stats_counters(self):
-        bp = BranchPredictor(CoreParams())
-        for i in range(10):
-            bp.predict_and_update(0x10 * i, True)
-        assert bp.lookups == 10
-        bp.reset_stats()
-        assert bp.lookups == 0
 
 
 class TestBTB:

@@ -138,5 +138,5 @@ class TestFormatVersioning:
         assert (before.args == after.args).all()
         assert (before.args2 == after.args2).all()
         def structural(ops):
-            return [tuple(getattr(x, "key", x) for x in op) for op in ops]
+            return [tuple(getattr(x, "blocks", x) for x in op) for op in ops]
         assert structural(before.ops) == structural(after.ops)
