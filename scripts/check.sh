@@ -82,9 +82,12 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold) =="
 # 1 when its result digest differs from the one committed in
 # perfbench/digests.json or a seeded-random cell's scalar re-simulation
 # disagrees with the cached columnar result.  fig10-cold runs baseline,
-# jukebox and perfect cells over a Python, a Node and a Go function.
+# jukebox and perfect cells over a Python, a Node and a Go function, and
+# runs again on the held-out seed 4242, whose traces are drawn from
+# other random words.
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seconds 0
+python3 perfbench/run.py --workload fig10-cold --seed 4242 --seconds 0
 
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.

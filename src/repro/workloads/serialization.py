@@ -64,9 +64,10 @@ def _column_digest(arrays: dict) -> str:
     return digest.hexdigest()
 
 
-def save_trace(trace: InvocationTrace, path: _PathLike) -> None:
-    """Write ``trace`` to ``path`` (``.npz``; compressed)."""
-    arrays = {
+def _trace_columns(trace: InvocationTrace) -> dict:
+    """The stored columns of ``trace``: its event arrays and its loop
+    table flattened into parallel arrays."""
+    return {
         "kinds": trace.kinds,
         "addrs": trace.addrs,
         "args": trace.args,
@@ -84,6 +85,11 @@ def save_trace(trace: InvocationTrace, path: _PathLike) -> None:
             [spec.branches_per_iteration for spec in trace.loops],
             dtype=np.int64),
     }
+
+
+def save_trace(trace: InvocationTrace, path: _PathLike) -> None:
+    """Write ``trace`` to ``path`` (``.npz``; compressed)."""
+    arrays = _trace_columns(trace)
     header = json.dumps({
         "format": "repro-invocation-trace",
         "version": FORMAT_VERSION,

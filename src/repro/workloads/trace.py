@@ -163,7 +163,7 @@ OP_EVENTS = 1  #: ``(OP_EVENTS, start, end)`` -- heterogeneous scalar span
 class WalkPattern:
     """One period of a repeated instruction-block walk.
 
-    ``FunctionModel._walk_segment`` visits the same block sequence
+    ``FunctionModel.invocation_trace`` walks a visited segment's blocks
     ``visits`` times back-to-back, so a maximal IFETCH run decomposes into
     ``n`` repetitions of a short pattern.  The pattern carries exactly the
     machine-independent derived data the batch interpreter needs to

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import fig02_topdown, fig05_mpki, fig10_speedup
+from repro.experiments import (fig02_topdown, fig05_mpki, fig06_footprints,
+                               fig10_speedup)
 from repro.experiments.common import RunConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -39,6 +40,7 @@ GOLDEN_CFG = RunConfig(invocations=3, warmup=1, seed=1,
 FIGURES = {
     "fig02_topdown": fig02_topdown,
     "fig05_mpki": fig05_mpki,
+    "fig06_footprints": fig06_footprints,
     "fig10_speedup": fig10_speedup,
 }
 
