@@ -92,9 +92,10 @@ def scenario_disk_chaos(expected: str, tmp: Path) -> None:
     for outcomes in (first, second):
         got = result_line([o.value for o in outcomes])
         assert got == expected, "disk chaos changed results"
-    assert ctx.cache.stats.quarantined >= 2, "torn entries not quarantined"
+    quarantined = ctx.tracer.counts.get("cache.quarantine", 0)
+    assert quarantined >= 2, "torn entries not quarantined"
     assert ctx.cache.stores_disabled, "ENOSPC did not degrade stores"
-    print(f"  disk chaos ok ({ctx.cache.stats.quarantined} quarantined, "
+    print(f"  disk chaos ok ({quarantined} quarantined, "
           f"stores degraded after ENOSPC)")
 
 

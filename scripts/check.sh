@@ -60,6 +60,21 @@ echo "== chaos smoke (scripts/chaos_smoke.py) =="
 # baseline byte-for-byte.
 python scripts/chaos_smoke.py
 
+echo "== trace summaries of real runs (python -m repro.obs summarize) =="
+# Traces spectrum-pool's command (a two-worker pool, ~2 s) and the fast
+# fleet region (~1 s), then summarizes each trace; summarize exits 1
+# when a record breaks the schema or the counted events disagree with
+# the sweep.end totals.
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir"' EXIT
+python -m repro.experiments.runner spectrum --fast --jobs 2 \
+    --functions ProdL-G --no-cache --trace "$trace_dir/spectrum.jsonl" \
+    > /dev/null
+python -m repro.experiments.runner fleet --fast --no-cache \
+    --trace "$trace_dir/fleet.jsonl" > /dev/null
+python -m repro.obs summarize "$trace_dir/spectrum.jsonl" --slowest 1
+python -m repro.obs summarize "$trace_dir/fleet.jsonl" --slowest 1
+
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== pytest (fast: unit suites only) =="
     python -m pytest -q \

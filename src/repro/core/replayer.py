@@ -41,11 +41,6 @@ class ReplayStats:
     covered_late: int = 0
     overpredicted: int = 0
 
-    def coverage_fraction(self, baseline_l2_misses: int) -> float:
-        if baseline_l2_misses <= 0:
-            return 0.0
-        return min(1.0, self.covered / baseline_l2_misses)
-
 
 class JukeboxReplayer:
     """Replay-phase prefetch engine."""

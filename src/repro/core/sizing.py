@@ -30,10 +30,6 @@ class SizingDecision:
     truncating: bool
     samples: int
 
-    @property
-    def budget_pages(self) -> int:
-        return self.budget_bytes // PAGE_SIZE
-
 
 @dataclass
 class MetadataSizer:

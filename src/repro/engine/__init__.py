@@ -41,7 +41,6 @@ and from the CLI layer::
 from repro.engine.cache import (
     CacheEntryError,
     CacheLock,
-    CacheStats,
     ResultCache,
     check_entry,
     decode_entry,
@@ -102,7 +101,6 @@ from repro.engine.sweep import (
 __all__ = [
     "CacheEntryError",
     "CacheLock",
-    "CacheStats",
     "DEFAULT_MAXTASKSPERCHILD",
     "DEFAULT_MAX_POOL_FAILURES",
     "DEFAULT_PROVIDER",

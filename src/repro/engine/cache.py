@@ -40,7 +40,6 @@ import os
 import pickle
 import shutil
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Optional, Tuple, Union
 
@@ -56,34 +55,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 class CacheEntryError(ReproError):
     """An on-disk cache entry is damaged or from an incompatible layout."""
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters for one :class:`ResultCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries that existed but could not be decoded (quarantined).
-    errors: int = 0
-    #: Damaged entries moved to the quarantine directory.
-    quarantined: int = 0
-    #: Stores that failed with an I/O error (the cache then degrades).
-    store_failures: int = 0
-    #: Orphaned temp files reaped when the cache was opened.
-    reaped_tmp: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        return replace(self)
 
 
 #: Exceptions that mean "this entry is unusable", not "the run is broken":
@@ -276,7 +247,6 @@ class ResultCache:
     def __init__(self, root: Union[str, Path],
                  tracer: Optional[Any] = None) -> None:
         self.root = Path(root)
-        self.stats = CacheStats()
         self.tracer = tracer
         self.lock = CacheLock(self.root)
         #: Set once a store fails; later stores become silent no-ops.
@@ -315,7 +285,6 @@ class ResultCache:
                 continue  # our own in-flight write (re-entrant open)
             with contextlib.suppress(OSError):
                 tmp.unlink()
-                self.stats.reaped_tmp += 1
         if not self.lock.held:
             self.lock.acquire(exclusive=False, blocking=True)
             self._emit(_obs.CACHE_LOCK, mode="shared", action="acquire")
@@ -335,17 +304,14 @@ class ResultCache:
         try:
             value = decode_entry(path.read_bytes())
         except FileNotFoundError:
-            self.stats.misses += 1
             self._emit(_obs.CACHE_MISS, key)
             return False, None
         except _STALE_ENTRY_ERRORS as exc:
             # Entry is corrupt, torn, or predates a layout change: move it
             # aside so the slot is recomputed and fsck can inspect it.
             self._quarantine(key, path, reason=type(exc).__name__)
-            self.stats.misses += 1
             self._emit(_obs.CACHE_MISS, key)
             return False, None
-        self.stats.hits += 1
         self._emit(_obs.CACHE_HIT, key)
         return True, value
 
@@ -377,12 +343,10 @@ class ResultCache:
         finally:
             with contextlib.suppress(OSError):
                 tmp.unlink()
-        self.stats.stores += 1
         self._emit(_obs.CACHE_STORE, key)
         return True
 
     def _degrade_stores(self, key: str, exc: OSError) -> None:
-        self.stats.store_failures += 1
         self.stores_disabled = True
         self._emit(_obs.CACHE_STORE_FAILED, key,
                    error=type(exc).__name__, detail=str(exc))
@@ -395,7 +359,6 @@ class ResultCache:
                 RuntimeWarning, stacklevel=3)
 
     def _quarantine(self, key: str, path: Path, reason: str) -> None:
-        self.stats.errors += 1
         destination = self.quarantine_path_for(key)
         try:
             destination.parent.mkdir(parents=True, exist_ok=True)
@@ -407,7 +370,6 @@ class ResultCache:
                 path.unlink()
             self._emit(_obs.CACHE_EVICT, key, reason=reason)
             return
-        self.stats.quarantined += 1
         self._emit(_obs.CACHE_QUARANTINE, key, reason=reason)
 
     # -- fault-injection hooks ----------------------------------------------

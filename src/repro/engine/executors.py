@@ -92,18 +92,10 @@ def execute_job(job: "Job") -> Any:
                       **job.opts_dict())
 
 
-def _tasks_for(jobs: Sequence["Job"]) -> List[Task]:
-    return [Task(job=job, index=i) for i, job in enumerate(jobs)]
-
-
 class SerialExecutor:
     """Run jobs one after another in the calling process."""
 
     jobs = 1
-
-    def run(self, jobs: Sequence["Job"]) -> List[Any]:
-        """Legacy value API: fail-fast, exceptions propagate untouched."""
-        return [execute_job(job) for job in jobs]
 
     def run_tasks(self, tasks: Sequence[Task],
                   on_outcome: OutcomeCallback = None,
@@ -155,10 +147,6 @@ class ProcessExecutor:
     def _emit(self, kind: str, **fields: Any) -> None:
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(kind, **fields)
-
-    def run(self, jobs: Sequence["Job"]) -> List[Any]:
-        """Legacy value API: unwraps outcomes, re-raising the first error."""
-        return [outcome.unwrap() for outcome in self.run_tasks(_tasks_for(jobs))]
 
     def run_tasks(self, tasks: Sequence[Task],
                   on_outcome: OutcomeCallback = None,

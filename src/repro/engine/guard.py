@@ -135,14 +135,6 @@ class GuardState:
 
     # -- per-job deadline ----------------------------------------------------
 
-    def job_expired(self, started_at: float,
-                    now: Optional[float] = None) -> bool:
-        if self.spec.job_timeout_s is None:
-            return False
-        if now is None:
-            now = self.clock()
-        return now - started_at > self.spec.job_timeout_s
-
     def expired_jobs(self, started_at: Dict[int, float],
                      pending: Iterable[int]) -> List[int]:
         """Indices of pending dispatches past the job budget (one clock

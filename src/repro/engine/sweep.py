@@ -62,7 +62,6 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.lint import contracts
 from repro.obs import records as _obs
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import JsonlSink, Tracer
 
 
@@ -137,9 +136,6 @@ class EngineContext:
     #: timestamped only by the context's injected ``clock``, so jobs and
     #: cache keys never observe it.
     tracer: Any = field(default_factory=Tracer)
-    #: Counter/gauge/histogram registry the sweep layer publishes into;
-    #: exported by the runner behind ``--metrics-out``.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Deadline budgets (:class:`~repro.engine.guard.GuardSpec`); a
     #: non-empty spec requires an injected ``clock`` and arms one
     #: :class:`~repro.engine.guard.GuardState` per sweep batch.
@@ -174,7 +170,6 @@ def configure(jobs: int = 1,
               maxtasksperchild: Optional[int] = DEFAULT_MAXTASKSPERCHILD,
               tracer: Any = None,
               trace_path: Optional[Union[str, Path]] = None,
-              metrics: Optional[MetricsRegistry] = None,
               job_timeout_s: Optional[float] = None,
               sweep_deadline_s: Optional[float] = None,
               ) -> Iterator[EngineContext]:
@@ -224,9 +219,7 @@ def configure(jobs: int = 1,
                               tracer=tracer),
         cache=cache, clock=clock, policy=policy,
         faults=FaultPlan.coerce(faults), sleep=sleep,
-        tracer=tracer, metrics=metrics if metrics is not None
-        else MetricsRegistry(),
-        guard=guard_spec if guard_spec else None)
+        tracer=tracer, guard=guard_spec if guard_spec else None)
     token = _CONTEXT.set(ctx)
     try:
         yield ctx
@@ -321,34 +314,15 @@ def sweep_outcomes(jobs: Sequence[Job],
             if outcome.failed:
                 stats.failures += 1
     contracts.check_sweep_stats(stats)
-    delta = stats.since(before)
     if tracing:
+        delta = stats.since(before)
         # The end record carries the batch's counter deltas but *not*
         # sim_seconds: that value is clock-derived, and keeping it off the
         # trace is what makes identical runs trace-identical modulo ``t``.
         tracer.emit(_obs.SWEEP_END, jobs=delta.jobs, hits=delta.hits,
                     misses=delta.misses, stores=delta.stores,
                     failures=delta.failures, retries=delta.retries)
-    _publish_sweep_metrics(ctx.metrics, delta, stats)
     return outcomes  # type: ignore[return-value]
-
-
-def _publish_sweep_metrics(metrics: Optional[MetricsRegistry],
-                           delta: SweepStats, total: SweepStats) -> None:
-    """Publish one batch's deltas into the context's metrics registry."""
-    if metrics is None:
-        return
-    metrics.counter("engine.sweeps").inc()
-    metrics.counter("engine.jobs").inc(delta.jobs)
-    metrics.counter("engine.hits").inc(delta.hits)
-    metrics.counter("engine.misses").inc(delta.misses)
-    metrics.counter("engine.stores").inc(delta.stores)
-    metrics.counter("engine.failures").inc(delta.failures)
-    metrics.counter("engine.retries").inc(delta.retries)
-    metrics.gauge("engine.hit_rate").set(total.hit_rate)
-    metrics.gauge("engine.sim_seconds").set(total.sim_seconds)
-    metrics.histogram("engine.sweep_jobs",
-                      bounds=(1, 4, 16, 64, 256, 1024)).observe(delta.jobs)
 
 
 def sweep(jobs: Sequence[Job],

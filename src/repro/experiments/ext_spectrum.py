@@ -22,7 +22,7 @@ optimization pays off:
   previous invocation recorded, which the lukewarm Jukebox replays.
 
 Every cell is a content-addressed engine job (cached, parallel,
-SIGKILL-resumable); the sweep emits ``coldstart.*`` trace events.
+SIGKILL-resumable).
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.coldstart.model import ColdStartSpec, SpectrumColdStart
 from repro.engine import Job, sweep
-from repro.engine.sweep import current_context
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig, register_config, run_config
-from repro.obs import records as _obs
 from repro.sim.params import MachineParams, skylake
 from repro.workloads.profiles import FunctionProfile
 from repro.workloads.suite import get_profile
@@ -197,14 +195,6 @@ def run(cfg: Optional[RunConfig] = None,
         raise ConfigurationError(
             f"unknown spectrum variants: {', '.join(unknown)}; expected "
             f"a subset of {', '.join(VARIANTS)}")
-    ctx = current_context()
-    tracer = ctx.tracer
-    tracing = tracer is not None and tracer.enabled
-    if tracing:
-        tracer.emit(_obs.COLDSTART_SWEEP_BEGIN,
-                    functions=len(list(functions)), variants=len(names),
-                    points=len(list(functions)) * len(names)
-                    * len(list(iats_ms)), ttl_ms=float(ttl_ms))
     jobs = [Job.make(get_profile(abbrev), machine, cfg, "spectrum_point",
                      provider=__name__, iat_ms=float(iat),
                      ttl_ms=float(ttl_ms), jukebox=jb, page_replay=pr,
@@ -228,22 +218,7 @@ def run(cfg: Optional[RunConfig] = None,
             for p in series:
                 p["uarch_ms"] = (max(0.0, p["exec_ms"] - anchor)
                                  if anchor is not None else None)
-                if tracing:
-                    tracer.emit(_obs.COLDSTART_POINT, function=abbrev,
-                                variant=variant, iat_ms=p["iat_ms"],
-                                regime=p["regime"],
-                                latency_ms=p["latency_ms"],
-                                init_ms=p["init_ms"],
-                                page_ms=p["page_ms"])
             result.points[abbrev][variant] = series
-    if tracing:
-        cold_points = sum(
-            1 for fn in result.points.values() for series in fn.values()
-            for p in series if p["regime"] == REGIME_COLD)
-        tracer.emit(_obs.COLDSTART_SWEEP_END,
-                    points=sum(len(s) for fn in result.points.values()
-                               for s in fn.values()),
-                    cold_points=cold_points)
     return result
 
 

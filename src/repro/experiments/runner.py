@@ -218,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", type=Path, default=None, metavar="FILE",
                         help="write a repro.obs JSONL event trace to FILE "
                              "(inspect with 'python -m repro.obs summarize')")
-    parser.add_argument("--metrics-out", type=Path, default=None,
-                        metavar="FILE", dest="metrics_out",
-                        help="write the engine metrics registry to FILE as "
-                             "canonical JSON")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit reports plus engine stats as JSON")
     return parser
@@ -331,8 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"({delta.describe()}) --\n")
             if error is not None and not args.keep_going:
                 break
-        if args.metrics_out is not None:
-            ctx.metrics.write_json(args.metrics_out)
         footer = ctx.tracer.describe()
     if args.as_json:
         print(json.dumps(records, indent=2))

@@ -11,7 +11,7 @@ and simulates only its own node range.  Planning is cheap arithmetic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.fleet.balancer import PlacementState, make_balancer
@@ -100,8 +100,3 @@ def plan_region(config: FleetConfig) -> Dict[int, List[InstanceSpec]]:
             global_id += 1
     return plan
 
-
-def plan_summary(plan: Dict[int, List[InstanceSpec]]) -> Tuple[int, int, int]:
-    """(instances, occupied nodes, max instances on one node)."""
-    sizes = [len(specs) for specs in plan.values()]
-    return sum(sizes), sum(1 for s in sizes if s), max(sizes) if sizes else 0

@@ -1,4 +1,4 @@
-"""Region-scale orchestration: shard jobs, sweep, aggregate, trace.
+"""Region-scale orchestration: shard jobs, sweep, aggregate.
 
 :func:`simulate_region` is the fleet's public entry point.  It fans the
 region out as ``shards`` content-addressed engine jobs (each a contiguous
@@ -17,11 +17,10 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.engine.job import Job
-from repro.engine.sweep import EngineContext, current_context, sweep
+from repro.engine.sweep import EngineContext, sweep
 from repro.fleet.config import FleetConfig, shard_bounds
 from repro.fleet.provider import PROVIDER
 from repro.fleet.result import aggregate_nodes
-from repro.obs import records as _obs
 
 
 def shard_jobs(config: FleetConfig, shards: int = 1) -> List[Job]:
@@ -41,33 +40,12 @@ def simulate_region(config: FleetConfig, shards: int = 1,
     canonical dict per node, ascending by node id), and ``region`` (the
     order-free aggregate from :func:`repro.fleet.result.aggregate_nodes`).
     """
-    ctx = context if context is not None else current_context()
-    tracer = ctx.tracer
-    tracing = tracer is not None and tracer.enabled
-    if tracing:
-        tracer.emit(_obs.FLEET_REGION_BEGIN, abbrev=config.abbrev,
-                    nodes=config.nodes, instances=config.instances,
-                    shards=shards, seed=config.seed)
-    jobs = shard_jobs(config, shards)
-    shard_results = sweep(jobs, context=ctx)
-    node_results: List[Dict] = []
-    for shard, nodes in enumerate(shard_results):
-        if tracing:
-            tracer.emit(_obs.FLEET_SHARD, shard=shard, shards=shards,
-                        nodes=len(nodes),
-                        invocations=sum(n["invocations"] for n in nodes))
-        node_results.extend(nodes)
+    shard_results = sweep(shard_jobs(config, shards), context=context)
+    node_results: List[Dict] = [node for nodes in shard_results
+                                for node in nodes]
     node_results.sort(key=lambda n: n["node"])
-    region = aggregate_nodes(node_results)
-    if tracing:
-        tracer.emit(_obs.FLEET_REGION_END, abbrev=config.abbrev,
-                    invocations=region["invocations"],
-                    cold_starts=region["cold_starts"],
-                    dropped=region["dropped"],
-                    p99_latency_ms=region["p99_latency_ms"],
-                    capacity_inv_s=region["capacity_inv_s"])
     return {
         "config": dataclasses.asdict(config),
         "node_results": node_results,
-        "region": region,
+        "region": aggregate_nodes(node_results),
     }

@@ -16,7 +16,7 @@ instance to :data:`ALL_RULES`.
 | REPRO005 | bare ``except:`` / silently swallowed exceptions              |
 | REPRO006 | wall-clock or filesystem-order nondeterminism in sim paths    |
 | REPRO007 | broad ``except Exception`` in engine code outside resilience  |
-| REPRO008 | module-level tracer/metrics singletons (observability must be |
+| REPRO008 | module-level tracer/sink singletons (observability must be    |
 |          | injected per context, never ambient global state)             |
 | REPRO011 | unbounded blocking waits (``.wait()``/``.get()``/             |
 |          | ``.acquire()`` with no arguments) in engine code              |
@@ -555,9 +555,9 @@ class BroadExceptInEngine(Rule):
 
 
 class GlobalObservability(Rule):
-    """REPRO008: module-level tracer/metrics singletons.
+    """REPRO008: module-level tracer/sink singletons.
 
-    Observability state must be *injected*: a tracer or metrics registry
+    Observability state must be *injected*: a tracer or trace sink
     constructed at module level is ambient global state -- two engine
     contexts would interleave their event streams, imports would mutate
     shared counters, and a test could never isolate the trace of the run
@@ -575,12 +575,12 @@ class GlobalObservability(Rule):
 
     id = "REPRO008"
     severity = "error"
-    description = ("module-level Tracer/MetricsRegistry/ColdStartModel "
+    description = ("module-level Tracer/sink/ColdStartModel "
                    "singleton; stateful collaborators must be injected "
                    "per context, not ambient global state")
 
     _OBS_FACTORIES = frozenset({
-        "Tracer", "NullTracer", "MetricsRegistry", "MemorySink", "JsonlSink",
+        "Tracer", "NullTracer", "MemorySink", "JsonlSink",
         # Cold-start model state (recorded page traces, snapshot images)
         # is per-simulation; module-level construction shares it.
         "ConstantColdStart", "SpectrumColdStart", "PageReplayState",

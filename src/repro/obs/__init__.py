@@ -1,24 +1,18 @@
 """``repro.obs``: the determinism-safe observability layer.
 
-Three pieces, all injected rather than global:
+Two pieces:
 
-* :class:`Tracer` -- typed span/event records for sweep, cache,
-  executor, and retry activity, timestamped only by an injectable clock
-  (:class:`TickClock` / :class:`FrozenClock` for deterministic tests);
-* :class:`MetricsRegistry` -- counters/gauges/histograms with canonical
-  JSON export, published into by ``engine.sweep``;
-* ``python -m repro.obs summarize`` -- the trace aggregation report.
+* :class:`Tracer` -- typed event records for sweep, cache, executor,
+  retry, guard and fsck activity, timestamped only by an injectable clock
+  (:class:`TickClock` / :class:`FrozenClock` for deterministic tests) and
+  injected per engine context rather than global;
+* ``python -m repro.obs summarize`` -- the trace aggregation report:
+  per-kind counts, hit rate, failures and the slowest cells.
 
 See DESIGN.md §10 for the record schema and determinism rules.
 """
 
 from repro.obs.clock import FrozenClock, TickClock
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.records import (
     KINDS,
     SCHEMA_VERSION,
@@ -40,14 +34,10 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "FrozenClock",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "KINDS",
     "MemorySink",
-    "MetricsRegistry",
     "NullTracer",
     "SCHEMA_VERSION",
     "TickClock",

@@ -21,6 +21,18 @@ from repro.obs.summarize import (
 )
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0, rejected at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -32,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("trace", help="trace file written via --trace FILE")
     summ.add_argument("--json", action="store_true",
                       help="emit the report as canonical JSON")
-    summ.add_argument("--slowest", type=int, default=5, metavar="N",
+    summ.add_argument("--slowest", type=_nonnegative_int, default=5,
+                      metavar="N",
                       help="how many slowest cells to list (default 5)")
     return parser
 

@@ -36,16 +36,11 @@ kind                      emitted when
 ``fsck.repair``           fsck fixed a repairable defect (misplaced
                           entry, orphan temp file, empty fanout dir)
 ``fsck.evict``            fsck quarantined an unrecoverable entry
-``fleet.region.begin``    :func:`repro.fleet.region.simulate_region`
-                          starts one region run (nodes/instances/shards)
-``fleet.shard``           one region shard's results were collected
-``fleet.region.end``      a region run finished (aggregate counters)
-``coldstart.sweep.begin`` :func:`repro.experiments.ext_spectrum.run`
-                          starts one spectrum sweep (functions/variants)
-``coldstart.point``       one (function, variant, IAT) spectrum cell was
-                          collected (regime + latency decomposition)
-``coldstart.sweep.end``   a spectrum sweep finished (point counts)
 ========================  ==================================================
+
+Result values (a fleet region's counters, a spectrum point's latency
+split) are not traced: the reports print them, and the ``sweep.*`` and
+``executor.*`` records already bracket the sweeps that computed them.
 
 Determinism rules: ``seq`` and every payload field are pure functions of
 the run's inputs; the *only* nondeterministic field is ``t``, which comes
@@ -91,12 +86,6 @@ FSCK_BEGIN = "fsck.begin"
 FSCK_REPAIR = "fsck.repair"
 FSCK_EVICT = "fsck.evict"
 FSCK_END = "fsck.end"
-FLEET_REGION_BEGIN = "fleet.region.begin"
-FLEET_SHARD = "fleet.shard"
-FLEET_REGION_END = "fleet.region.end"
-COLDSTART_SWEEP_BEGIN = "coldstart.sweep.begin"
-COLDSTART_POINT = "coldstart.point"
-COLDSTART_SWEEP_END = "coldstart.sweep.end"
 
 KINDS = frozenset({
     SWEEP_BEGIN, SWEEP_END,
@@ -106,8 +95,6 @@ KINDS = frozenset({
     RETRY,
     JOB_DEADLINE, WORKER_KILL,
     FSCK_BEGIN, FSCK_REPAIR, FSCK_EVICT, FSCK_END,
-    FLEET_REGION_BEGIN, FLEET_SHARD, FLEET_REGION_END,
-    COLDSTART_SWEEP_BEGIN, COLDSTART_POINT, COLDSTART_SWEEP_END,
 })
 
 #: Top-level JSON keys that payload fields may not shadow.

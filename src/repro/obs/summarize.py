@@ -3,10 +3,11 @@
 ``python -m repro.obs summarize trace.jsonl`` reads a trace written by
 :class:`~repro.obs.tracer.JsonlSink`, validates every record against the
 schema, and reduces it to the quantities an experimenter actually wants:
-cache hit rate, retry and failure counts, per-job wall time (harvest
-minus dispatch, using the injected-clock readings), and the slowest
-cells.  The same functions back the integration tests that cross-check a
-trace against the engine's :class:`~repro.engine.sweep.SweepStats`.
+events per kind, cache hit rate, failed cells, per-cell wall time
+(harvest minus dispatch, using the injected-clock readings), and the
+slowest cells.  The same functions back the integration tests that
+cross-check a trace against the engine's
+:class:`~repro.engine.sweep.SweepStats`.
 """
 
 from __future__ import annotations
@@ -69,48 +70,38 @@ class JobTiming:
 class TraceSummary:
     """The aggregate view of one trace."""
 
-    events: int = 0
-    sweeps: int = 0
+    #: Events per kind, in sorted-kind order; kinds never seen are absent.
+    counts: Dict[str, int] = field(default_factory=dict)
+    #: Cells the ``sweep.begin`` records announce.
     jobs: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-    cache_evictions: int = 0
-    cache_corruptions: int = 0
-    cache_quarantines: int = 0
-    cache_store_failures: int = 0
-    cache_locks: int = 0
-    dispatches: int = 0
-    harvests: int = 0
-    retries: int = 0
+    #: Cells the ``sweep.end`` records report as failed.
     failures: int = 0
-    pool_deaths: int = 0
-    degrades: int = 0
-    deadlines: int = 0
-    worker_kills: int = 0
-    fsck_repairs: int = 0
-    fsck_evictions: int = 0
-    fleet_regions: int = 0
-    fleet_shards: int = 0
-    fleet_invocations: int = 0
-    fleet_dropped: int = 0
-    coldstart_sweeps: int = 0
-    coldstart_points: int = 0
-    coldstart_cold_points: int = 0
     #: Per-cell timings keyed by (sweep ordinal, task index): labels
     #: repeat when a sweep runs several cells of one function/config, or
     #: two sweeps reuse a cell.  Events before any ``sweep.begin`` fall
     #: in sweep 0.
     timings: Dict[Tuple[int, int], JobTiming] = field(default_factory=dict)
 
+    def count(self, kind: str) -> int:
+        """Events of one kind (0 when the trace has none)."""
+        return self.counts.get(kind, 0)
+
+    @property
+    def events(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def sweeps(self) -> int:
+        return self.count(records.SWEEP_BEGIN)
+
     @property
     def cache_lookups(self) -> int:
-        return self.cache_hits + self.cache_misses
+        return self.count(records.CACHE_HIT) + self.count(records.CACHE_MISS)
 
     @property
     def hit_rate(self) -> float:
         lookups = self.cache_lookups
-        return self.cache_hits / lookups if lookups else 0.0
+        return self.count(records.CACHE_HIT) / lookups if lookups else 0.0
 
     def slowest(self, n: int = 5) -> List[JobTiming]:
         """The ``n`` slowest cells by wall time (ties broken by job id)."""
@@ -139,15 +130,15 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
     :class:`TraceSchemaError` rather than reporting wrong numbers.
     """
     summary = TraceSummary()
+    counts = summary.counts
     reported_hits = reported_misses = reported_retries = 0
     first_dispatches = 0
     saw_sweep_end = False
     for event in events:
-        summary.events += 1
         kind = event.kind
+        counts[kind] = counts.get(kind, 0) + 1
         fields = event.fields_dict()
         if kind == records.SWEEP_BEGIN:
-            summary.sweeps += 1
             summary.jobs += int(fields.get("jobs", 0))
         elif kind == records.SWEEP_END:
             saw_sweep_end = True
@@ -155,18 +146,7 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
             reported_misses += int(fields.get("misses", 0))
             reported_retries += int(fields.get("retries", 0))
             summary.failures += int(fields.get("failures", 0))
-        elif kind == records.CACHE_HIT:
-            summary.cache_hits += 1
-        elif kind == records.CACHE_MISS:
-            summary.cache_misses += 1
-        elif kind == records.CACHE_STORE:
-            summary.cache_stores += 1
-        elif kind == records.CACHE_EVICT:
-            summary.cache_evictions += 1
-        elif kind == records.CACHE_CORRUPT:
-            summary.cache_corruptions += 1
         elif kind == records.DISPATCH:
-            summary.dispatches += 1
             if (int(fields.get("attempt", 0)) == 0
                     and int(fields.get("dispatch", 0)) == 0):
                 first_dispatches += 1
@@ -175,58 +155,27 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
             if timing.first_dispatch_t is None and event.t is not None:
                 timing.first_dispatch_t = event.t
         elif kind == records.HARVEST:
-            summary.harvests += 1
             timing = _timing(summary, fields)
             timing.harvests += 1
             if event.t is not None:
                 timing.last_harvest_t = event.t
-        elif kind == records.RETRY:
-            summary.retries += 1
-        elif kind == records.POOL_DEATH:
-            summary.pool_deaths += 1
-        elif kind == records.POOL_DEGRADE:
-            summary.degrades += 1
-        elif kind == records.CACHE_QUARANTINE:
-            summary.cache_quarantines += 1
-        elif kind == records.CACHE_STORE_FAILED:
-            summary.cache_store_failures += 1
-        elif kind == records.CACHE_LOCK:
-            summary.cache_locks += 1
-        elif kind == records.JOB_DEADLINE:
-            summary.deadlines += 1
-        elif kind == records.WORKER_KILL:
-            summary.worker_kills += 1
-        elif kind == records.FSCK_REPAIR:
-            summary.fsck_repairs += 1
-        elif kind == records.FSCK_EVICT:
-            summary.fsck_evictions += 1
-        elif kind == records.FLEET_REGION_BEGIN:
-            summary.fleet_regions += 1
-        elif kind == records.FLEET_SHARD:
-            summary.fleet_shards += 1
-        elif kind == records.FLEET_REGION_END:
-            summary.fleet_invocations += int(fields.get("invocations", 0))
-            summary.fleet_dropped += int(fields.get("dropped", 0))
-        elif kind == records.COLDSTART_SWEEP_BEGIN:
-            summary.coldstart_sweeps += 1
-        elif kind == records.COLDSTART_POINT:
-            summary.coldstart_points += 1
-            if fields.get("regime") == "cold":
-                summary.coldstart_cold_points += 1
+    summary.counts = dict(sorted(counts.items()))
     if saw_sweep_end:
         checks = [
-            ("cache.hit", summary.cache_hits, reported_hits),
-            ("retry.backoff", summary.retries, reported_retries),
+            (records.CACHE_HIT, summary.count(records.CACHE_HIT),
+             reported_hits),
+            (records.RETRY, summary.count(records.RETRY), reported_retries),
             # A "miss" on sweep.end means "cell simulated": exactly one
             # first-attempt dispatch per simulated cell, cache or no cache.
             ("first-attempt executor.dispatch", first_dispatches,
              reported_misses),
         ]
-        if summary.cache_lookups or summary.cache_stores:
+        if summary.cache_lookups or summary.count(records.CACHE_STORE):
             # Only when a result cache was in play does every simulated
             # cell also leave a cache.miss record.
-            checks.append(
-                ("cache.miss", summary.cache_misses, reported_misses))
+            checks.append((records.CACHE_MISS,
+                           summary.count(records.CACHE_MISS),
+                           reported_misses))
         for label, counted, reported in checks:
             if counted != reported:
                 raise TraceSchemaError(
@@ -242,39 +191,14 @@ def render_summary(summary: TraceSummary, slowest: int = 5) -> str:
         f"events            {summary.events}",
         f"sweeps            {summary.sweeps}",
         f"jobs              {summary.jobs}",
-        f"cache hits        {summary.cache_hits}",
-        f"cache misses      {summary.cache_misses}",
         f"cache hit rate    {summary.hit_rate:.1%}"
         if summary.cache_lookups else "cache hit rate    n/a",
-        f"cache stores      {summary.cache_stores}",
-        f"cache evictions   {summary.cache_evictions}",
-        f"retries           {summary.retries}",
         f"failures          {summary.failures}",
-        f"pool deaths       {summary.pool_deaths}",
     ]
-    # Recovery-layer counters only appear when the guard/fsck machinery
-    # actually acted, keeping quiet traces quiet.
-    for label, count in (
-            ("deadlines hit", summary.deadlines),
-            ("workers killed", summary.worker_kills),
-            ("quarantined", summary.cache_quarantines),
-            ("store failures", summary.cache_store_failures),
-            ("fsck repairs", summary.fsck_repairs),
-            ("fsck evictions", summary.fsck_evictions)):
-        if count:
-            lines.append(f"{label:<17} {count}")
-    # Fleet counters only appear when a region was actually simulated.
-    if summary.fleet_regions:
-        lines.append(f"fleet regions     {summary.fleet_regions}")
-        lines.append(f"fleet shards      {summary.fleet_shards}")
-        lines.append(f"fleet invocations {summary.fleet_invocations}")
-        if summary.fleet_dropped:
-            lines.append(f"fleet dropped     {summary.fleet_dropped}")
-    # Spectrum counters only appear when a sweep actually ran.
-    if summary.coldstart_sweeps:
-        lines.append(f"spectrum sweeps   {summary.coldstart_sweeps}")
-        lines.append(f"spectrum points   {summary.coldstart_points}")
-        lines.append(f"spectrum cold pts {summary.coldstart_cold_points}")
+    if summary.counts:
+        lines.append("events by kind:")
+        lines.extend(f"  {kind:<20} {count}"
+                     for kind, count in summary.counts.items())
     slow = summary.slowest(slowest)
     if slow:
         lines.append("slowest cells:")
@@ -292,44 +216,9 @@ def summary_to_json(summary: TraceSummary,
         "events": summary.events,
         "sweeps": summary.sweeps,
         "jobs": summary.jobs,
-        "cache": {
-            "hits": summary.cache_hits,
-            "misses": summary.cache_misses,
-            "hit_rate": summary.hit_rate,
-            "stores": summary.cache_stores,
-            "evictions": summary.cache_evictions,
-            "corruptions": summary.cache_corruptions,
-            "quarantines": summary.cache_quarantines,
-            "store_failures": summary.cache_store_failures,
-            "locks": summary.cache_locks,
-        },
-        "executor": {
-            "dispatches": summary.dispatches,
-            "harvests": summary.harvests,
-            "pool_deaths": summary.pool_deaths,
-            "degrades": summary.degrades,
-        },
-        "guard": {
-            "deadlines": summary.deadlines,
-            "worker_kills": summary.worker_kills,
-        },
-        "fsck": {
-            "repairs": summary.fsck_repairs,
-            "evictions": summary.fsck_evictions,
-        },
-        "fleet": {
-            "regions": summary.fleet_regions,
-            "shards": summary.fleet_shards,
-            "invocations": summary.fleet_invocations,
-            "dropped": summary.fleet_dropped,
-        },
-        "coldstart": {
-            "sweeps": summary.coldstart_sweeps,
-            "points": summary.coldstart_points,
-            "cold_points": summary.coldstart_cold_points,
-        },
-        "retries": summary.retries,
+        "hit_rate": summary.hit_rate,
         "failures": summary.failures,
+        "counts": dict(summary.counts),
         "slowest": [
             {
                 "job": timing.job,

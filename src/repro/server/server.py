@@ -122,11 +122,6 @@ class ServerStats:
             return 0.0
         return float(np.mean(self.interleave_degrees))
 
-    def median_interleaving(self) -> float:
-        if not self.interleave_degrees:
-            return 0.0
-        return float(np.median(self.interleave_degrees))
-
     def interleaving_percentile(self, q: float) -> float:
         if not self.interleave_degrees:
             return 0.0

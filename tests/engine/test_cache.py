@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 
 from repro.engine import ResultCache
+from repro.obs.tracer import Tracer
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -33,26 +34,26 @@ class TestRoundtrip:
         # No temp files left behind.
         assert not list((tmp_path / "c").rglob("*.tmp"))
 
-    def test_stats_counters(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+    def test_trace_counts(self, tmp_path):
+        tracer = Tracer()
+        cache = ResultCache(tmp_path / "c", tracer=tracer)
         cache.get(KEY)
         cache.put(KEY, 1)
         cache.get(KEY)
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
-        assert cache.stats.hit_rate == 0.5
+        assert tracer.counts == {"cache.hit": 1, "cache.miss": 1,
+                                 "cache.store": 1}
 
 
 class TestStaleEntries:
     def test_corrupt_entry_is_evicted_and_counted(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        tracer = Tracer()
+        cache = ResultCache(tmp_path / "c", tracer=tracer)
         path = cache.path_for(KEY)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a pickle")
         hit, value = cache.get(KEY)
         assert not hit and value is None
-        assert cache.stats.errors == 1
+        assert tracer.counts == {"cache.miss": 1, "cache.quarantine": 1}
         assert not path.exists()  # evicted, slot free for a rewrite
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
@@ -73,7 +74,7 @@ class TestStaleEntries:
         path.write_bytes(b"crepro.engine.nowhere\nEphemeral\n.")
         hit, _ = cache.get(KEY)
         assert not hit
-        assert cache.stats.errors == 1
+        assert cache.quarantine_path_for(KEY).exists()
 
 
 class TestHygiene:

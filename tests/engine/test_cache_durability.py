@@ -140,7 +140,7 @@ class TestStoreDegradation:
         with pytest.warns(RuntimeWarning, match="cannot store"):
             assert not cache.put(KEY, 1)
         assert cache.stores_disabled
-        assert cache.stats.store_failures == 1
+        assert not cache.path_for(KEY).exists()
         assert cache.get(KEY) == (False, None)  # nothing landed
 
     def test_degraded_cache_warns_exactly_once(self, tmp_path):
@@ -153,7 +153,7 @@ class TestStoreDegradation:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             assert not cache.put(OTHER, 2)
-        assert cache.stats.stores == 0
+        assert len(cache) == 0
 
     def test_lookups_survive_store_degradation(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -196,7 +196,7 @@ class TestTempReaping:
         cache = ResultCache(root).open()
         try:
             assert not orphan.exists()
-            assert cache.stats.reaped_tmp == 1
+            assert not list(root.rglob("*.tmp"))
         finally:
             cache.close()
 
@@ -209,8 +209,7 @@ class TestTempReaping:
         in_flight.write_bytes(b"someone else, mid-write")
         cache = ResultCache(root).open()
         try:
-            assert in_flight.exists()
-            assert cache.stats.reaped_tmp == 0
+            assert list(root.rglob("*.tmp")) == [in_flight]
         finally:
             cache.close()
 
@@ -228,12 +227,13 @@ class TestTempReaping:
 
 class TestQuarantine:
     def test_damaged_entry_is_quarantined_not_served(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        tracer = Tracer()
+        cache = ResultCache(tmp_path / "c", tracer=tracer)
         cache.put(KEY, list(range(500)))
         cache.tear(KEY)
         hit, value = cache.get(KEY)
         assert not hit and value is None
-        assert cache.stats.quarantined == 1
+        assert tracer.counts["cache.quarantine"] == 1
         assert cache.quarantine_path_for(KEY).exists()
         assert not cache.path_for(KEY).exists()
 

@@ -48,6 +48,7 @@ from repro.faults import (
     InjectedTransientError,
 )
 from repro.lint.contracts import check_sweep_stats
+from repro.obs.tracer import Tracer
 
 PROVIDER = "tests.engine.fake_provider"
 
@@ -360,13 +361,17 @@ class TestCorruptionFault:
         jobs = echo_jobs(3)
         with configure(cache_dir=tmp_path / "c"):
             first = sweep(jobs)
-        cache = ResultCache(tmp_path / "c")
+        tracer = Tracer()
+        cache = ResultCache(tmp_path / "c", tracer=tracer)
         ctx_faulty = EngineContext(executor=SerialExecutor(), cache=cache,
-                                   faults=FaultPlan.coerce("corrupt:#1"))
+                                   faults=FaultPlan.coerce("corrupt:#1"),
+                                   tracer=tracer)
         outcomes = sweep_outcomes(jobs, context=ctx_faulty)
         assert [o.value for o in outcomes] == first
         # The corrupted entry was evicted, re-simulated and re-stored.
-        assert cache.stats.errors == 1
+        assert tracer.counts["cache.corrupt"] == 1
+        assert tracer.counts["cache.quarantine"] == 1
+        assert len(list((tmp_path / "c" / "quarantine").iterdir())) == 1
         assert ctx_faulty.stats.hits == 2
         assert ctx_faulty.stats.misses == 1
         assert ctx_faulty.stats.stores == 1

@@ -13,6 +13,7 @@ from repro.engine import (
     ProcessExecutor,
     ResultCache,
     SerialExecutor,
+    Task,
     configure,
     current_context,
     get_executor,
@@ -105,10 +106,10 @@ class TestExecutorEquivalence:
             get_executor(0)
 
     def test_process_executor_single_job_stays_in_process(self):
-        # len(jobs) <= 1 short-circuits to serial: no pool spin-up cost.
-        result = ProcessExecutor(jobs=8).run(_grid_jobs()[:1])
-        assert len(result) == 1
-        assert math.isfinite(result[0].cpi)
+        # len(tasks) <= 1 short-circuits to serial: no pool spin-up cost.
+        [outcome] = ProcessExecutor(jobs=8).run_tasks(
+            [Task(job=_grid_jobs()[0], index=0)])
+        assert math.isfinite(outcome.unwrap().cpi)
 
 
 class TestContextNesting:

@@ -100,15 +100,12 @@ class TestParser:
 
     def test_observability_flags(self, tmp_path):
         args = build_parser().parse_args(
-            ["fig10", "--trace", str(tmp_path / "t.jsonl"),
-             "--metrics-out", str(tmp_path / "m.json")])
+            ["fig10", "--trace", str(tmp_path / "t.jsonl")])
         assert args.trace == tmp_path / "t.jsonl"
-        assert args.metrics_out == tmp_path / "m.json"
 
     def test_observability_flag_defaults(self):
         args = build_parser().parse_args(["fig10"])
         assert args.trace is None
-        assert args.metrics_out is None
 
     def test_jobs_rejected_at_parse_time(self, capsys):
         """--jobs 0 is a usage error argparse itself reports (exit 2)."""
@@ -206,16 +203,15 @@ class TestMain:
         assert warm["simulated"] == 0
         assert warm["cache_hits"] == cold["simulated"]
 
-    def test_trace_and_metrics_outputs(self, capsys, tmp_path):
-        """--trace and --metrics-out write schema-valid files whose
-        aggregates agree with the engine stats the JSON report carries."""
+    def test_trace_output(self, capsys, tmp_path):
+        """--trace writes a schema-valid file whose aggregates agree with
+        the engine stats the JSON report carries."""
         from repro.obs.summarize import read_trace, summarize
 
         trace = tmp_path / "trace.jsonl"
-        metrics = tmp_path / "metrics.json"
         argv = ["fig06", "--fast", "--functions", "Auth-G",
                 "--cache-dir", str(tmp_path / "cache"), "--json",
-                "--trace", str(trace), "--metrics-out", str(metrics)]
+                "--trace", str(trace)]
         assert main(argv) == 0
         captured = capsys.readouterr()
         engine_stats = json.loads(captured.out)[0]["engine"]
@@ -223,17 +219,35 @@ class TestMain:
         # read_trace schema-validates every line; summarize cross-checks
         # the stream against its own sweep.end records.
         summary = summarize(read_trace(trace))
-        assert summary.cache_hits == engine_stats["cache_hits"]
-        assert summary.cache_misses == engine_stats["simulated"]
-        assert summary.retries == engine_stats["retries"]
+        assert summary.count("cache.hit") == engine_stats["cache_hits"]
+        assert summary.count("cache.miss") == engine_stats["simulated"]
+        assert summary.count("retry.backoff") == engine_stats["retries"]
         assert summary.jobs == engine_stats["cells"]
-        exported = json.loads(metrics.read_text(encoding="utf-8"))
-        assert exported["schema"] == 1
-        assert exported["counters"]["engine.jobs"] == engine_stats["cells"]
-        assert exported["counters"]["engine.misses"] == \
-            engine_stats["simulated"]
-        assert "engine.hit_rate" in exported["gauges"]
-        assert exported["histograms"]["engine.sweep_jobs"]["count"] >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--fast", "--no-cache"],
+        ["spectrum", "--fast", "--functions", "ProdL-G", "--no-cache"],
+    ], ids=["fleet", "spectrum"])
+    def test_traced_result_sweeps_record_only_engine_kinds(
+            self, capsys, tmp_path, argv):
+        """Fleet regions and spectrum points reach the trace only through
+        the engine's sweep/executor records, one dispatch and harvest per
+        cell, and the trace summarizes cleanly."""
+        from repro.obs.__main__ import main as obs_main
+        from repro.obs.summarize import read_trace, summarize
+
+        trace = tmp_path / "trace.jsonl"
+        assert main(argv + ["--trace", str(trace)]) == 0
+        summary = summarize(read_trace(trace))
+        assert set(summary.counts) == {"sweep.begin", "sweep.end",
+                                       "executor.dispatch",
+                                       "executor.harvest"}
+        assert summary.count("sweep.end") == summary.sweeps
+        assert (summary.count("executor.dispatch")
+                == summary.count("executor.harvest") == summary.jobs)
+        capsys.readouterr()
+        assert obs_main(["summarize", str(trace), "--slowest", "0"]) == 0
+        assert "slowest cells:" not in capsys.readouterr().out
 
     def test_footer_reports_events_without_trace_flag(self, capsys,
                                                       tmp_path):

@@ -1,7 +1,6 @@
 """REPRO008 positive: module-level observability singletons."""
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import JsonlSink, Tracer
 
 TRACER = Tracer()
-METRICS: MetricsRegistry = MetricsRegistry()
+SINK: JsonlSink = JsonlSink("trace.jsonl")

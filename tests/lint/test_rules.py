@@ -247,7 +247,7 @@ class TestREPRO008:
     def test_module_level_singletons_fire(self, fixture_violations):
         found = _for_file(fixture_violations, "bad_global_tracer.py")
         assert {v.rule_id for v in found} == {"REPRO008"}
-        assert len(found) == 2  # Tracer() and MetricsRegistry()
+        assert len(found) == 2  # Tracer() and the annotated JsonlSink()
         messages = " ".join(v.message for v in found)
         assert "singleton" in messages
 

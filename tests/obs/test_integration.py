@@ -40,16 +40,17 @@ class TestTraceMatchesSweepStats:
     def assert_trace_agrees(self, trace_path, stats, cached=True):
         summary = summarize(read_trace(trace_path))
         assert summary.jobs == stats.jobs
-        assert summary.cache_hits == stats.hits
-        assert summary.retries == stats.retries
+        assert summary.count("cache.hit") == stats.hits
+        assert summary.count("retry.backoff") == stats.retries
         assert summary.failures == stats.failures
         if cached:
             # With a result cache every simulated cell leaves a miss and
             # (when it succeeds) a store record.
-            assert summary.cache_misses == stats.misses
-            assert summary.cache_stores == stats.stores
+            assert summary.count("cache.miss") == stats.misses
+            assert summary.count("cache.store") == stats.stores
         else:
             assert summary.cache_lookups == 0
+        return summary
 
     def test_cold_then_warm_cached_sweeps(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -61,6 +62,20 @@ class TestTraceMatchesSweepStats:
         # two sweep.end records runs implicitly inside assert_trace_agrees.
         assert ctx.stats.hits == 4 and ctx.stats.misses == 4
         self.assert_trace_agrees(trace, ctx.stats)
+
+    def test_pooled_cold_then_warm_sweeps(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with configure(jobs=2, cache_dir=tmp_path / "cache",
+                       trace_path=trace, clock=TickClock()) as ctx:
+            sweep(grid_jobs())
+            sweep(grid_jobs())
+        assert ctx.stats.hits == 4 and ctx.stats.misses == 4
+        summary = self.assert_trace_agrees(trace, ctx.stats)
+        # Pool workers never see the tracer: the parent records every
+        # dispatch and harvest, one each per simulated cell.
+        assert summary.count("executor.dispatch") == 4
+        assert summary.count("executor.harvest") == 4
+        assert len(summary.slowest(10)) == 4
 
     def test_retried_fault_appears_in_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -77,23 +92,9 @@ class TestTraceMatchesSweepStats:
         trace = tmp_path / "trace.jsonl"
         with configure(trace_path=trace) as ctx:
             sweep(grid_jobs())
-        self.assert_trace_agrees(trace, ctx.stats, cached=False)
-        summary = summarize(read_trace(trace))
-        assert summary.dispatches == summary.harvests == 4
-        assert summary.cache_lookups == 0  # no cache configured
-
-    def test_metrics_registry_agrees_with_stats(self, tmp_path):
-        with configure(cache_dir=tmp_path / "cache") as ctx:
-            sweep(grid_jobs())
-            sweep(grid_jobs())
-        metrics = ctx.metrics
-        assert metrics.value("engine.sweeps") == 2
-        assert metrics.value("engine.jobs") == ctx.stats.jobs == 8
-        assert metrics.value("engine.hits") == ctx.stats.hits == 4
-        assert metrics.value("engine.misses") == ctx.stats.misses == 4
-        assert metrics.value("engine.stores") == ctx.stats.stores == 4
-        assert metrics.value("engine.retries") == ctx.stats.retries == 0
-        assert metrics.value("engine.hit_rate") == ctx.stats.hit_rate
+        summary = self.assert_trace_agrees(trace, ctx.stats, cached=False)
+        assert summary.count("executor.dispatch") == 4
+        assert summary.count("executor.harvest") == 4
 
 
 class TestTraceDeterminism:

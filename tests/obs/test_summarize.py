@@ -47,15 +47,67 @@ class TestSummarize:
         assert summary.events == 13
         assert summary.sweeps == 1
         assert summary.jobs == 3
-        assert summary.cache_hits == 1
-        assert summary.cache_misses == 2
-        assert summary.cache_stores == 2
-        assert summary.dispatches == 3
-        assert summary.harvests == 2
-        assert summary.retries == 1
+        assert summary.counts == {
+            "cache.hit": 1, "cache.miss": 2, "cache.store": 2,
+            "executor.dispatch": 3, "executor.harvest": 2,
+            "retry.backoff": 1, "sweep.begin": 1, "sweep.end": 1,
+        }
+        assert list(summary.counts) == sorted(summary.counts)
+        assert summary.count("worker.kill") == 0
         assert summary.failures == 0
         assert summary.cache_lookups == 3
         assert summary.hit_rate == pytest.approx(1 / 3)
+
+    def test_recovery_kinds_show_in_the_per_kind_table(self):
+        tracer = Tracer()
+        tracer.emit(records.CACHE_LOCK, mode="shared", action="acquire")
+        tracer.emit(records.FSCK_BEGIN, root="/cache", repair=True)
+        tracer.emit(records.FSCK_END, scanned=3, ok=3, repaired=0,
+                    quarantined=0, reaped_tmp=0, clean=True)
+        tracer.emit(records.WORKER_KILL, reason="job-deadline", killed=1,
+                    pending=2)
+        tracer.emit(records.CACHE_LOCK, mode="shared", action="release")
+        summary = summarize(tracer.events)
+        assert summary.counts == {"cache.lock": 2, "fsck.begin": 1,
+                                  "fsck.end": 1, "worker.kill": 1}
+        text = render_summary(summary)
+        for kind, count in summary.counts.items():
+            assert f"  {kind:<20} {count}" in text
+        record = summary_to_json(summary)
+        assert record["counts"] == summary.counts
+        assert record["events"] == 5
+
+    @pytest.mark.parametrize("kind", sorted(records.KINDS))
+    def test_every_kind_gets_its_own_table_line(self, tmp_path, kind):
+        # The per-kind table is generic: each kind of the closed
+        # vocabulary survives the JSONL round trip and is listed under
+        # its own name, within the table's 20-character column.
+        assert len(kind) <= 20
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sinks=(JsonlSink(path),))
+        tracer.emit(kind)
+        tracer.close()
+        summary = summarize(read_trace(path))
+        assert summary.counts == {kind: 1}
+        assert f"\n  {kind:<20} 1" in render_summary(summary)
+        assert summary_to_json(summary)["counts"] == {kind: 1}
+
+    def test_jobs_and_failures_sum_across_sweeps(self):
+        # An uncached sweep leaves no cache.* record, so only the
+        # dispatch cross-check applies.
+        tracer = Tracer()
+        for jobs, failures in ((2, 1), (3, 0), (1, 1)):
+            tracer.emit(records.SWEEP_BEGIN, jobs=jobs, policy="collect")
+            for index in range(jobs):
+                tracer.emit(records.DISPATCH, job="F", index=index,
+                            attempt=0, dispatch=0)
+            tracer.emit(records.SWEEP_END, jobs=jobs, hits=0, misses=jobs,
+                        stores=0, failures=failures, retries=0)
+        summary = summarize(tracer.events)
+        assert (summary.sweeps, summary.jobs, summary.failures) == (3, 6, 2)
+        assert summary.cache_lookups == 0
+        assert sorted(summary.timings) == [(1, 0), (1, 1), (2, 0), (2, 1),
+                                           (2, 2), (3, 0)]
 
     def test_per_job_wall_time_from_clock(self):
         summary = summarize(consistent_stream())
@@ -124,26 +176,47 @@ class TestSummarize:
         with pytest.raises(TraceSchemaError, match="inconsistent"):
             summarize(events)
 
+    def test_cross_check_catches_a_lost_cache_miss(self):
+        # The dispatches still match sweep.end's misses, so only the
+        # cache.miss check sees the missing line.
+        events = [e for e in consistent_stream()
+                  if e.fields_dict().get("key") != "cc"
+                  or e.kind != records.CACHE_MISS]
+        with pytest.raises(TraceSchemaError,
+                           match=r"counted 1 cache\.miss events but "
+                                 r"sweep\.end records report 2"):
+            summarize(events)
+
     def test_cross_check_skipped_without_sweep_end(self):
         # A trace cut before sweep.end (e.g. a crashed run) still
         # summarizes -- there is no reported total to disagree with.
         summary = summarize(list(consistent_stream())[:-1])
-        assert summary.cache_hits == 1
+        assert summary.count("cache.hit") == 1
 
     def test_summary_to_json_round_trips(self):
         record = summary_to_json(summarize(consistent_stream()), slowest=2)
         assert record == json.loads(json.dumps(record))
-        assert record["cache"]["hits"] == 1
+        assert record["counts"]["cache.hit"] == 1
+        assert record["hit_rate"] == pytest.approx(1 / 3)
+        assert (record["events"], record["sweeps"], record["jobs"],
+                record["failures"]) == (13, 1, 3, 0)
         assert [s["job"] for s in record["slowest"]] == ["slow", "fast"]
 
     def test_render_summary_mentions_the_essentials(self):
         text = render_summary(summarize(consistent_stream()))
         assert "cache hit rate    33.3%" in text
-        assert "retries           1" in text
+        assert "failures          0" in text
+        assert "  retry.backoff        1" in text
         assert "slowest cells:" in text and "slow" in text
 
     def test_render_summary_empty_trace(self):
         assert "cache hit rate    n/a" in render_summary(summarize([]))
+
+    def test_summary_to_json_of_an_empty_trace(self):
+        assert summary_to_json(summarize([])) == {
+            "events": 0, "sweeps": 0, "jobs": 0, "hit_rate": 0.0,
+            "failures": 0, "counts": {}, "slowest": [],
+        }
 
 
 class TestReadTrace:
@@ -180,6 +253,19 @@ class TestReadTrace:
         with pytest.raises(TraceSchemaError, match=r"trace\.jsonl:1:"):
             read_trace(path)
 
+    def test_retired_coldstart_kind_is_unknown(self, tmp_path):
+        # A kind outside the vocabulary, such as one an older build
+        # wrote, fails the whole trace instead of being skipped.
+        good = TraceEvent.make(0, records.CACHE_HIT, key="k").to_jsonl()
+        path = self.write(tmp_path, [
+            good, '{"function":"Auth-P","kind":"coldstart.point",'
+                  '"regime":"cold","schema":1,"seq":1,"t":null}'])
+        with pytest.raises(TraceSchemaError,
+                           match=r"trace\.jsonl:2: unknown trace event "
+                                 r"kind 'coldstart\.point'"):
+            read_trace(path)
+        assert obs_main(["summarize", str(path)]) == 1
+
 
 class TestCli:
     def write_trace(self, tmp_path):
@@ -201,8 +287,30 @@ class TestCli:
         assert obs_main(["summarize", str(path), "--json",
                          "--slowest", "1"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["cache"]["hits"] == 1
+        assert record["counts"]["cache.hit"] == 1
         assert len(record["slowest"]) == 1
+
+    def test_negative_slowest_is_a_usage_error(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["summarize", str(path), "--slowest", "-1"])
+        assert exc.value.code == 2
+        assert "--slowest: must be >= 0" in capsys.readouterr().err
+
+    def test_zero_slowest_lists_no_cells(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        assert obs_main(["summarize", str(path), "--slowest", "0"]) == 0
+        assert "slowest cells:" not in capsys.readouterr().out
+        assert obs_main(["summarize", str(path), "--json",
+                         "--slowest", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["slowest"] == []
+
+    def test_non_integer_slowest_is_a_usage_error(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["summarize", str(path), "--slowest", "two"])
+        assert exc.value.code == 2
+        assert "expected an integer, got 'two'" in capsys.readouterr().err
 
     def test_schema_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
