@@ -99,10 +99,13 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold) =="
 # disagrees with the cached columnar result.  fig10-cold runs baseline,
 # jukebox and perfect cells over a Python, a Node and a Go function, and
 # runs again on the held-out seed 4242, whose traces are drawn from
-# other random words.
+# other random words.  The seed picks the re-simulated cell: Fib-P/perfect
+# on seed 1, ProdL-G/baseline on 4242 and Fib-N/jukebox on 5, so each
+# config's bulk walk classes meet the scalar oracle on real traces.
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 4242 --seconds 0
+python3 perfbench/run.py --workload fig10-cold --seed 5 --seconds 0
 
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.

@@ -43,8 +43,11 @@ class JukeboxRecorder:
         if evicted is not None:
             self._write_entry(evicted)
 
-    #: Advertised to the columnar backend: bulk L1-hit execution stays
-    #: legal while the recorder is installed (see RecordHook docs).
+    #: Advertised to the columnar backend (see RecordHook docs):
+    #: :meth:`on_fetch` is a no-op, and :meth:`on_l2_inst_miss` never reads
+    #: ``cycle`` and touches only the CRRB, the metadata buffer and the
+    #: metadata-write traffic, so a bulk walk may report its misses (and
+    #: prefetched L2 hits) at once, in walk order.
     fetch_is_noop = True
 
     def on_fetch(self, block_vaddr: int, cycle: float) -> None:

@@ -9,6 +9,7 @@ addresses, 64B lines and 1KB regions an entry is 38 + 16 = 54 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.units import LINE_SHIFT, LINE_SIZE, VA_BITS, is_power_of_two, log2_int
@@ -16,7 +17,13 @@ from repro.units import LINE_SHIFT, LINE_SIZE, VA_BITS, is_power_of_two, log2_in
 
 @dataclass(frozen=True)
 class RegionGeometry:
-    """Derived constants for a given code-region size."""
+    """Derived constants for a given code-region size.
+
+    The record and replay paths read the derived constants once per miss
+    or entry, so each is computed on first use and cached on the instance.
+    ``region_size`` stays the only dataclass field: equality, hashing and
+    the canonical form depend on it alone.
+    """
 
     region_size: int
 
@@ -27,25 +34,25 @@ class RegionGeometry:
                 f"{self.region_size}"
             )
 
-    @property
+    @cached_property
     def region_shift(self) -> int:
         return log2_int(self.region_size)
 
-    @property
+    @cached_property
     def lines_per_region(self) -> int:
         return self.region_size // LINE_SIZE
 
-    @property
+    @cached_property
     def pointer_bits(self) -> int:
         """Bits needed for the region pointer (48-bit VA, Sec. 3.2)."""
         return VA_BITS - self.region_shift
 
-    @property
+    @cached_property
     def vector_bits(self) -> int:
         """Bits in the access vector: one per line in the region."""
         return self.lines_per_region
 
-    @property
+    @cached_property
     def entry_bits(self) -> int:
         """Total bits per metadata entry (54 for the 1KB default)."""
         return self.pointer_bits + self.vector_bits

@@ -40,8 +40,9 @@ class _MissCollector:
     def on_l2_inst_miss(self, vaddr: int, cycle: float) -> None:
         self.misses.append(vaddr)
 
-    #: L1-hit bulk execution cannot reach on_l2_inst_miss, so the
-    #: columnar backend may keep it enabled while collecting misses.
+    #: on_fetch is a no-op and on_l2_inst_miss ignores ``cycle``, so the
+    #: columnar backend keeps its bulk walks while collecting misses (see
+    #: RecordHook docs).
     fetch_is_noop = True
 
     def on_fetch(self, vaddr: int, cycle: float) -> None:

@@ -28,11 +28,21 @@ How the speed is won, without changing a single float:
   :meth:`repro.sim.cache.SetAssocCache.lookup` and ``insert``: a hit
   moves the line to MRU; a fill pops the LRU victim, drops its residency
   and prefetch flag (counting an unused L2 prefetch) and appends the new
-  line.  Anything that does not prove a class's preconditions -- pending
-  prefetch flags, in-flight fill queues, an active ``on_fetch`` hook,
-  perfect-I$ mode, partial residency -- falls back to a per-event path
-  for that walk only, reusing the very same ``access_instr`` method as
-  the scalar backend.
+  line.
+* **Structural classes.**  Under perfect-I$, a walk wholly inside the
+  perfect set is charged like an L1-I-hit walk without any LRU move
+  (source ``"perfect"``), and a first touch -- a walk wholly outside the
+  set -- runs walk 1 of the L2-resident or miss class, then joins the
+  set.  The miss class reports walk 1's misses to a ``fetch_is_noop``
+  record hook (Jukebox's recorder) in walk order, and the L2-resident
+  class serves prefetch-flagged L2 copies: each flagged block's first
+  use clears both flags, credits the prefetch and is reported to the
+  hook.
+* **Per-walk fallback.**  Anything that does not prove a class's
+  preconditions -- fill queues still draining, partial residency,
+  pending L1-I prefetch flags, an active ``on_fetch`` hook -- falls back
+  to a per-event path for that walk only, reusing the very same
+  ``access_instr`` method as the scalar backend.
 * **Precomputed accumulator totals.**  ``td.retiring`` and
   ``td.fetch_bandwidth`` receive only *state-independent* adds in the
   scalar interpreter (per-IFETCH ``insts/width`` and per-LOOP spec
@@ -132,12 +142,15 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     l2_fills = hier.l2_fills
 
     hook = hier.record_hook
-    hook_fetch_noop = hook is None or getattr(hook, "fetch_is_noop", False)
-    # Perfect-I$ mode and hooks with live on_fetch disable every bulk
-    # class for the whole run; fill queues only until they drain.
-    scalar_only = hier.perfect_icache or not hook_fetch_noop
+    # Hooks with live on_fetch disable every bulk class for the whole run;
+    # fill queues only until they drain.  A ``fetch_is_noop`` hook may
+    # have its on_l2_inst_miss called once per event of a bulk walk, in
+    # walk order, with the walk's start cycle (see RecordHook).
+    scalar_only = not (hook is None or getattr(hook, "fetch_is_noop", False))
     queues_busy = bool(l1i_fills.inflight or l1i_fills.pending
                        or l2_fills.inflight or l2_fills.pending)
+    perfect = hier.perfect_icache
+    perfect_blocks = hier._perfect_blocks
 
     # Bulk stall constants.  Each expression replays the scalar path's
     # float operations on the same operands in the same order, so the
@@ -525,47 +538,60 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     # pages-per-set by the associativity) -- the remaining walks are
     # guaranteed all-hits with *zero* state change: they reduce to one
     # cycle fold plus counter bumps.  Walk 1's fills never set a prefetch
-    # flag, so residency is the only L1-I fact left to check.
+    # flag, so residency is the only L1-I fact left to check.  Perfect-I$
+    # hits touch no cache at all, so the I-TLB condition alone folds them.
 
-    def fold_repeats(lo: int, hi: int) -> None:
+    def fold_repeats(lo: int, hi: int, source: str) -> None:
         """Charge all-hit repeat walks ``[lo, hi)``: pure ``step0`` fold,
         no TLB/cache state to touch (see the idempotence note above)."""
         n = hi - lo
         stats.itlb.inst_hits += n
         charge_hits(lo, hi, _EMPTY)
         stats.l1i.inst_hits += n
-        sources["l1"] = sources.get("l1", 0) + n
+        sources[source] = sources.get(source, 0) + n
 
-    def fold_after_fill(first_hi: int, hi: int, miss_idx: List[int],
-                        pattern) -> int:
-        """Fold the repeat walks ``[first_hi, hi)`` after a walk 1 that
-        filled the L1-I, when every pattern block is still resident (a
-        set holding more pattern blocks than ways evicts some of them).
-        Returns the first unconsumed event index."""
+    def after_fill(first_hi: int, hi: int, miss_idx: List[int],
+                   pattern) -> int:
+        """Finish the repeat walks ``[first_hi, hi)`` after a walk 1 that
+        filled the L1-I.  Returns the first unconsumed event index.
+
+        Under perfect-I$, walk 1 was a first touch: its blocks join the
+        set and the repeats are left to the perfect class.  Otherwise the
+        repeats fold when every pattern block is still resident (a set
+        holding more pattern blocks than ways evicts some of them)."""
+        if perfect:
+            perfect_blocks.update(pattern.unique_last)
+            return first_hi
         if (first_hi < hi and l1i_res.issuperset(pattern.unique_last)
                 and (not miss_idx
                      or pattern.itlb_fits(itlb_mask, itlb_assoc))):
-            fold_repeats(first_hi, hi)
+            fold_repeats(first_hi, hi, "l1")
             return hi
         return first_hi
 
-    def bulk_l1_hits(lo: int, hi: int, period: int, pattern) -> None:
-        """Every remaining walk hits the L1-I: residency cannot change
-        under hits, so all of ``[lo, hi)`` is charged at once."""
+    def bulk_hits(lo: int, hi: int, period: int, pattern,
+                  source: str) -> None:
+        """Every remaining walk is served by L1-I or perfect-I$ hits:
+        residency cannot change under them, so all of ``[lo, hi)`` is
+        charged at once.  The caller applies any LRU moves."""
         first_hi = lo + period
         miss_idx = walk_itlb(lo, first_hi, period, pattern)
         charge_hits(lo, first_hi, miss_idx)
         stats.l1i.inst_hits += period
-        sources["l1"] = sources.get("l1", 0) + period
+        sources[source] = sources.get(source, 0) + period
         if first_hi < hi:
             if not miss_idx or pattern.itlb_fits(itlb_mask, itlb_assoc):
-                fold_repeats(first_hi, hi)
+                fold_repeats(first_hi, hi, source)
             else:
                 # Pathological page aliasing: account every walk live.
                 miss_idx = walk_itlb(first_hi, hi, period, pattern)
                 charge_hits(first_hi, hi, miss_idx)
                 stats.l1i.inst_hits += hi - first_hi
-                sources["l1"] = sources.get("l1", 0) + (hi - first_hi)
+                sources[source] = sources.get(source, 0) + (hi - first_hi)
+
+    def bulk_l1_hits(lo: int, hi: int, period: int, pattern) -> None:
+        """Every remaining walk hits the L1-I; each block ends at MRU."""
+        bulk_hits(lo, hi, period, pattern, "l1")
         for blk in pattern.unique_last:
             lru = l1i_sets[blk & l1i_mask]
             if lru[-1] != blk:
@@ -574,20 +600,31 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
 
     def bulk_l2_hits(lo: int, hi: int, period: int, pattern) -> int:
         """Walk 1 of ``[lo, hi)`` served entirely by the L2 (distinct
-        blocks, none in the L1-I, no pending prefetch flags on them):
-        each block moves to MRU in the L2 and fills the L1-I.  Returns
-        the first unconsumed event index."""
+        blocks, none in the L1-I): each block moves to MRU in the L2 and
+        fills the L1-I.  A block whose L2 copy carries a prefetch flag is
+        that prefetch's first use, as in ``access_instr``: both flags
+        clear, the line is credited useful and the record hook sees the
+        event.  Returns the first unconsumed event index."""
+        walk_start = cycle
         first_hi = lo + period
         miss_idx = walk_itlb(lo, first_hi, period, pattern)
         charge_const(lo, first_hi, c_l2hit, cw_l2hit, steps_l2hit, miss_idx)
         stats.l1i.inst_misses += period
         stats.l2.inst_hits += period
         sources["l2"] = sources.get("l2", 0) + period
-        for blk in pattern.unique_last:
+        # All-distinct walk: ``blocks`` is ``unique_last``, in walk order.
+        for addr, blk in zip(pattern.addrs, pattern.blocks):
             lru = l2_sets[blk & l2_mask]
             if lru[-1] != blk:
                 lru.remove(blk)
                 lru.append(blk)
+            if blk in l2_pf:
+                l2_pf.discard(blk)
+                stats.l2.inst_prefetch_hits += 1
+                memory.credit_useful_prefetch()
+                llc_pf.discard(blk)
+                if hook is not None:
+                    hook.on_l2_inst_miss(addr, walk_start)
             lru = l1i_sets[blk & l1i_mask]
             if len(lru) >= l1i_assoc:
                 victim = lru.pop(0)
@@ -596,13 +633,14 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                     l1i_pf.discard(victim)
             lru.append(blk)
             l1i_res.add(blk)
-        return fold_after_fill(first_hi, hi, miss_idx, pattern)
+        return after_fill(first_hi, hi, miss_idx, pattern)
 
     def bulk_misses(lo: int, hi: int, period: int, pattern) -> int:
         """Walk 1 of ``[lo, hi)`` with distinct blocks resident nowhere
-        on chip and no record hook: every fetch is a compulsory miss to
-        DRAM that fills the LLC, the L2 and the L1-I.  Returns the first
-        unconsumed event index."""
+        on chip: every fetch is a compulsory miss to DRAM that fills the
+        LLC, the L2 and the L1-I, and that the record hook sees in walk
+        order.  Returns the first unconsumed event index."""
+        walk_start = cycle
         first_hi = lo + period
         miss_idx = walk_itlb(lo, first_hi, period, pattern)
         charge_const(lo, first_hi, c_miss, cw_miss, steps_miss, miss_idx)
@@ -611,6 +649,9 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
         stats.llc.inst_misses += period
         memory.traffic.demand_inst += period * LINE_SIZE
         sources["memory"] = sources.get("memory", 0) + period
+        if hook is not None:
+            for addr in pattern.addrs:
+                hook.on_l2_inst_miss(addr, walk_start)
         unused = 0
         for blk in pattern.unique_last:
             lru = llc_sets[blk & llc_mask]
@@ -640,7 +681,7 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
             l1i_res.add(blk)
         if unused:
             stats.l2.prefetched_unused += unused
-        return fold_after_fill(first_hi, hi, miss_idx, pattern)
+        return after_fill(first_hi, hi, miss_idx, pattern)
 
     for op in ct.ops:
         if op[0] == OP_EVENTS:
@@ -659,22 +700,28 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
                 i += period
                 continue
             unique = pattern.unique_last
-            if l1i.contains_all(unique):
-                if l1i.pf_disjoint(pattern.block_set):
+            if perfect and not perfect_blocks.isdisjoint(unique):
+                if perfect_blocks.issuperset(unique):
+                    bulk_hits(i, hi, period, pattern, "perfect")
+                    i = hi
+                    continue
+            elif l1i.contains_all(unique):
+                # Under perfect-I$ an L1-I hit joins the set, so its
+                # repeats would be perfect hits: per-event path.
+                if not perfect and l1i.pf_disjoint(pattern.block_set):
                     bulk_l1_hits(i, hi, period, pattern)
                     i = hi
                     continue
             elif pattern.all_distinct and l1i.contains_none(unique):
-                if (l2.contains_all(unique)
-                        and l2.pf_disjoint(pattern.block_set)):
+                if l2.contains_all(unique):
                     i = bulk_l2_hits(i, hi, period, pattern)
                     continue
-                if (hook is None and l2.contains_none(unique)
-                        and llc.contains_none(unique)):
+                if l2.contains_none(unique) and llc.contains_none(unique):
                     i = bulk_misses(i, hi, period, pattern)
                     continue
-            # Mixed residency, pending prefetch flags, or an active record
-            # hook: this walk takes the scalar reference path.
+            # Partial residency (in the perfect set, the L1-I or the L2)
+            # or pending L1-I prefetch flags: this walk takes the scalar
+            # reference path.
             walk_scalar(i, i + period)
             i += period
 

@@ -31,12 +31,17 @@ from repro.units import LINE_SHIFT, PAGE_SHIFT
 class RecordHook(Protocol):
     """Callback interface for prefetcher record logic.
 
-    A hook whose :meth:`on_fetch` is a no-op (record logic keyed purely on
-    L2 misses, like Jukebox's) may advertise it with a class attribute
-    ``fetch_is_noop = True``; the columnar backend then keeps its bulk
-    hit paths (which never reach the L2-miss callbacks) enabled while the
-    hook is installed.  Omitting the attribute is always safe -- it only
-    costs the fast path.
+    A hook whose record logic is keyed purely on L2 misses, like
+    Jukebox's, may advertise it with a class attribute
+    ``fetch_is_noop = True``.  The declaration promises two things:
+    :meth:`on_fetch` is a no-op, and :meth:`on_l2_inst_miss` neither
+    reads ``cycle`` nor touches cache, TLB or fill-queue state.  The
+    columnar backend then keeps its bulk walk classes enabled while the
+    hook is installed, calling :meth:`on_l2_inst_miss` once per L2 miss or
+    prefetched L2 hit of a bulk walk, in walk order, with the walk's start
+    cycle.  Omitting the attribute is always safe -- it only costs the
+    fast path: PIF, whose :meth:`on_fetch` trains and issues fills, and
+    the JB+PIF tee run event by event.
     """
 
     def on_l2_inst_miss(self, block_vaddr: int, cycle: float) -> None:

@@ -1,11 +1,16 @@
 """Tests for the code-region geometry and 54-bit entry encoding."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import regions
 from repro.core.regions import RegionGeometry
+from repro.engine.job import canonicalize
 from repro.errors import ConfigurationError
-from repro.units import KB, LINE_SIZE
+from repro.units import KB, LINE_SIZE, VA_BITS, log2_int
 
 
 class TestPaperEncoding:
@@ -63,6 +68,61 @@ class TestGeometry:
     def test_expand_full_vector(self):
         geo = RegionGeometry(1 * KB)
         assert len(geo.expand(0, (1 << 16) - 1)) == 16
+
+
+#: Every power-of-two region size from one line (64 B) to 64 KiB.
+SIZES = tuple(LINE_SIZE << k for k in range(11))
+
+
+def touch_derived(geo):
+    return (geo.region_shift, geo.lines_per_region, geo.pointer_bits,
+            geo.vector_bits, geo.entry_bits)
+
+
+class TestDerivedConstantsCached:
+    """The derived constants are computed once per geometry and cached on
+    the instance, without becoming dataclass fields."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_values_equal_the_formulas(self, size):
+        geo = RegionGeometry(size)
+        shift = log2_int(size)
+        lines = size // LINE_SIZE
+        expected = (shift, lines, VA_BITS - shift, lines,
+                    VA_BITS - shift + lines)
+        assert touch_derived(geo) == expected
+        assert touch_derived(geo) == expected  # the cached reads agree
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_value_semantics_unchanged(self, size):
+        fresh = RegionGeometry(size)
+        used = RegionGeometry(size)
+        touch_derived(used)
+        assert [f.name for f in dataclasses.fields(RegionGeometry)] == [
+            "region_size"]
+        assert used == fresh and hash(used) == hash(fresh)
+        assert canonicalize(used) == canonicalize(fresh) == {
+            "region_size": size, "__dataclass__": "RegionGeometry"}
+        for geo in (fresh, used):
+            back = pickle.loads(pickle.dumps(geo))
+            assert back == geo and hash(back) == hash(geo)
+            assert touch_derived(back) == touch_derived(used)
+
+    def test_region_shift_is_derived_once(self, monkeypatch):
+        calls = []
+
+        def counting_log2(value):
+            calls.append(value)
+            return log2_int(value)
+
+        monkeypatch.setattr(regions, "log2_int", counting_log2)
+        geo = RegionGeometry(1 * KB)
+        for vaddr in range(0, 64 * KB, LINE_SIZE):
+            geo.region_of(vaddr)
+            geo.line_offset(vaddr)
+            geo.region_base(3)
+        assert geo.entry_bits == 54
+        assert calls == [1 * KB]
 
 
 class TestRoundTrip:

@@ -15,18 +15,24 @@ Four tiers of evidence:
   generator never emits (the property battery);
 * targeted shapes that aim at the bulk-execution preconditions (repeat
   folding, set conflicts, prefetch-flagged victims), some starting from a
-  prepared hierarchy.
+  prepared hierarchy (a perfect-I$ set, an installed Jukebox recorder,
+  prefetch-flagged L2 and LLC copies).
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.metadata import MetadataBuffer
+from repro.core.recorder import JukeboxRecorder
+from repro.core.regions import RegionGeometry
 from repro.engine.job import canonicalize
 from repro.experiments.common import RunConfig, make_traces, run_config
+from repro.experiments.fig08_metadata import collect_miss_stream
 from repro.sim.core import Simulator
-from repro.sim.params import skylake
+from repro.sim.params import JukeboxParams, skylake
 from repro.sim.simulate import simulate
 from repro.workloads import TraceBuilder
 from repro.workloads.suite import SUITE, get_profile
@@ -38,6 +44,19 @@ ALL_PROFILES = tuple(p.abbrev for p in SUITE)
 def canonical_json(results) -> str:
     return json.dumps([canonicalize(r) for r in results], sort_keys=True,
                       separators=(",", ":"))
+
+
+def hook_state(hook):
+    """What a record hook has seen: a Jukebox recorder's CRRB entries in
+    FIFO order, its metadata-buffer entries and counters; a test hook's
+    log of calls."""
+    if hook is None:
+        return None
+    if isinstance(hook, JukeboxRecorder):
+        return (tuple(hook.crrb._entries.items()), tuple(hook.buffer),
+                hook.buffer.dropped_entries, hook.l2_misses_seen,
+                hook.entries_written)
+    return tuple(hook.calls)
 
 
 def full_state(sim):
@@ -54,7 +73,8 @@ def full_state(sim):
     return (caches, tlbs, frozenset(br._trained),
             tuple(tuple(s) for s in btb._sets),
             br.mispredicts, br.cold_mispredicts, br.executions,
-            btb.lookups, btb.misses)
+            btb.lookups, btb.misses, frozenset(h._perfect_blocks),
+            dataclasses.astuple(h.stats.memory), hook_state(h.record_hook))
 
 
 def run_sequence(traces, backend, flush, prepare=None):
@@ -102,8 +122,9 @@ class TestTable2Suite:
 
 class TestRegisteredConfigs:
     """Byte identity of whole sequence results, Jukebox reports included,
-    for every simulating config: record hooks (Jukebox, PIF), fill queues
-    and prefetch flags reach the bulk preconditions here."""
+    for every simulating config: record hooks (Jukebox, PIF, fig. 8's
+    miss collector), fill queues and prefetch flags reach the bulk
+    preconditions here."""
 
     CFG = RunConfig(invocations=3, warmup=1, instruction_scale=0.05)
     CONFIGS = (("reference", {}), ("baseline", {}), ("jukebox", {}),
@@ -122,6 +143,16 @@ class TestRegisteredConfigs:
                                        config, **opts)])
             for backend in ("scalar", "columnar"))
         assert columnar == scalar
+
+    @pytest.mark.parametrize("abbrev", ("Auth-G", "Fib-P", "ProdL-G"))
+    def test_fig8_miss_stream_identical(self, abbrev):
+        # Fig. 8's collector declares fetch_is_noop, so bulk miss and
+        # prefetched-L2 walks report to it.
+        scalar, columnar = (
+            collect_miss_stream(get_profile(abbrev), skylake(),
+                                self.CFG.replace(backend=backend))
+            for backend in ("scalar", "columnar"))
+        assert scalar and columnar == scalar
 
 
 def random_trace(seed: int):
@@ -247,9 +278,36 @@ def walk_trace(addrs, walks):
     return b.build()
 
 
+def install_recorder(sim, **params):
+    """Install a fresh Jukebox recorder as ``sim``'s record hook."""
+    h = sim.hierarchy
+    params = JukeboxParams(**params)
+    buffer = MetadataBuffer(geometry=RegionGeometry(params.region_size),
+                            limit_bytes=params.metadata_bytes)
+    h.record_hook = JukeboxRecorder(params, buffer, memory=h.memory)
+
+
+class MissLog:
+    """A ``fetch_is_noop`` record hook that logs the addresses it sees,
+    like fig. 8's miss collector."""
+
+    fetch_is_noop = True
+
+    def __init__(self):
+        self.calls = []
+
+    def on_fetch(self, block_vaddr, cycle):
+        pass
+
+    def on_l2_inst_miss(self, block_vaddr, cycle):
+        self.calls.append(block_vaddr)
+
+
 class TestPreparedHierarchy:
     """Bulk walk classes entered from a prepared hierarchy: the same
-    preparation runs on both backends before the first trace.
+    preparation runs on both backends before the first trace.  The
+    perfect-I$ set, the DRAM traffic counters and a record hook's state
+    are part of the compared state (:func:`full_state`).
 
     Skylake geometry: the L1-I is 8-way with 64 sets, the L2 8-way with
     2048 sets and the LLC 16-way with 8192 sets, so block ``b`` shares an
@@ -309,3 +367,119 @@ class TestPreparedHierarchy:
             [walk_trace([b * 64 for b in blocks], walks=4)],
             flush=False, prepare=prepare)
         assert results[0]["stats"]["l2"]["inst_hits"] >= n
+
+    @staticmethod
+    def perfect(sim, blocks=()):
+        """Switch on perfect-I$ mode with ``blocks`` already in the set."""
+        sim.hierarchy.perfect_icache = True
+        sim.hierarchy._perfect_blocks.update(blocks)
+
+    @staticmethod
+    def sources(result):
+        return result["fetch_sources"][1]
+
+    def test_perfect_set_half_filled_falls_back(self):
+        # Half the walk is in the set: walk 1 mixes perfect hits with
+        # first touches, so it runs per event; its misses join the set
+        # and the repeats are perfect hits.
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)],
+            flush=False,
+            prepare=lambda sim: self.perfect(sim, self.WALK[::2]))
+        assert self.sources(results[0]) == {"perfect": 42, "memory": 6}
+
+    def test_perfect_set_full_folds_repeats(self):
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)] * 2,
+            flush=True, prepare=lambda sim: self.perfect(sim, self.WALK))
+        for result in results:
+            assert self.sources(result) == {"perfect": 48}
+            assert result["stats"]["l1i"]["inst_hits"] == 48
+            assert result["stats"]["itlb"]["inst_misses"] == 1
+
+    def test_perfect_walk_with_itlb_page_aliasing(self):
+        # Ten pages in one 8-way I-TLB set (16 sets): every walk misses
+        # the I-TLB on every page, so the repeats cannot fold.
+        addrs = [16 * k * 4096 for k in range(10)]
+        results = assert_backends_identical(
+            [walk_trace(addrs, walks=3)], flush=False,
+            prepare=lambda sim: self.perfect(sim, [a >> 6 for a in addrs]))
+        assert self.sources(results[0]) == {"perfect": 30}
+        assert results[0]["stats"]["itlb"]["inst_misses"] == 30
+
+    def test_first_touch_miss_walk_repeats_are_perfect(self):
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)] * 2,
+            flush=True, prepare=self.perfect)
+        assert self.sources(results[0]) == {"memory": 12, "perfect": 36}
+        # The set survives the flush: the next invocation is all perfect.
+        assert self.sources(results[1]) == {"perfect": 48}
+
+    def test_first_touch_l2_walk_repeats_are_perfect(self):
+        def prepare(sim):
+            self.perfect(sim)
+            for blk in self.WALK:
+                sim.hierarchy.l2.insert(blk)
+
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.WALK], walks=4)],
+            flush=False, prepare=prepare)
+        assert self.sources(results[0]) == {"l2": 12, "perfect": 36}
+        assert results[0]["stats"]["l1i"]["inst_misses"] == 12
+
+    # One block per 1 KiB code region, so each is its own CRRB entry.
+    REGION_WALK = tuple(100 + 16 * k for k in range(12))
+
+    def test_recorder_crrb_evicts_inside_bulk_miss_walk(self):
+        # Twelve regions through a 4-entry CRRB evict eight entries
+        # mid-walk; a 40-byte metadata buffer holds five 54-bit entries
+        # (7 bytes written each) and drops the other three.
+        results = assert_backends_identical(
+            [walk_trace([b * 64 for b in self.REGION_WALK], walks=4)],
+            flush=False,
+            prepare=lambda sim: install_recorder(sim, crrb_entries=4,
+                                                 metadata_bytes=40))
+        assert self.sources(results[0]) == {"memory": 12, "l1": 36}
+        assert results[0]["stats"]["memory"]["metadata_record"] == 5 * 7
+
+    def test_hook_sees_bulk_miss_walk_in_order(self):
+        addrs = [b * 64 for b in self.REGION_WALK]
+        hooks = []
+
+        def prepare(sim):
+            hooks.append(MissLog())
+            sim.hierarchy.record_hook = hooks[-1]
+
+        results = assert_backends_identical(
+            [walk_trace(addrs, walks=4)], flush=False, prepare=prepare)
+        assert self.sources(results[0]) == {"memory": 12, "l1": 36}
+        for hook in hooks:
+            assert hook.calls == addrs
+
+    @pytest.mark.parametrize("hook", (None, "recorder", "miss-log"))
+    def test_l2_walk_over_prefetched_lines(self, hook):
+        # Even blocks carry an L2 prefetch flag and every block's LLC copy
+        # does: only the flagged L2 hits may clear theirs.  The recorder
+        # sees six regions through a 2-entry CRRB.
+        addrs = [b * 64 for b in self.REGION_WALK]
+        logs = []
+
+        def prepare(sim):
+            h = sim.hierarchy
+            for k, blk in enumerate(self.REGION_WALK):
+                h.memory.prefetch_fetch()
+                h.llc.insert(blk, prefetch=True)
+                h.l2.insert(blk, prefetch=k % 2 == 0)
+            if hook == "recorder":
+                install_recorder(sim, crrb_entries=2)
+            elif hook == "miss-log":
+                logs.append(MissLog())
+                h.record_hook = logs[-1]
+
+        results = assert_backends_identical(
+            [walk_trace(addrs, walks=4)], flush=False, prepare=prepare)
+        assert self.sources(results[0]) == {"l2": 12, "l1": 36}
+        assert results[0]["stats"]["l2"]["inst_prefetch_hits"] == 6
+        assert results[0]["stats"]["memory"]["prefetch_useful"] == 6 * 64
+        for log in logs:
+            assert log.calls == addrs[::2]
