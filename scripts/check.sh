@@ -92,9 +92,9 @@ echo "== benchmark harness tests (perfbench/tests) =="
 # install/restore); they live outside pytest's testpaths.
 python3 -m pytest perfbench/tests -q
 
-echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold) =="
-# One real command per workload on seed 1 (about 7 s and 12 s): each exits
-# 1 when its result digest differs from the one committed in
+echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig10-warm) =="
+# One real command per workload on seed 1 (about 7 s, 12 s and 6 s): each
+# exits 1 when its result digest differs from the one committed in
 # perfbench/digests.json or a seeded-random cell's scalar re-simulation
 # disagrees with the cached columnar result.  fig10-cold runs baseline,
 # jukebox and perfect cells over a Python, a Node and a Go function, and
@@ -102,10 +102,16 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold) =="
 # other random words.  The seed picks the re-simulated cell: Fib-P/perfect
 # on seed 1, ProdL-G/baseline on 4242 and Fib-N/jukebox on 5, so each
 # config's bulk walk classes meet the scalar oracle on real traces.
+# fig10-warm fills a cache, then re-runs the command in a fresh process
+# that keys its cells through the closure memo the fill wrote: every cell
+# must be a cache hit, the report byte-equal to the fill's and the cache
+# unchanged, so a wrong memo or a config registered only by an eager
+# import fails here.
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 4242 --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 5 --seconds 0
+python3 perfbench/run.py --workload fig10-warm --seconds 0
 
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.

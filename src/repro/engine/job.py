@@ -11,9 +11,17 @@ process boundaries to a worker pool and it has a *stable identity*:
 affect the result -- profile, machine parameters, run configuration,
 config name, provider module, options -- plus :func:`code_version`, a
 digest of the simulation sources, and :func:`provider_version`, a digest
-of the module that registers the job's config builder, so editing the
-simulator or any builder transparently invalidates every affected
+of every source in the import closure of the module that registers the
+job's config builder, so editing the simulator, any builder or any
+helper a builder imports transparently invalidates every affected
 memoized result.
+
+Provider closures come from :mod:`repro.lint.graph`'s AST graph of the
+whole package.  Building it costs far more than reading a warm cache, so
+a caller keying against a result cache passes the cache root and the
+closures are memoized under it (:func:`provider_closure`): one
+``closures/<package>.json`` file per package, keyed by a digest of every
+source file the graph reads.
 
 This module deliberately imports nothing from ``repro.experiments`` or
 ``repro.sim``: the engine layer only describes and transports work; the
@@ -23,13 +31,16 @@ worker resolves ``Job.provider`` at execution time (see
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -46,6 +57,17 @@ DEFAULT_PROVIDER = "repro.experiments.common"
 #: any edit to simulation behaviour must invalidate memoized results.
 _CODE_SUBTREES = ("sim", "core", "workloads", "server", "coldstart")
 _CODE_FILES = ("experiments/common.py",)
+
+#: Subdirectory of a result-cache root holding the provider-closure memos.
+CLOSURE_MEMO_DIR = "closures"
+
+#: The analyzer whose output the closure memo stores: its own source is
+#: part of the memo key, so a changed analyzer never serves old closures.
+_ANALYZER = "repro.lint.graph"
+
+#: Module -> (source path relative to the package root, import closure),
+#: for every module of one package's graph.
+ClosureTable = Dict[str, Tuple[str, Tuple[str, ...]]]
 
 
 @lru_cache(maxsize=1)
@@ -82,6 +104,121 @@ def _package_graph(root: str, package: str) -> Any:
     return ProjectGraph.from_package(Path(root), package)
 
 
+def _graph_table(root: str, package: str) -> ClosureTable:
+    """Every module's relative path and closure, from the package graph."""
+    graph = _package_graph(root, package)
+    return {name: (node.path.relative_to(graph.root).as_posix(),
+                   graph.closure(name))
+            for name, node in graph.modules.items()}
+
+
+def _package_files(root: Path) -> List[Tuple[str, Path]]:
+    """``(relative POSIX path, path)`` of every ``*.py`` under ``root``
+    outside ``__pycache__``, sorted: the files
+    :meth:`~repro.lint.graph.ProjectGraph.from_package` reads."""
+    root = root.resolve()
+    return [(path.relative_to(root).as_posix(), path)
+            for path in sorted(root.rglob("*.py"))
+            if "__pycache__" not in path.parts]
+
+
+def closure_memo_key(package: str, files: List[Tuple[str, Path]]) -> str:
+    """Digest of everything a package graph's closures depend on.
+
+    It covers the package name, the Python minor version (the ``ast``
+    grammar), the analyzer's own source and, for every source file, its
+    relative path and its bytes (length-prefixed, so no two file sets
+    share one byte stream).
+    """
+    digest = hashlib.sha256()
+    version = "%d.%d" % sys.version_info[:2]
+    digest.update(f"{package}\0{version}\0".encode())
+    digest.update(_provider_source(_ANALYZER).read_bytes())
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"\0{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _read_closure_memo(path: Path, key: str,
+                       files: List[Tuple[str, Path]]
+                       ) -> Optional[ClosureTable]:
+    """The memo's table if it is intact and keyed ``key``, else None.
+
+    Anything unreadable, unparsable, keyed otherwise or of the wrong
+    shape is a miss, never an error: every module must map to one of the
+    package's source files and to a sorted closure of known modules that
+    contains the module itself.
+    """
+    try:
+        memo = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(memo, dict) or memo.get("key") != key:
+        return None
+    modules = memo.get("modules")
+    if not isinstance(modules, dict):
+        return None
+    sources = {rel for rel, _path in files}
+    table: ClosureTable = {}
+    for name, entry in modules.items():
+        if not (isinstance(entry, list) and len(entry) == 2):
+            return None
+        rel, closure = entry
+        if not (isinstance(rel, str) and rel in sources
+                and isinstance(closure, list)
+                and all(isinstance(m, str) and m in modules for m in closure)
+                and name in closure and closure == sorted(closure)):
+            return None
+        table[name] = (rel, tuple(closure))
+    return table
+
+
+def _write_closure_memo(path: Path, key: str, table: ClosureTable) -> None:
+    """Atomically replace the memo; best effort, since every caller has
+    the table either way.  The temp name matches the result cache's, so
+    :meth:`~repro.engine.cache.ResultCache.open` reaps an orphan."""
+    memo = {"key": key,
+            "modules": {name: [rel, list(closure)]
+                        for name, (rel, closure) in table.items()}}
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(memo, sort_keys=True,
+                                  separators=(",", ":")))
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+@lru_cache(maxsize=None)
+def _closure_table(root: str, package: str,
+                   cache_root: Union[str, Path, None]) -> ClosureTable:
+    """Every module's relative path and closure for one package.
+
+    With no ``cache_root`` this builds the graph.  Otherwise it reads
+    ``<cache_root>/closures/<package>.json`` and rebuilds (and rewrites)
+    it only when the memo is missing, damaged or keyed by other sources.
+    A memo is written only if the sources hash the same after the build
+    as before it, so an edit racing the build is never recorded.
+    """
+    if cache_root is None:
+        return _graph_table(root, package)
+    files = _package_files(Path(root))
+    key = closure_memo_key(package, files)
+    path = Path(cache_root) / CLOSURE_MEMO_DIR / f"{package}.json"
+    table = _read_closure_memo(path, key, files)
+    if table is None:
+        table = _graph_table(root, package)
+        if closure_memo_key(package, _package_files(Path(root))) == key:
+            _write_closure_memo(path, key, table)
+    return table
+
+
 def _package_root(top: str) -> "Path | None":
     """Directory of top-level package ``top``, or None for a plain
     module.  Uses ``find_spec`` on the *top-level* name only, so nothing
@@ -104,7 +241,9 @@ def _package_root(top: str) -> "Path | None":
 
 
 @lru_cache(maxsize=None)
-def provider_closure(provider: str) -> Tuple[str, ...]:
+def provider_closure(provider: str,
+                     cache_root: Union[str, Path, None] = None
+                     ) -> Tuple[str, ...]:
     """Sorted module names whose sources :func:`provider_version` digests.
 
     The closure is the provider's *whole-program static import closure*
@@ -115,21 +254,26 @@ def provider_closure(provider: str) -> Tuple[str, ...]:
     on it.  A provider that is a plain single-file module (no enclosing
     package) digests just its own source.  Lint rule REPRO009
     cross-validates this closure against an independently built graph.
+
+    ``cache_root`` names a result-cache root to memoize the package's
+    closures under (see :func:`closure_memo_key`); without one the graph
+    is built in-process.  Either way the closure is the same.
     """
     top = provider.split(".")[0]
     root = _package_root(top)
     if root is None:
         _provider_source(provider)  # raises a typed error if unlocatable
         return (provider,)
-    graph = _package_graph(str(root), top)
-    if provider not in graph.modules:
+    table = _closure_table(str(root), top, cache_root)
+    if provider not in table:
         _provider_source(provider)
         return (provider,)
-    return graph.closure(provider)
+    return table[provider][1]
 
 
 @lru_cache(maxsize=None)
-def provider_version(provider: str) -> str:
+def provider_version(provider: str,
+                     cache_root: Union[str, Path, None] = None) -> str:
     """Digest of every source in a provider module's import closure.
 
     Config builders registered outside the :func:`code_version` subtrees
@@ -138,16 +282,17 @@ def provider_version(provider: str) -> str:
     job fingerprints the *closure* of the module providing its config:
     editing the builder -- or any helper module it imports, directly or
     transitively -- invalidates exactly that provider's memoized cells,
-    while cells of unrelated providers stay warm.
+    while cells of unrelated providers stay warm.  ``cache_root`` is
+    passed through to :func:`provider_closure`.
     """
     digest = hashlib.sha256()
-    closure = provider_closure(provider)
     top = provider.split(".")[0]
     root = _package_root(top)
-    graph = _package_graph(str(root), top) if root is not None else None
-    for module in closure:
-        if graph is not None and module in graph.modules:
-            path = graph.modules[module].path
+    table = (_closure_table(str(root), top, cache_root)
+             if root is not None else {})
+    for module in provider_closure(provider, cache_root):
+        if module in table:
+            path = root / table[module][0]
         else:
             path = _provider_source(module)
         digest.update(module.encode())
@@ -163,6 +308,7 @@ def invalidate_fingerprint_caches() -> None:
     code_version.cache_clear()
     provider_version.cache_clear()
     provider_closure.cache_clear()
+    _closure_table.cache_clear()
     _package_graph.cache_clear()
 
 
@@ -290,13 +436,18 @@ class Job:
     def opts_dict(self) -> Dict[str, Any]:
         return dict(self.opts)
 
-    def key(self) -> str:
-        """Content-addressed cache key of this cell's result."""
+    def key(self, cache_root: Union[str, Path, None] = None) -> str:
+        """Content-addressed cache key of this cell's result.
+
+        ``cache_root`` is the result cache the key addresses, if any; the
+        provider's import closure is memoized under it.  The key is the
+        same with or without it.
+        """
         return fingerprint({
             "schema": SCHEMA_VERSION,
             "code": code_version(),
             "provider": self.provider,
-            "provider_code": provider_version(self.provider),
+            "provider_code": provider_version(self.provider, cache_root),
             "profile": self.profile,
             "machine": self.machine,
             "cfg": self.cfg,

@@ -28,35 +28,17 @@ when any experiment failed (deadline expiries included).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from types import ModuleType
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import engine
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    ext_fleet,
-    ext_spectrum,
-    ext_throughput,
-    fig01_iat,
-    fig02_topdown,
-    fig03_frontend,
-    fig04_cpi_breakdown,
-    fig05_mpki,
-    fig06_footprints,
-    fig08_metadata,
-    fig09_storage,
-    fig10_speedup,
-    fig11_coverage,
-    fig12_bandwidth,
-    fig13_pif,
-    table1_config,
-    table2_workloads,
-    table3_mpki_reduction,
-)
 from repro.experiments.common import RunConfig
 from repro.faults import parse_fault_plan
 from repro.sim.core import BACKENDS
@@ -67,49 +49,59 @@ CACHE_DIR_ENV = "LUKEWARM_CACHE_DIR"
 
 
 class Experiment(NamedTuple):
+    """A registered experiment: its module is imported on first use, so a
+    run loads only the experiments it runs."""
+
     name: str
     description: str
-    run: Callable
-    render: Callable
-    configs: Tuple[str, ...] = ()
+    #: Dotted name of the module providing ``run``, ``render`` and,
+    #: optionally, ``SWEEP_CONFIGS``.
+    module: str
+
+    def load(self) -> ModuleType:
+        return importlib.import_module(self.module)
+
+    @property
+    def configs(self) -> Tuple[str, ...]:
+        return tuple(getattr(self.load(), "SWEEP_CONFIGS", ()))
 
 
-def _experiment(name: str, description: str, module) -> Experiment:
-    return Experiment(name, description, module.run, module.render,
-                      tuple(getattr(module, "SWEEP_CONFIGS", ())))
+def _experiment(name: str, description: str, module: str) -> Experiment:
+    return Experiment(name, description, f"repro.experiments.{module}")
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
-    "fig01": _experiment("fig01", "CPI vs. inter-arrival time", fig01_iat),
-    "fig02": _experiment("fig02", "Top-Down CPI stacks", fig02_topdown),
-    "fig03": _experiment("fig03", "front-end stall split", fig03_frontend),
-    "fig04": _experiment("fig04", "mean CPI breakdown", fig04_cpi_breakdown),
-    "fig05": _experiment("fig05", "L2/L3 MPKI breakdowns", fig05_mpki),
+    "fig01": _experiment("fig01", "CPI vs. inter-arrival time", "fig01_iat"),
+    "fig02": _experiment("fig02", "Top-Down CPI stacks", "fig02_topdown"),
+    "fig03": _experiment("fig03", "front-end stall split", "fig03_frontend"),
+    "fig04": _experiment("fig04", "mean CPI breakdown",
+                         "fig04_cpi_breakdown"),
+    "fig05": _experiment("fig05", "L2/L3 MPKI breakdowns", "fig05_mpki"),
     "fig06": _experiment("fig06", "footprints and commonality",
-                         fig06_footprints),
+                         "fig06_footprints"),
     "fig08": _experiment("fig08", "metadata size vs. region size",
-                         fig08_metadata),
+                         "fig08_metadata"),
     "fig09": _experiment("fig09", "speedup vs. metadata budget",
-                         fig09_storage),
-    "fig10": _experiment("fig10", "main speedup result", fig10_speedup),
-    "fig11": _experiment("fig11", "miss coverage", fig11_coverage),
+                         "fig09_storage"),
+    "fig10": _experiment("fig10", "main speedup result", "fig10_speedup"),
+    "fig11": _experiment("fig11", "miss coverage", "fig11_coverage"),
     "fig12": _experiment("fig12", "memory-bandwidth overhead",
-                         fig12_bandwidth),
-    "fig13": _experiment("fig13", "PIF comparison", fig13_pif),
+                         "fig12_bandwidth"),
+    "fig13": _experiment("fig13", "PIF comparison", "fig13_pif"),
     "table1": _experiment("table1", "simulated processor parameters",
-                          table1_config),
-    "table2": _experiment("table2", "function suite", table2_workloads),
+                          "table1_config"),
+    "table2": _experiment("table2", "function suite", "table2_workloads"),
     "table3": _experiment("table3", "MPKI reduction, Skylake vs. Broadwell",
-                          table3_mpki_reduction),
+                          "table3_mpki_reduction"),
     "throughput": _experiment("throughput",
                               "extension: server capacity uplift",
-                              ext_throughput),
+                              "ext_throughput"),
     "fleet": _experiment("fleet",
                          "extension: region-scale fleet capacity",
-                         ext_fleet),
+                         "ext_fleet"),
     "spectrum": _experiment("spectrum",
                             "extension: cold→lukewarm→warm frequency sweep",
-                            ext_spectrum),
+                            "ext_spectrum"),
 }
 
 
@@ -172,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment names (see 'list'), or 'all'/'list'")
     parser.add_argument("--fast", action="store_true",
                         help="reduced scale (fewer invocations, scaled traces)")
-    parser.add_argument("--functions", nargs="*", default=None,
+    parser.add_argument("--functions", nargs="+", default=None,
                         help="restrict to these function abbreviations")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--backend", choices=BACKENDS, default="columnar",
@@ -226,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run_experiment(name: str, cfg: RunConfig,
                    functions: Optional[List[str]] = None) -> str:
     """Run one experiment by name and return its rendered report."""
-    exp = EXPERIMENTS[name]
+    module = EXPERIMENTS[name].load()
     kwargs = {}
     if functions:
         kwargs["functions"] = functions
-    result = exp.run(cfg, **kwargs)
-    return exp.render(result)
+    result = module.run(cfg, **kwargs)
+    return module.render(result)
 
 
 def _print_listing() -> None:

@@ -1,6 +1,10 @@
 """Tests for the lukewarm-repro CLI."""
 
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -18,11 +22,15 @@ from repro.experiments.common import RunConfig
 
 @pytest.fixture
 def boom_experiment(monkeypatch):
-    """Register a registry entry whose run() always raises."""
+    """Register a registry entry whose module's run() always raises."""
     def explode(cfg, **kwargs):
         raise RuntimeError("injected experiment failure")
 
-    exp = Experiment("boom", "always fails", explode, lambda result: "")
+    module = types.ModuleType("boom_experiment")
+    module.run = explode
+    module.render = lambda result: ""
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exp = Experiment("boom", "always fails", module.__name__)
     monkeypatch.setitem(EXPERIMENTS, "boom", exp)
     return exp
 
@@ -36,8 +44,9 @@ class TestRegistry:
 
     def test_every_experiment_has_run_and_render(self):
         for exp in EXPERIMENTS.values():
-            assert callable(exp.run)
-            assert callable(exp.render)
+            module = exp.load()
+            assert callable(module.run)
+            assert callable(module.render)
             assert exp.description
 
     def test_experiments_advertise_their_sweeps(self):
@@ -161,6 +170,16 @@ class TestMain:
         assert "known: " in captured.err and "ProdL-G" in captured.err
         assert "experiment(s) failed" not in captured.err
 
+    def test_functions_without_names_is_a_usage_error(self, capsys):
+        """An empty --functions (say, from an empty shell variable) must
+        not read as "no filter" and run every function."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig10", "--fast", "--functions"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--functions" in captured.err
+
     def test_rejects_nonpositive_jobs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table2", "--jobs", "0"])
@@ -202,6 +221,18 @@ class TestMain:
         warm = json.loads(capsys.readouterr().out)[0]["engine"]
         assert warm["simulated"] == 0
         assert warm["cache_hits"] == cold["simulated"]
+
+    def test_closure_memo_lives_under_the_cache_root_only(
+            self, capsys, tmp_path, monkeypatch):
+        """A cached run memoizes provider closures beside its results; a
+        --no-cache run writes nothing, not even to the default root."""
+        monkeypatch.setenv("LUKEWARM_CACHE_DIR", str(tmp_path / "default"))
+        argv = ["fig06", "--fast", "--functions", "Auth-G"]
+        assert main(argv + ["--no-cache"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+        assert (tmp_path / "cache" / "closures" / "repro.json").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
 
     def test_trace_output(self, capsys, tmp_path):
         """--trace writes a schema-valid file whose aggregates agree with
@@ -301,3 +332,40 @@ class TestMain:
         cfg = RunConfig(invocations=3, warmup=1, instruction_scale=0.15)
         out = run_experiment("fig06", cfg, functions=["Auth-G"])
         assert "Figure 6a" in out
+
+
+#: Module families the runner must import only when one of them runs.
+_LAZY_PREFIXES = ("repro.experiments.fig", "repro.experiments.table",
+                  "repro.experiments.ext_", "repro.fleet")
+
+_LOADED_SCRIPT = """
+import sys
+from repro.experiments import runner
+{action}
+print("\\n".join(sorted(
+    name for name in sys.modules if name.startswith({prefixes!r}))))
+"""
+
+
+def _loaded_after(action: str) -> list:
+    """The lazily imported modules loaded by a fresh interpreter that
+    imports the runner and then runs ``action``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = _LOADED_SCRIPT.format(action=action, prefixes=_LAZY_PREFIXES)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return [line for line in out.splitlines()
+            if line.startswith(_LAZY_PREFIXES)]
+
+
+class TestLazyImports:
+    """The runner imports an experiment's module only when it runs."""
+
+    def test_importing_the_runner_loads_no_experiment(self):
+        assert _loaded_after("") == []
+
+    def test_running_one_experiment_loads_only_its_module(self):
+        loaded = _loaded_after(
+            'assert runner.main(["table1", "--no-cache"]) == 0')
+        assert loaded == ["repro.experiments.table1_config"]

@@ -155,29 +155,52 @@ class TestStaleCacheHazard:
         after = provider_version("provpkg.provider")
         assert before != after
 
-    def test_helper_edit_invalidates_exactly_one_provider(
-            self, provider_packages, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    @staticmethod
+    def _edit_invalidates_exactly_one_provider(packages, cache, memo):
+        root = cache.root if memo else None
         edited = Job.make("fnA", None, {"n": 1}, "hot",
                           provider="provpkg.provider")
         control = Job.make("fnA", None, {"n": 1}, "hot",
                            provider="ctrlpkg.provider")
-        key_edited, key_control = edited.key(), control.key()
+        key_edited, key_control = edited.key(root), control.key(root)
         cache.put(key_edited, {"result": 1})
         cache.put(key_control, {"result": 2})
 
-        helper = provider_packages / "provpkg" / "helper.py"
+        helper = packages / "provpkg" / "helper.py"
         helper.write_text(helper.read_text() + "\nEXTRA = 1\n")
         invalidate_fingerprint_caches()
 
         # The edited provider addresses a different cell now...
-        assert edited.key() != key_edited
-        hit, _ = cache.get(edited.key())
+        assert edited.key(root) != key_edited
+        hit, _ = cache.get(edited.key(root))
         assert not hit
         # ...while the control provider's cell stays warm.
-        assert control.key() == key_control
-        hit, value = cache.get(control.key())
+        assert control.key(root) == key_control
+        hit, value = cache.get(control.key(root))
         assert hit and value == {"result": 2}
+
+    def test_helper_edit_invalidates_exactly_one_provider(
+            self, provider_packages, tmp_path):
+        self._edit_invalidates_exactly_one_provider(
+            provider_packages, ResultCache(tmp_path / "cache"), memo=False)
+
+    def test_helper_edit_invalidates_exactly_one_provider_with_warm_memo(
+            self, provider_packages, tmp_path):
+        """The same with both packages' closures memoized under the cache
+        root before the edit: the edited package's memo goes stale and is
+        rebuilt, the control's is served as written."""
+        cache = ResultCache(tmp_path / "cache")
+        for package in ("provpkg", "ctrlpkg"):
+            provider_closure(f"{package}.provider", cache.root)
+        invalidate_fingerprint_caches()
+        memos = {path.name: path.read_bytes()
+                 for path in (cache.root / "closures").iterdir()}
+        assert sorted(memos) == ["ctrlpkg.json", "provpkg.json"]
+        self._edit_invalidates_exactly_one_provider(
+            provider_packages, cache, memo=True)
+        closures = cache.root / "closures"
+        assert (closures / "ctrlpkg.json").read_bytes() == memos["ctrlpkg.json"]
+        assert (closures / "provpkg.json").read_bytes() != memos["provpkg.json"]
 
     def test_lint_catches_the_same_hazard_when_digest_is_bypassed(
             self, provider_packages):
