@@ -1,6 +1,6 @@
 """Benchmark: regenerate Figure 11 (miss coverage / overprediction)."""
 
-from conftest import run_once
+from conftest import assert_in_band, run_once
 
 from repro.experiments import fig11_coverage
 from repro.workloads.profiles import LANG_GO, LANG_NODEJS, LANG_PYTHON
@@ -14,10 +14,10 @@ def test_fig11_coverage(benchmark, bench_cfg, report):
     go = result.mean_coverage(LANG_GO)
     py = result.mean_coverage(LANG_PYTHON)
     node = result.mean_coverage(LANG_NODEJS)
-    assert go > 0.75
+    assert_in_band("fig11.go_coverage", go)
     assert go > py and go > node
     # Paper: overprediction averages ~10% with a 15.8% maximum.
-    assert result.mean_overprediction < 0.20
+    assert_in_band("fig11.overprediction_mean", result.mean_overprediction)
     assert result.max_overprediction < 0.35
     # The big Python/NodeJS functions exceed the 16KB budget.
     truncated = [e.abbrev for e in result.entries if e.metadata_truncated]

@@ -1,6 +1,6 @@
 """Benchmark: regenerate Table 3 (MPKI reduction, Skylake vs. Broadwell)."""
 
-from conftest import run_once
+from conftest import assert_in_band, run_once
 
 from repro.experiments import table3_mpki_reduction
 
@@ -17,11 +17,11 @@ def test_table3_mpki_reduction(benchmark, bench_cfg, report):
     bdw = result.row("broadwell")
     # Paper: LLC instruction misses nearly eliminated on both platforms
     # (-86% / -91%).
-    assert sky.llc_inst_reduction_pct < -70
-    assert bdw.llc_inst_reduction_pct < -70
+    assert_in_band("table3.skylake_llc", sky.llc_inst_reduction_pct)
+    assert_in_band("table3.broadwell_llc", bdw.llc_inst_reduction_pct)
     # Paper: L2 misses drop -74% on Skylake but only -15% on Broadwell
     # (conflict evictions in the small 256KB L2).
-    assert sky.l2_inst_reduction_pct < -60
-    assert -40 < bdw.l2_inst_reduction_pct < -3
+    assert_in_band("table3.skylake_l2", sky.l2_inst_reduction_pct)
+    assert_in_band("table3.broadwell_l2", bdw.l2_inst_reduction_pct)
     # Paper: the Broadwell speedup (12%) trails Skylake (18.7%).
     assert bdw.jukebox_geomean_speedup < sky.jukebox_geomean_speedup

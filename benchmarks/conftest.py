@@ -15,6 +15,7 @@ import pytest
 
 from repro import engine
 from repro.experiments.common import RunConfig
+from repro.experiments.paper_bands import BANDS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -28,7 +29,7 @@ def bench_engine_context():
     (results are bit-identical either way).
     """
     jobs = int(os.environ.get("BENCH_JOBS", "1"))
-    with engine.configure(jobs=jobs, cache=None) as ctx:
+    with engine.configure(jobs=jobs) as ctx:
         yield ctx
 
 
@@ -57,6 +58,16 @@ def report():
         (RESULTS_DIR / f"{name}.txt").write_text(rendered + "\n")
 
     return _report
+
+
+def assert_in_band(key: str, measured: float) -> None:
+    """Assert a measured quantity lies in its declared band,
+    :data:`repro.experiments.paper_bands.BANDS` ``[key]`` -- the one
+    place a headline number's acceptance range is written down -- and
+    print the verdict beside the rendered report."""
+    band = BANDS[key]
+    print(f"band {key}: {band.describe(measured)}")
+    assert band.check(measured), band.describe(measured)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

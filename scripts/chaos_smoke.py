@@ -67,7 +67,7 @@ def scenario_worker_chaos(expected: str, tmp: Path) -> None:
         warnings.simplefilter("ignore", RuntimeWarning)
         with configure(jobs=2, cache_dir=tmp / "worker-chaos",
                        clock=time.monotonic, job_timeout_s=5.0,
-                       policy=FailurePolicy.retrying(retries=2),
+                       policy=FailurePolicy(retries=2),
                        faults=faults) as ctx:
             outcomes = sweep_outcomes(make_jobs(COUNT))
     assert all(o.ok for o in outcomes), [o.describe() for o in outcomes]

@@ -66,7 +66,8 @@ echo "== trace summaries of real runs (python -m repro.obs summarize) =="
 # when a record breaks the schema or the counted events disagree with
 # the sweep.end totals.
 trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
+home_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$home_dir"' EXIT
 python -m repro.experiments.runner spectrum --fast --jobs 2 \
     --functions ProdL-G --no-cache --trace "$trace_dir/spectrum.jsonl" \
     > /dev/null
@@ -75,16 +76,26 @@ python -m repro.experiments.runner fleet --fast --no-cache \
 python -m repro.obs summarize "$trace_dir/spectrum.jsonl" --slowest 1
 python -m repro.obs summarize "$trace_dir/fleet.jsonl" --slowest 1
 
+# The suite runs with HOME and XDG_CACHE_HOME pointed at an empty
+# directory and fails if anything lands there: a test that opens the
+# default result cache must get tests/conftest.py's per-test directory,
+# never the user's ~/.cache.
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== pytest (fast: unit suites only) =="
-    python -m pytest -q \
+    HOME="$home_dir" XDG_CACHE_HOME="$home_dir" python -m pytest -q \
         --ignore=tests/integration \
         --ignore=tests/test_golden_figures.py
 else
     echo "== pytest (full tier-1 suite, incl. golden-trace comparator) =="
     # Also the examples smoke: tests/integration/test_examples.py runs
     # every examples/*.py script and fails on a non-zero exit.
-    python -m pytest -q
+    HOME="$home_dir" XDG_CACHE_HOME="$home_dir" python -m pytest -q
+fi
+leftovers="$(find "$home_dir" -mindepth 1 | head -n 20)"
+if [[ -n "$leftovers" ]]; then
+    echo "the test suite wrote into HOME/XDG_CACHE_HOME:" >&2
+    echo "$leftovers" >&2
+    exit 1
 fi
 
 echo "== benchmark harness tests (perfbench/tests) =="

@@ -15,7 +15,7 @@ invocation-frequency spectrum:
   the server and fleet simulators charge cold invocations through, with
   a constant-penalty implementation byte-identical to the legacy scalar
   ``cold_start_penalty_ms`` path and a spectrum implementation composing
-  pages + init + the instruction-side Jukebox replayer of ``repro.core``.
+  pages + init.
 """
 
 from repro.coldstart.libinit import (ImportGraph, Library, import_graph_for)

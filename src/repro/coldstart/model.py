@@ -8,11 +8,10 @@ decomposes the cold boot into library initialization (ColdSpy,
 :mod:`repro.coldstart.libinit`) plus page-granular snapshot restore
 (REAP, :mod:`repro.coldstart.pages`).
 
-:class:`SnapshotState` is the per-instance composition point with the
-paper's instruction-side replayer: it pairs the data-side page
-record/replay state with the Jukebox metadata image of
-:mod:`repro.core.snapshot`, so a restored instance replays *both* its
-page working set and its instruction working set.
+:class:`SnapshotState` is one instance's snapshot: its page
+record/replay state.  The instruction side of a restore needs no state
+here -- the spectrum's cold cells replay Jukebox metadata through the
+same lukewarm sequence as every other cell.
 """
 
 from __future__ import annotations
@@ -25,11 +24,7 @@ from typing import Dict, Optional
 from repro.coldstart.libinit import import_graph_for
 from repro.coldstart.pages import (PageReplayState, RestoreCharge,
                                    RestoreParams, working_set_pages)
-from repro.core.jukebox import Jukebox
-from repro.core.snapshot import MetadataSnapshot, restore_jukebox, \
-    snapshot_jukebox
 from repro.errors import ConfigurationError
-from repro.sim.params import JukeboxParams
 from repro.workloads.profiles import FunctionProfile
 
 #: Model kinds accepted by :class:`ColdStartSpec` / fleet configs.
@@ -125,42 +120,18 @@ class ConstantColdStart(ColdStartModel):
 
 
 class SnapshotState:
-    """Composed snapshot of one instance: pages + Jukebox metadata.
+    """One instance's snapshot: its page record/replay state.
 
-    The data side (:class:`PageReplayState`) records and replays the
-    page-fault working set; the instruction side holds the
-    :class:`~repro.core.snapshot.MetadataSnapshot` image so a restore
-    can re-arm the Jukebox replayer captured with the snapshot.  That
-    side is the test oracle for the spectrum's cold cells, which run the
-    lukewarm Jukebox sequence instead.  The two agree only while every
-    invocation records something: an empty capture keeps the older
-    image, where a lukewarm Jukebox would replay nothing.
+    :class:`PageReplayState` records the page-fault working set on the
+    first restore and replays it on later ones.
     """
 
     def __init__(self, pages: PageReplayState) -> None:
         self.pages = pages
-        self.metadata: Optional[MetadataSnapshot] = None
 
     def restore_pages(self) -> RestoreCharge:
         """Charge the data-side restore (record or replay)."""
         return self.pages.restore()
-
-    def capture_metadata(self, jukebox: Jukebox) -> None:
-        """Fold the instance's current Jukebox state into the snapshot.
-
-        Keeps the previous image when the Jukebox has recorded nothing
-        yet (an empty capture must not erase a useful one).
-        """
-        snap = snapshot_jukebox(jukebox)
-        if snap is not None:
-            self.metadata = snap
-
-    def restore_jukebox(self, params: JukeboxParams) -> Jukebox:
-        """Instruction-side restore: a Jukebox pre-armed from the image
-        (or a fresh one when nothing was captured)."""
-        if self.metadata is None:
-            return Jukebox(params)
-        return restore_jukebox(self.metadata, params)
 
 
 class SpectrumColdStart(ColdStartModel):

@@ -12,11 +12,6 @@ from repro.core.recorder import (
 )
 from repro.core.regions import RegionGeometry
 from repro.core.sizing import MetadataSizer, SizingDecision
-from repro.core.snapshot import (
-    MetadataSnapshot,
-    restore_jukebox,
-    snapshot_jukebox,
-)
 from repro.core.replayer import (
     JukeboxReplayer,
     ReplayStats,
@@ -33,7 +28,6 @@ __all__ = [
     "JukeboxReplayer",
     "MetadataBuffer",
     "MetadataSizer",
-    "MetadataSnapshot",
     "PIF",
     "PIFParams",
     "PIFStats",
@@ -44,8 +38,6 @@ __all__ = [
     "pif_ideal_params",
     "record_miss_stream",
     "record_miss_stream_merging",
-    "restore_jukebox",
     "SizingDecision",
-    "snapshot_jukebox",
     "unbounded_metadata_size_bytes",
 ]

@@ -67,8 +67,7 @@ class Jukebox:
         return MetadataBuffer(geometry=self.geometry,
                               limit_bytes=self.params.metadata_bytes)
 
-    def begin_invocation(self, hierarchy: MemoryHierarchy,
-                         start_cycle: float = 0.0) -> ReplayStats:
+    def begin_invocation(self, hierarchy: MemoryHierarchy) -> ReplayStats:
         """OS scheduling hook: trigger replay, then arm recording."""
         if self._recorder is not None and self._recorder.active:
             raise SimulationError(
@@ -76,7 +75,7 @@ class Jukebox:
             )
         self._replayer = JukeboxReplayer(hierarchy)
         if self._replay_buffer is not None and len(self._replay_buffer) > 0:
-            self._replayer.replay(self._replay_buffer, start_cycle,
+            self._replayer.replay(self._replay_buffer,
                                   target=self.replay_target,
                                   bandwidth_share=self.replay_bandwidth_share)
         self._recorder = JukeboxRecorder(

@@ -52,8 +52,7 @@ class JukeboxReplayer:
         #: first-use credits (at any cache level) back to this replay.
         self._useful_bytes_before = hierarchy.stats.memory.prefetch_useful
 
-    def replay(self, buffer: MetadataBuffer, start_cycle: float = 0.0,
-               target: str = "l2",
+    def replay(self, buffer: MetadataBuffer, target: str = "l2",
                bandwidth_share: float = 1.0) -> ReplayStats:
         """Schedule the whole metadata buffer as prefetches.
 
@@ -83,8 +82,10 @@ class JukeboxReplayer:
         fills: List[Tuple[float, int]] = []
         seen_blocks: set = set()
         cycles_per_line = memory.cycles_per_line / bandwidth_share
-        # The first prefetch can issue once the first metadata line arrives.
-        t = start_cycle + memory.params.row_hit_latency
+        # The first prefetch can issue once the first metadata line
+        # arrives; invocations start at cycle 0.0, and fill times are
+        # floats like every other cycle count.
+        t = float(memory.params.row_hit_latency)
         lines_issued = 0
         warmed: set = set()
         for region, vector in buffer:

@@ -9,10 +9,11 @@ content-addressed on-disk :class:`ResultCache` keyed by a stable hash of
 every input plus the simulator's source digest.
 
 Execution is failure-aware: each cell resolves to a typed
-:class:`JobOutcome` under a :class:`FailurePolicy` (``raise`` by
-default, or ``keep_going`` / ``retry`` with deterministic seeded
-backoff), pool-worker crashes re-dispatch the unfinished frontier to a
-fresh pool (degrading to serial after repeated crashes), and completed
+:class:`JobOutcome` (:func:`sweep_outcomes`; :func:`sweep` unwraps them
+and re-raises the first failure), transient failures retry up to a
+:class:`FailurePolicy`'s count with deterministic seeded backoff,
+pool-worker crashes re-dispatch the unfinished frontier to a fresh pool
+(degrading to serial after repeated crashes), and completed
 cells are checkpointed into the cache as they finish so aborted sweeps
 resume warm.  The :mod:`repro.engine.guard` layer adds *time* bounds on
 top: ``job_timeout_s`` kills hung workers (the cell becomes a transient
@@ -53,8 +54,7 @@ from repro.engine.guard import (
     SweepDeadlineError,
 )
 from repro.engine.executors import (
-    DEFAULT_MAXTASKSPERCHILD,
-    DEFAULT_MAX_POOL_FAILURES,
+    MAX_POOL_FAILURES,
     ProcessExecutor,
     SerialExecutor,
     execute_job,
@@ -73,10 +73,7 @@ from repro.engine.job import (
 )
 from repro.engine.resilience import (
     ERROR_CLASSES,
-    KEEP_GOING,
     PERMANENT,
-    RAISE,
-    RETRY,
     TRANSIENT,
     FailurePolicy,
     JobError,
@@ -101,8 +98,6 @@ from repro.engine.sweep import (
 __all__ = [
     "CacheEntryError",
     "CacheLock",
-    "DEFAULT_MAXTASKSPERCHILD",
-    "DEFAULT_MAX_POOL_FAILURES",
     "DEFAULT_PROVIDER",
     "ERROR_CLASSES",
     "EngineContext",
@@ -113,11 +108,9 @@ __all__ = [
     "JobError",
     "JobOutcome",
     "JobTimeoutError",
-    "KEEP_GOING",
+    "MAX_POOL_FAILURES",
     "PERMANENT",
     "ProcessExecutor",
-    "RAISE",
-    "RETRY",
     "ResultCache",
     "SCHEMA_VERSION",
     "SerialExecutor",

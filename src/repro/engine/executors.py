@@ -8,15 +8,14 @@ differ, and the index-keyed collection below pins that down.
 The pool backend is failure-aware: a ``multiprocessing`` pool silently
 *replaces* a crashed worker and leaves that worker's in-flight result
 pending forever, so :class:`ProcessExecutor` tracks every worker process
-it has ever seen and watches exit codes.  A non-zero exit (a crash or an
-injected ``kill`` fault -- a ``maxtasksperchild`` retirement exits 0 and
-is ignored) abandons the pool: finished results are kept, the unfinished
-frontier is re-dispatched to a fresh pool, and after
-``max_pool_failures`` crashes the executor degrades to serial in-process
-execution with a warning rather than crash-looping.  Because cells are
-pure, a cell that ran twice (in-flight during a crash, then re-run)
-returns an identical value, and outcomes still come back in submission
-order.
+it has ever seen and watches exit codes.  Workers are never recycled, so
+any exit (a crash or an injected ``kill`` fault) abandons the pool:
+finished results are kept, the unfinished frontier is re-dispatched to a
+fresh pool, and after :data:`MAX_POOL_FAILURES` crashes the executor
+degrades to serial in-process execution with a warning rather than
+crash-looping.  Because cells are pure, a cell that ran twice (in-flight
+during a crash, then re-run) returns an identical value, and outcomes
+still come back in submission order.
 
 Both executors additionally honour an armed
 :class:`~repro.engine.guard.GuardState` (``run_tasks(..., guard=)``):
@@ -24,7 +23,7 @@ the pool watchdog kills pools whose dispatches exceed the per-job
 deadline (the hung cell becomes a transient
 :class:`~repro.engine.guard.JobTimeoutError` outcome, the rest of the
 frontier is re-dispatched -- a *deadline* kill never counts toward
-``max_pool_failures``, since degrading a hang-prone sweep to serial
+:data:`MAX_POOL_FAILURES`, since degrading a hang-prone sweep to serial
 would remove the only mechanism able to interrupt it), and both
 executors fail not-yet-started cells fast once the sweep deadline
 expires.  Deadline checks read time exclusively through the guard's
@@ -44,12 +43,8 @@ from repro.obs import records as _obs
 if TYPE_CHECKING:
     from repro.engine.job import Job
 
-#: Worker processes are recycled after this many cells unless overridden,
-#: bounding per-worker memory growth across long sweeps.
-DEFAULT_MAXTASKSPERCHILD = 32
-
 #: Pool crashes tolerated before degrading to serial execution.
-DEFAULT_MAX_POOL_FAILURES = 2
+MAX_POOL_FAILURES = 2
 
 #: Seconds between worker-liveness checks while draining a pool.
 _POLL_INTERVAL_S = 0.05
@@ -119,23 +114,11 @@ class SerialExecutor:
 class ProcessExecutor:
     """Fan jobs out over a ``multiprocessing`` pool of ``jobs`` workers."""
 
-    def __init__(self, jobs: int,
-                 maxtasksperchild: Optional[int] = DEFAULT_MAXTASKSPERCHILD,
-                 max_pool_failures: int = DEFAULT_MAX_POOL_FAILURES,
-                 tracer: Optional[Any] = None) -> None:
+    def __init__(self, jobs: int, tracer: Optional[Any] = None) -> None:
         if jobs < 1:
             raise ConfigurationError(
                 f"executor needs at least one worker, got jobs={jobs}")
-        if maxtasksperchild is not None and maxtasksperchild < 1:
-            raise ConfigurationError(
-                f"maxtasksperchild must be >= 1 (or None), got "
-                f"{maxtasksperchild}")
-        if max_pool_failures < 1:
-            raise ConfigurationError(
-                f"max_pool_failures must be >= 1, got {max_pool_failures}")
         self.jobs = jobs
-        self.maxtasksperchild = maxtasksperchild
-        self.max_pool_failures = max_pool_failures
         #: Optionally injected tracer for pool-lifecycle events; lives on
         #: the parent side only (workers never see it), so the executor
         #: stays picklable-free of sinks.
@@ -178,7 +161,7 @@ class ProcessExecutor:
             crashes += 1
             self._emit(_obs.POOL_DEATH, crashes=crashes,
                        pending=len(pending))
-            if crashes >= self.max_pool_failures:
+            if crashes >= MAX_POOL_FAILURES:
                 self._emit(_obs.POOL_DEGRADE, crashes=crashes,
                            pending=len(pending))
                 warnings.warn(
@@ -213,8 +196,7 @@ class ProcessExecutor:
 
         tasks = [pending[index] for index in sorted(pending)]
         workers = min(self.jobs, len(tasks))
-        pool = multiprocessing.Pool(processes=workers,
-                                    maxtasksperchild=self.maxtasksperchild)
+        pool = multiprocessing.Pool(processes=workers)
         try:
             asyncs = [(task, pool.apply_async(execute_task, (task,)))
                       for task in tasks]
@@ -289,12 +271,13 @@ class ProcessExecutor:
 
     @staticmethod
     def _worker_crashed(pool: Any, seen_workers: List[Any]) -> bool:
-        """Whether any worker this pool ever ran has exited non-zero.
+        """Whether any worker this pool ever ran has exited.
 
         The pool's maintenance thread replaces dead workers in place, so
         crash detection must remember every worker process observed, not
-        just the current roster.  Workers retired by ``maxtasksperchild``
-        exit 0 and are ignored.
+        just the current roster.  Workers are never recycled, so a live
+        pool's workers never exit: any exit code, 0 included (a worker
+        that called ``sys.exit(0)``), means a cell's result is lost.
         """
         current = getattr(pool, "_pool", None)
         if current is None:  # unknown pool implementation: no detection
@@ -302,8 +285,7 @@ class ProcessExecutor:
         for worker in list(current):
             if worker not in seen_workers:
                 seen_workers.append(worker)
-        return any(worker.exitcode not in (None, 0)
-                   for worker in seen_workers)
+        return any(worker.exitcode is not None for worker in seen_workers)
 
     @staticmethod
     def _wait_for_progress(asyncs: Sequence, pending: Dict[int, Task]) -> None:
@@ -314,14 +296,11 @@ class ProcessExecutor:
                 return
 
 
-def get_executor(jobs: int = 1,
-                 maxtasksperchild: Optional[int] = DEFAULT_MAXTASKSPERCHILD,
-                 tracer: Optional[Any] = None) -> Any:
+def get_executor(jobs: int = 1, tracer: Optional[Any] = None) -> Any:
     """Executor for ``jobs`` workers (serial when ``jobs == 1``)."""
     if jobs < 1:
         raise ConfigurationError(
             f"executor needs at least one worker, got jobs={jobs}")
     if jobs == 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs, maxtasksperchild=maxtasksperchild,
-                           tracer=tracer)
+    return ProcessExecutor(jobs, tracer=tracer)

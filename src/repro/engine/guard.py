@@ -7,11 +7,12 @@ worker *livelock*.  A :class:`GuardSpec` declares two budgets:
   :class:`~repro.engine.executors.ProcessExecutor` watchdog: a dispatch
   that exceeds the budget has its pool terminated (reaping the hung
   worker), the cell is reclassified as a :class:`JobTimeoutError` --
-  *transient* in the retry taxonomy, so ``FailurePolicy`` retry and
-  keep-going semantics apply to hangs exactly as to crashes -- and the
-  unfinished frontier is re-dispatched to a fresh pool via the existing
-  pool-rebuild machinery.  Serial execution cannot preempt an in-process
-  cell, so the job budget only binds under ``jobs >= 2``.
+  *transient* in the retry taxonomy, so ``FailurePolicy`` retries and
+  :func:`~repro.engine.sweep.sweep_outcomes` apply to hangs exactly as
+  to crashes -- and the unfinished frontier is re-dispatched to a fresh
+  pool via the existing pool-rebuild machinery.  Serial execution cannot
+  preempt an in-process cell, so the job budget only binds under
+  ``jobs >= 2``.
 * ``sweep_deadline_s`` -- the longest one sweep batch may run.  Checked
   between cells (serial), between watchdog polls (pool), and between
   retry rounds: once expired, every cell not yet finished fails with a

@@ -7,13 +7,14 @@ that raw behaviour into *typed, policy-driven* failure handling:
 * :class:`JobError` -- a picklable record of one failed attempt, carrying
   the remote traceback text (worker tracebacks don't survive pickling,
   their formatted text does) plus the original exception object whenever
-  it is picklable, so ``raise``-mode sweeps can re-raise the real type;
+  it is picklable, so :meth:`JobOutcome.unwrap` can re-raise the real
+  type;
 * :class:`JobOutcome` -- the typed per-cell result: value, attempt count,
   and the per-attempt error records;
-* :class:`FailurePolicy` -- ``raise`` | ``keep_going`` | ``retry``, with
-  deterministic seeded backoff that never reads host time: delays are a
-  pure function of ``(seed, cell index, attempt)`` and are *applied*
-  through an injected ``sleep`` callable (absent by default, so tests and
+* :class:`FailurePolicy` -- a retry count plus the seed of a
+  deterministic backoff that never reads host time: delays are a pure
+  function of ``(seed, cell index, attempt)`` and are *applied* through
+  an injected ``sleep`` callable (absent by default, so tests and
   simulation paths stay instantaneous and REPRO006-clean);
 * an extensible **error taxonomy**: :func:`classify_error` maps an
   exception to :data:`TRANSIENT` or :data:`PERMANENT`; only transient
@@ -55,12 +56,10 @@ PERMANENT = "permanent"
 
 ERROR_CLASSES = (TRANSIENT, PERMANENT)
 
-#: Failure-policy modes accepted by :class:`FailurePolicy`.
-RAISE = "raise"
-KEEP_GOING = "keep_going"
-RETRY = "retry"
-
-_MODES = (RAISE, KEEP_GOING, RETRY)
+#: Backoff window of the first retry and the cap on every window, in
+#: seconds; each retry doubles the window until it reaches the cap.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 #: The taxonomy registry: later registrations win, unknown types default
 #: to :data:`PERMANENT` (never waste retries on a deterministic bug).
@@ -102,8 +101,9 @@ class JobError:
     """One failed attempt of one cell, in picklable form.
 
     ``exception`` holds the original exception object when it pickles
-    cleanly (so ``raise`` mode can re-raise the real type); otherwise it
-    is ``None`` and only the formatted remote traceback survives.
+    cleanly (so :meth:`JobOutcome.unwrap` can re-raise the real type);
+    otherwise it is ``None`` and only the formatted remote traceback
+    survives.
     """
 
     type_name: str
@@ -222,59 +222,21 @@ class Task:
 
 @dataclass(frozen=True)
 class FailurePolicy:
-    """How a sweep treats failing cells.
+    """How often a sweep retries a failing cell.
 
-    * ``raise`` (default) -- re-raise the first failure after the batch
-      finishes; completed cells are already checkpointed in the cache.
-    * ``keep_going`` -- never raise; ``sweep`` returns the full list of
-      :class:`JobOutcome` values, failures included.
-    * ``retry`` -- like ``raise``, but transient failures are retried up
-      to ``retries`` extra times with deterministic seeded backoff.
-
-    ``retries`` also composes with ``keep_going``.  Backoff is a pure
-    function of ``(seed, index, attempt)`` -- no host clock is ever read.
+    A transient failure is re-run up to ``retries`` extra times with
+    deterministic seeded backoff; a permanent one, or a transient one out
+    of retries, is the cell's final outcome.  Backoff is a pure function
+    of ``(seed, index, attempt)`` -- no host clock is ever read.
     """
 
-    mode: str = RAISE
     retries: int = 0
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     seed: int = 0
-    retry_classes: Tuple[str, ...] = (TRANSIENT,)
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ConfigurationError(
-                f"unknown failure-policy mode {self.mode!r}; expected one "
-                f"of {', '.join(_MODES)}")
         if self.retries < 0:
             raise ConfigurationError(
                 f"retries must be >= 0, got {self.retries}")
-        if self.mode == RETRY and self.retries < 1:
-            raise ConfigurationError(
-                "retry mode needs retries >= 1 (use mode='raise' for no "
-                "retries)")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigurationError(
-                f"backoff must be non-negative, got base="
-                f"{self.backoff_base}, cap={self.backoff_cap}")
-        for name in self.retry_classes:
-            if name not in ERROR_CLASSES:
-                raise ConfigurationError(
-                    f"unknown retry class {name!r}; expected a subset of "
-                    f"{', '.join(ERROR_CLASSES)}")
-
-    @classmethod
-    def raising(cls) -> "FailurePolicy":
-        return cls(mode=RAISE)
-
-    @classmethod
-    def keep_going(cls, retries: int = 0, **kwargs: Any) -> "FailurePolicy":
-        return cls(mode=KEEP_GOING, retries=retries, **kwargs)
-
-    @classmethod
-    def retrying(cls, retries: int = 2, **kwargs: Any) -> "FailurePolicy":
-        return cls(mode=RETRY, retries=retries, **kwargs)
 
 
 def backoff_delay(policy: FailurePolicy, index: int, attempt: int) -> float:
@@ -285,7 +247,7 @@ def backoff_delay(policy: FailurePolicy, index: int, attempt: int) -> float:
     engine only *applies* the delay through an injected sleep callable.
     """
     rng = random.Random(f"{policy.seed}:{index}:{attempt}")
-    window = min(policy.backoff_cap, policy.backoff_base * (2 ** attempt))
+    window = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** attempt))
     return window * (0.5 + 0.5 * rng.random())
 
 
@@ -387,7 +349,8 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
                 continue
             errors = history.get(task.index, ()) + outcome.errors
             if (not sweep_expired and task.attempt < policy.retries
-                    and _retryable(outcome, policy)):
+                    and outcome.last_error is not None
+                    and outcome.last_error.transient):
                 delay = backoff_delay(policy, task.index, task.attempt)
                 errors = errors[:-1] + (replace(errors[-1], backoff_s=delay),)
                 history[task.index] = errors
@@ -406,8 +369,3 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
                     outcome, errors=errors)
         round_tasks = next_round
     return [final[task.index] for task in tasks]
-
-
-def _retryable(outcome: JobOutcome, policy: FailurePolicy) -> bool:
-    error = outcome.last_error
-    return error is not None and error.error_class in policy.retry_classes

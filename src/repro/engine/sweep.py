@@ -3,8 +3,8 @@
 Experiments describe their cells as :class:`~repro.engine.job.Job` values
 and call :func:`sweep`; the active :class:`EngineContext` decides *how*
 they run (serial or a process pool), *whether* results are served from
-the content-addressed :class:`~repro.engine.cache.ResultCache`, and *what
-happens when cells fail* (a
+the content-addressed :class:`~repro.engine.cache.ResultCache`, and *how
+often failing cells are retried* (a
 :class:`~repro.engine.resilience.FailurePolicy`, optionally driven by an
 injected :class:`~repro.faults.FaultPlan`).  Contexts nest via
 :func:`configure`, so the runner (or a test) can switch the whole
@@ -14,11 +14,11 @@ parameters through sixteen ``run()`` signatures.
 Failure semantics: every completed cell is checkpointed into the cache
 the moment it finishes, so an aborted sweep -- a raising cell, a crashed
 pool, a ``KeyboardInterrupt`` -- resumes warm on rerun, simulating only
-what never completed.  ``raise`` mode re-raises the first failure (with
-its remote traceback attached) after the batch drains; ``keep_going``
-returns the full list of typed :class:`~repro.engine.resilience
-.JobOutcome` values; ``retry`` re-runs transient failures with
-deterministic seeded backoff.
+what never completed.  Transient failures are re-run up to the policy's
+retry count with deterministic seeded backoff.  :func:`sweep` then
+re-raises the first failure (with its remote traceback attached) after
+the batch drains; :func:`sweep_outcomes` returns the full list of typed
+:class:`~repro.engine.resilience.JobOutcome` values instead.
 
 Engine code never reads host time (REPRO006): wall-clock accounting for
 the runner's footer comes from an injected ``clock`` callable, backoff
@@ -44,15 +44,10 @@ from typing import (
 )
 
 from repro.engine.cache import ResultCache
-from repro.engine.executors import (
-    DEFAULT_MAXTASKSPERCHILD,
-    SerialExecutor,
-    get_executor,
-)
+from repro.engine.executors import SerialExecutor, get_executor
 from repro.engine.guard import GuardSpec, GuardState
-from repro.engine.job import DEFAULT_PROVIDER, Job
+from repro.engine.job import Job
 from repro.engine.resilience import (
-    KEEP_GOING,
     FailurePolicy,
     JobOutcome,
     Task,
@@ -123,8 +118,8 @@ class EngineContext:
     #: Optional monotonic-seconds callable (e.g. ``time.perf_counter``),
     #: injected by the CLI layer; the engine itself never reads host time.
     clock: Optional[Callable[[], float]] = None
-    #: Failure policy applied when a :func:`sweep` call passes none.
-    policy: Optional[FailurePolicy] = None
+    #: Retry policy of every sweep in this context.
+    policy: FailurePolicy = field(default_factory=FailurePolicy)
     #: Deterministic fault-injection plan (tests, ``--inject-fault``).
     faults: Optional[FaultPlan] = None
     #: Callable applying retry-backoff delays (e.g. ``time.sleep``); the
@@ -162,12 +157,10 @@ def current_context() -> EngineContext:
 @contextmanager
 def configure(jobs: int = 1,
               cache_dir: Optional[Union[str, Path]] = None,
-              cache: Optional[ResultCache] = None,
               clock: Optional[Callable[[], float]] = None,
               policy: Optional[FailurePolicy] = None,
               faults: Any = None,
               sleep: Optional[Callable[[float], None]] = None,
-              maxtasksperchild: Optional[int] = DEFAULT_MAXTASKSPERCHILD,
               tracer: Any = None,
               trace_path: Optional[Union[str, Path]] = None,
               job_timeout_s: Optional[float] = None,
@@ -188,10 +181,9 @@ def configure(jobs: int = 1,
     each sweep batch.  Both are measured on the injected ``clock``
     (required when either is set -- the engine never reads host time).
 
-    An on-disk cache is *opened* for the block -- orphaned temp files
-    reaped, the shared cross-process advisory lock taken -- and its lock
-    released on exit (only if this block acquired it, so an outer opener
-    keeps its hold).
+    A ``cache_dir`` cache is *opened* for the block -- orphaned temp
+    files reaped, the shared cross-process advisory lock taken -- and its
+    lock released on exit.
     """
     if tracer is not None and trace_path is not None:
         raise ConfigurationError(
@@ -207,17 +199,14 @@ def configure(jobs: int = 1,
     if tracer is None:
         sinks = (JsonlSink(trace_path),) if trace_path is not None else ()
         tracer = Tracer(clock=clock, sinks=sinks)
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir, tracer=tracer)
-    elif cache is not None and cache.tracer is None:
-        cache.tracer = tracer
-    opened_cache = cache is not None and not cache.lock.held
+    cache = (ResultCache(cache_dir, tracer=tracer)
+             if cache_dir is not None else None)
     if cache is not None:
         cache.open()
     ctx = EngineContext(
-        executor=get_executor(jobs, maxtasksperchild=maxtasksperchild,
-                              tracer=tracer),
-        cache=cache, clock=clock, policy=policy,
+        executor=get_executor(jobs, tracer=tracer),
+        cache=cache, clock=clock,
+        policy=policy if policy is not None else FailurePolicy(),
         faults=FaultPlan.coerce(faults), sleep=sleep,
         tracer=tracer, guard=guard_spec if guard_spec else None)
     token = _CONTEXT.set(ctx)
@@ -225,24 +214,14 @@ def configure(jobs: int = 1,
         yield ctx
     finally:
         _CONTEXT.reset(token)
-        if cache is not None and opened_cache:
+        if cache is not None:
             cache.close()
         if owns_tracer:
             tracer.close()
 
 
-def _resolve_policy(policy: Optional[FailurePolicy],
-                    ctx: EngineContext) -> FailurePolicy:
-    if policy is not None:
-        return policy
-    if ctx.policy is not None:
-        return ctx.policy
-    return FailurePolicy()
-
-
 def sweep_outcomes(jobs: Sequence[Job],
                    context: Optional[EngineContext] = None,
-                   policy: Optional[FailurePolicy] = None,
                    ) -> List[JobOutcome]:
     """Execute a batch of jobs, returning typed outcomes in submission order.
 
@@ -250,19 +229,19 @@ def sweep_outcomes(jobs: Sequence[Job],
     :class:`~repro.engine.resilience.JobOutcome` carrying its value or its
     per-attempt error records (remote tracebacks included).  Cache hits
     are filled in first; the remaining misses go to the context's executor
-    as one batch, retried per policy, and every *successful* result is
-    checkpointed into the cache as soon as it completes -- an aborted run
-    resumes warm.
+    as one batch, retried per the context's policy, and every *successful*
+    result is checkpointed into the cache as soon as it completes -- an
+    aborted run resumes warm.
     """
     jobs = list(jobs)
     ctx = context if context is not None else current_context()
-    eff = _resolve_policy(policy, ctx)
     stats = ctx.stats
     tracer = ctx.tracer
     tracing = tracer is not None and tracer.enabled
     before = stats.snapshot()
     if tracing:
-        tracer.emit(_obs.SWEEP_BEGIN, jobs=len(jobs), policy=eff.mode)
+        tracer.emit(_obs.SWEEP_BEGIN, jobs=len(jobs),
+                    retries=ctx.policy.retries)
     stats.jobs += len(jobs)
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
     pending: List[Task] = []
@@ -303,7 +282,7 @@ def sweep_outcomes(jobs: Sequence[Job],
         started = ctx.clock() if ctx.clock is not None else None
         try:
             computed = run_with_policy(
-                ctx.executor, pending, eff, sleep=ctx.sleep,
+                ctx.executor, pending, ctx.policy, sleep=ctx.sleep,
                 on_outcome=checkpoint, stats=stats, tracer=tracer,
                 guard=guard)
         finally:
@@ -326,53 +305,28 @@ def sweep_outcomes(jobs: Sequence[Job],
 
 
 def sweep(jobs: Sequence[Job],
-          context: Optional[EngineContext] = None,
-          policy: Optional[FailurePolicy] = None) -> List[Any]:
+          context: Optional[EngineContext] = None) -> List[Any]:
     """Execute a batch of jobs, returning results in submission order.
 
     Output is bit-identical whatever the executor, and a fully warm cache
-    runs no simulation.  Under the default ``raise`` (or ``retry``)
-    policy the return value is the plain list of cell results and the
-    first failed cell re-raises its original exception -- *after* the
-    batch drains, with every completed sibling already checkpointed, so a
-    rerun simulates only the failed cell.  Under ``keep_going`` the
-    caller has opted into failure-aware results and receives the full
-    list of :class:`~repro.engine.resilience.JobOutcome` values instead.
+    runs no simulation.  The return value is the plain list of cell
+    results; the first failed cell re-raises its original exception --
+    *after* the batch drains, with every completed sibling already
+    checkpointed, so a rerun simulates only the failed cell.  Callers that
+    want per-cell failures as values call :func:`sweep_outcomes`.
     """
-    ctx = context if context is not None else current_context()
-    eff = _resolve_policy(policy, ctx)
-    outcomes = sweep_outcomes(jobs, context=ctx, policy=eff)
-    if eff.mode == KEEP_GOING:
-        return outcomes
-    return [outcome.unwrap() for outcome in outcomes]
+    return [outcome.unwrap()
+            for outcome in sweep_outcomes(jobs, context=context)]
 
 
 def sweep_configs(profiles: Sequence[Any], machine: Any, cfg: Any,
-                  configs: Sequence[str],
-                  opts: Optional[Dict[str, Dict[str, Any]]] = None,
-                  provider: str = DEFAULT_PROVIDER,
-                  context: Optional[EngineContext] = None,
-                  ) -> Dict[str, Dict[str, Any]]:
-    """Sweep the (profile x config) grid.
+                  configs: Sequence[str]) -> Dict[str, Dict[str, Any]]:
+    """Sweep the (profile x config) grid of the default provider.
 
-    Returns ``results[profile.abbrev][config]``.  ``opts`` maps a config
-    name to extra keyword arguments for its builder.  The grid shape is
-    plain values, so a ``keep_going`` ambient policy (which changes
-    :func:`sweep`'s element type to outcomes) is rejected here -- callers
-    wanting per-cell failure capture over a grid should build the jobs
-    and call :func:`sweep_outcomes` directly.
+    Returns ``results[profile.abbrev][config]``.
     """
-    ctx = context if context is not None else current_context()
-    if _resolve_policy(None, ctx).mode == KEEP_GOING:
-        raise ConfigurationError(
-            "sweep_configs() returns plain values and cannot honour a "
-            "keep_going failure policy; use sweep_outcomes() for typed "
-            "per-cell outcomes")
     profiles = list(profiles)
     configs = list(configs)
-    opts = opts if opts is not None else {}
-    jobs = [Job.make(p, machine, cfg, c, provider=provider,
-                     **opts.get(c, {}))
-            for p in profiles for c in configs]
-    flat = iter(sweep(jobs, context=ctx))
+    jobs = [Job.make(p, machine, cfg, c) for p in profiles for c in configs]
+    flat = iter(sweep(jobs))
     return {p.abbrev: {c: next(flat) for c in configs} for p in profiles}

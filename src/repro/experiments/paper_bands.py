@@ -66,14 +66,14 @@ BANDS: Dict[str, Band] = {band.key: band for band in [
     Band("fig5.llc_ref_inst_mpki", "Fig. 5b",
          "reference LLC instruction MPKI", 0.0, 0.0, 2.0),
     Band("fig5.llc_int_inst_mpki", "Fig. 5b",
-         "interleaved LLC instruction MPKI (mean)", 10.0, 6.0, 30.0),
+         "interleaved LLC instruction MPKI (mean)", 10.0, 8.0, 30.0),
     # -- Figure 6 ---------------------------------------------------------
     Band("fig6.footprint_min_kb", "Fig. 6a",
          "smallest mean instruction footprint", 300.0, 230.0, 420.0, "KB"),
     Band("fig6.footprint_max_kb", "Fig. 6a",
          "largest mean instruction footprint", 800.0, 600.0, 900.0, "KB"),
     Band("fig6.jaccard_mean", "Fig. 6b",
-         "mean cross-invocation Jaccard index", 0.90, 0.85, 1.0),
+         "mean cross-invocation Jaccard index", 0.90, 0.88, 1.0),
     # -- Figure 8 ---------------------------------------------------------
     Band("fig8.metadata_min_kb", "Fig. 8",
          "smallest per-function metadata at 1KB regions", 9.6, 2.0, 16.0,
@@ -93,7 +93,7 @@ BANDS: Dict[str, Band] = {band.key: band for band in [
          "largest perfect-I$ speedup (Auth-N)", 0.46, 0.30, 0.65),
     # -- Figure 11 --------------------------------------------------------
     Band("fig11.go_coverage", "Fig. 11",
-         "mean Go coverage", 0.82, 0.70, 1.0),
+         "mean Go coverage", 0.82, 0.75, 1.0),
     Band("fig11.interp_coverage", "Fig. 11",
          "mean Python/NodeJS coverage", 0.61, 0.45, 0.95),
     Band("fig11.overprediction_mean", "Fig. 11",
@@ -109,13 +109,13 @@ BANDS: Dict[str, Band] = {band.key: band for band in [
          "PIF-ideal geomean speedup", 0.067, 0.03, 0.16),
     # -- Table 3 ----------------------------------------------------------
     Band("table3.skylake_l2", "Table 3",
-         "Skylake L2-I MPKI change", -74.0, -100.0, -55.0, "%"),
+         "Skylake L2-I MPKI change", -74.0, -100.0, -60.0, "%"),
     Band("table3.broadwell_l2", "Table 3",
-         "Broadwell L2-I MPKI change", -15.0, -45.0, -2.0, "%"),
+         "Broadwell L2-I MPKI change", -15.0, -40.0, -3.0, "%"),
     Band("table3.skylake_llc", "Table 3",
-         "Skylake LLC-I MPKI change", -86.0, -100.0, -65.0, "%"),
+         "Skylake LLC-I MPKI change", -86.0, -100.0, -70.0, "%"),
     Band("table3.broadwell_llc", "Table 3",
-         "Broadwell LLC-I MPKI change", -91.0, -100.0, -65.0, "%"),
+         "Broadwell LLC-I MPKI change", -91.0, -100.0, -70.0, "%"),
 ]}
 
 

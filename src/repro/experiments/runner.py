@@ -198,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail whatever a sweep batch has not finished "
                              "after this many seconds (the run exits 3; "
                              "completed cells stay cached)")
-    parser.add_argument("--maxtasksperchild", type=_positive_int,
-                        default=engine.DEFAULT_MAXTASKSPERCHILD, metavar="N",
-                        help="recycle each pool worker after N cells "
-                             f"(default: {engine.DEFAULT_MAXTASKSPERCHILD})")
     parser.add_argument("--cache-dir", type=Path, default=None, metavar="PATH",
                         help="result cache location (default: "
                              f"${CACHE_DIR_ENV} or ~/.cache/lukewarm-repro)")
@@ -259,8 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"--inject-fault: {exc}", file=sys.stderr)
         return 2
-    policy = (engine.FailurePolicy.retrying(retries=args.retries, seed=args.seed)
-              if args.retries else None)
+    policy = engine.FailurePolicy(retries=args.retries, seed=args.seed)
     cfg = (RunConfig.fast() if args.fast else RunConfig.full()).replace(
         seed=args.seed, backend=args.backend)
     cache_dir: Optional[Path]
@@ -273,7 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     with engine.configure(jobs=args.jobs, cache_dir=cache_dir,
                           clock=time.perf_counter, policy=policy,
                           faults=faults, sleep=time.sleep,
-                          maxtasksperchild=args.maxtasksperchild,
                           trace_path=args.trace,
                           job_timeout_s=args.job_timeout,
                           sweep_deadline_s=args.sweep_deadline) as ctx:

@@ -14,10 +14,10 @@ appears in the result.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.engine.job import Job
-from repro.engine.sweep import EngineContext, sweep
+from repro.engine.sweep import sweep
 from repro.fleet.config import FleetConfig, shard_bounds
 from repro.fleet.provider import PROVIDER
 from repro.fleet.result import aggregate_nodes
@@ -31,8 +31,7 @@ def shard_jobs(config: FleetConfig, shards: int = 1) -> List[Job]:
             for shard in range(shards)]
 
 
-def simulate_region(config: FleetConfig, shards: int = 1,
-                    context: Optional[EngineContext] = None) -> Dict:
+def simulate_region(config: FleetConfig, shards: int = 1) -> Dict:
     """Simulate one region; returns a canonical, JSON-safe result dict.
 
     The dict has three parts: ``config`` (the full fleet configuration,
@@ -40,7 +39,7 @@ def simulate_region(config: FleetConfig, shards: int = 1,
     canonical dict per node, ascending by node id), and ``region`` (the
     order-free aggregate from :func:`repro.fleet.result.aggregate_nodes`).
     """
-    shard_results = sweep(shard_jobs(config, shards), context=context)
+    shard_results = sweep(shard_jobs(config, shards))
     node_results: List[Dict] = [node for nodes in shard_results
                                 for node in nodes]
     node_results.sort(key=lambda n: n["node"])

@@ -21,21 +21,15 @@ access):
 
 All checks are duck-typed so this module never imports simulator classes
 (no import cycles) and raise
-:class:`repro.errors.ContractViolationError` on failure.  Checking can be
-suspended globally with :func:`set_enabled` or the :func:`disabled`
-context manager (useful for micro-benchmarks), but the default simulator
-paths run with contracts on.
+:class:`repro.errors.ContractViolationError` on failure.  They are always
+on: there is no switch that suspends them.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.errors import ContractViolationError
-
-_ENABLED = True
 
 #: Counter fields of an ``AccessStats`` that must never go negative.
 _ACCESS_FIELDS = (
@@ -69,32 +63,9 @@ _TOPDOWN_FIELDS = (
 )
 
 
-def enabled() -> bool:
-    """Whether contract checks are currently active."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Globally enable/disable contract checks; returns the previous state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Context manager that suspends contract checking inside its body."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
-
 def check(condition: bool, message: str) -> None:
     """Generic contract hook: raise unless ``condition`` holds."""
-    if _ENABLED and not condition:
+    if not condition:
         raise ContractViolationError(message)
 
 
@@ -104,8 +75,6 @@ def check(condition: bool, message: str) -> None:
 
 def check_access_stats(stats, name: str = "") -> None:
     """Validate one cache/TLB ``AccessStats`` object."""
-    if not _ENABLED:
-        return
     label = name or "access stats"
     for field_name in _ACCESS_FIELDS:
         value = getattr(stats, field_name)
@@ -134,8 +103,6 @@ def check_access_stats(stats, name: str = "") -> None:
 
 def check_memory_traffic(traffic, name: str = "memory traffic") -> None:
     """Validate a ``MemoryTraffic`` accounting object."""
-    if not _ENABLED:
-        return
     for field_name in _TRAFFIC_FIELDS:
         value = getattr(traffic, field_name)
         if value < 0:
@@ -150,8 +117,6 @@ def check_memory_traffic(traffic, name: str = "memory traffic") -> None:
 
 def check_hierarchy_stats(stats, name: str = "hierarchy") -> None:
     """Validate every level of a ``HierarchyStats`` plus its DRAM traffic."""
-    if not _ENABLED:
-        return
     for level, level_stats in stats.levels().items():
         check_access_stats(level_stats, name=f"{name}.{level}")
     check_memory_traffic(stats.memory, name=f"{name}.memory")
@@ -161,8 +126,6 @@ def check_topdown(breakdown, rel_tol: float = 1e-9,
                   abs_tol: float = 1e-6) -> None:
     """Validate a ``TopDownBreakdown``: non-negative components that sum to
     the reported total cycles within tolerance."""
-    if not _ENABLED:
-        return
     component_sum = 0.0
     for field_name in _TOPDOWN_FIELDS:
         value = getattr(breakdown, field_name)
@@ -190,8 +153,6 @@ def check_topdown(breakdown, rel_tol: float = 1e-9,
 
 def check_invocation(result) -> None:
     """Validate one ``InvocationResult`` as produced by ``Simulator.run``."""
-    if not _ENABLED:
-        return
     if result.instructions < 0:
         raise ContractViolationError(
             f"invocation retired a negative instruction count "
@@ -222,8 +183,6 @@ def check_sweep_stats(stats, name: str = "sweep stats") -> None:
     every hit or miss maps to a distinct submitted job, only misses can
     store results, and only misses can fail.
     """
-    if not _ENABLED:
-        return
     for field_name in _SWEEP_FIELDS:
         value = getattr(stats, field_name)
         if value < 0:
@@ -260,8 +219,6 @@ def check_trace_event(event, name: str = "trace event") -> None:
     stored as sorted ``(key, value)`` pairs so records compare and
     serialize deterministically.
     """
-    if not _ENABLED:
-        return
     if event.seq < 0:
         raise ContractViolationError(
             f"{name}: sequence number is negative ({event.seq})"
@@ -285,8 +242,6 @@ def check_trace_event(event, name: str = "trace event") -> None:
 def check_metadata_entry(entry, lines_per_region: int,
                          name: str = "metadata entry") -> None:
     """Validate one ``(region_pointer, access_vector)`` record."""
-    if not _ENABLED:
-        return
     region, vector = entry
     if region < 0:
         raise ContractViolationError(
@@ -306,8 +261,6 @@ def check_metadata_entry(entry, lines_per_region: int,
 
 def check_metadata_buffer(buffer, name: str = "metadata buffer") -> None:
     """Validate a whole ``MetadataBuffer`` against its byte limit."""
-    if not _ENABLED:
-        return
     if buffer.dropped_entries < 0:
         raise ContractViolationError(
             f"{name}: negative dropped-entry count ({buffer.dropped_entries})"
@@ -329,8 +282,6 @@ def check_replay_counts(entries_replayed: int, recorded_entries: int,
     """Record/replay bookkeeping must agree: every recorded entry was
     replayed exactly once and every expanded line was either issued or
     de-duplicated."""
-    if not _ENABLED:
-        return
     if entries_replayed != recorded_entries:
         raise ContractViolationError(
             f"replay walked {entries_replayed} entries but the record phase "

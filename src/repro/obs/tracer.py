@@ -35,13 +35,10 @@ DEFAULT_MEMORY_LIMIT = 65536
 
 
 class MemorySink:
-    """Collect events into a bounded in-memory window."""
+    """Collect the last :data:`DEFAULT_MEMORY_LIMIT` events in memory."""
 
-    def __init__(self, limit: Optional[int] = DEFAULT_MEMORY_LIMIT) -> None:
-        if limit is not None and limit < 1:
-            raise ConfigurationError(
-                f"memory sink limit must be >= 1 (or None), got {limit}")
-        self._events: deque = deque(maxlen=limit)
+    def __init__(self) -> None:
+        self._events: deque = deque(maxlen=DEFAULT_MEMORY_LIMIT)
 
     def write(self, event: TraceEvent) -> None:
         self._events.append(event)
@@ -85,11 +82,10 @@ class Tracer:
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 sinks: Sequence[Any] = (),
-                 memory_limit: Optional[int] = DEFAULT_MEMORY_LIMIT) -> None:
+                 sinks: Sequence[Any] = ()) -> None:
         self._clock = clock
         self._sinks = tuple(sinks)
-        self._memory = MemorySink(memory_limit)
+        self._memory = MemorySink()
         self._counts: Dict[str, int] = {}
         self._seq = 0
 

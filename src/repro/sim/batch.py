@@ -100,7 +100,7 @@ def _seq_sum(acc: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(buf)[-1])
 
 
-def run_columnar(sim, trace, start_cycle: float = 0.0):
+def run_columnar(sim, trace):
     """Execute ``trace`` on ``sim`` (a :class:`repro.sim.core.Simulator`)
     through the columnar IR.  See the module docstring for the exactness
     argument; the public entry point is :func:`repro.sim.simulate`."""
@@ -114,7 +114,7 @@ def run_columnar(sim, trace, start_cycle: float = 0.0):
     sources: Dict[str, int] = {}
     mispredicts = 0.0
     bubbles = 0
-    cycle = start_cycle
+    cycle = 0.0
 
     mis_penalty = sim._mispredict_penalty
     btb_penalty = sim._btb_penalty

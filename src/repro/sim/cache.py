@@ -186,8 +186,6 @@ class SetAssocCache:
         tags within a set and verifies that every pending-prefetch tag is
         actually resident.
         """
-        if not contracts.enabled():
-            return
         name = self.params.name
         # C-speed scan; the per-set message is only built on violation.
         lens = list(map(len, self._sets))

@@ -33,7 +33,7 @@ Prefer the :func:`repro.sim.simulate` facade over constructing a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.lint import contracts
@@ -91,7 +91,6 @@ class Simulator:
     """
 
     def __init__(self, machine: MachineParams,
-                 hierarchy: Optional[MemoryHierarchy] = None,
                  backend: str = "columnar") -> None:
         if backend not in BACKENDS:
             raise ConfigurationError(
@@ -100,7 +99,7 @@ class Simulator:
             )
         self.backend = backend
         self.machine = machine
-        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy(machine)
+        self.hierarchy = MemoryHierarchy(machine)
         self.btb = BTB(machine.core)
         self.branches = SiteBranchModel(self.btb)
         self._width = machine.core.issue_width
@@ -117,19 +116,15 @@ class Simulator:
         self.hierarchy.flush_caches()
         self.branches.flush()
 
-    def run(self, trace: InvocationTrace, start_cycle: float = 0.0) -> InvocationResult:
-        """Execute one invocation; returns its measurements.
-
-        ``start_cycle`` offsets simulated time (used when a replayed
-        prefetch schedule was computed relative to the invocation start).
-        Dispatches to the configured backend.
+    def run(self, trace: InvocationTrace) -> InvocationResult:
+        """Execute one invocation, starting at cycle 0; returns its
+        measurements.  Dispatches to the configured backend.
         """
         if self.backend == "columnar":
-            return batch.run_columnar(self, trace, start_cycle)
-        return self._run_scalar(trace, start_cycle)
+            return batch.run_columnar(self, trace)
+        return self._run_scalar(trace)
 
-    def _run_scalar(self, trace: InvocationTrace,
-                    start_cycle: float = 0.0) -> InvocationResult:
+    def _run_scalar(self, trace: InvocationTrace) -> InvocationResult:
         """The event-at-a-time reference interpreter.
 
         This loop *defines* the model's semantics; the columnar backend
@@ -146,7 +141,7 @@ class Simulator:
         instructions = 0
         mispredicts = 0.0
         bubbles = 0
-        cycle = start_cycle
+        cycle = 0.0
 
         stats_before = hier.stats.snapshot()
         kinds = trace.kinds

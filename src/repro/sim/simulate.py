@@ -36,8 +36,7 @@ def simulate(trace: InvocationTrace,
              machine: Optional[MachineParams] = None,
              *,
              backend: Optional[str] = None,
-             sim: Optional[Simulator] = None,
-             start_cycle: float = 0.0) -> InvocationResult:
+             sim: Optional[Simulator] = None) -> InvocationResult:
     """Execute one invocation trace; returns its measurements.
 
     Either pass ``machine`` (a fresh, cold :class:`Simulator` is built,
@@ -57,9 +56,9 @@ def simulate(trace: InvocationTrace,
                 f"backend={backend!r} conflicts with the provided "
                 f"simulator's backend={sim.backend!r}"
             )
-        return sim.run(trace, start_cycle)
+        return sim.run(trace)
     if machine is None:
         raise ConfigurationError("simulate() needs machine= or sim=")
     built = Simulator(machine,
                       backend=backend if backend is not None else "columnar")
-    return built.run(trace, start_cycle)
+    return built.run(trace)

@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.sim.params import JukeboxParams
 from repro.workloads.profiles import LANGUAGES
 from repro.workloads.suite import SUITE
+from tests.jukebox.snapshot_oracle import InstanceSnapshot
 
 
 class TestPages:
@@ -166,12 +167,20 @@ class TestModels:
 
 
 class TestSnapshotState:
+    def test_page_half_records_then_replays(self):
+        state = SnapshotState(PageReplayState(pages=100))
+        first = state.restore_pages()
+        second = state.restore_pages()
+        assert first.recorded and first.faulted_pages == 100
+        assert not second.recorded
+        assert second.prefetched_pages == state.pages.recorded_pages > 0
+
     def test_composes_page_and_jukebox_sides(self, tiny_machine,
                                              tiny_traces):
         from repro.sim.core import Simulator
         from repro.sim.simulate import simulate
 
-        state = SnapshotState(PageReplayState(pages=800))
+        state = InstanceSnapshot(PageReplayState(pages=800))
         params = tiny_machine.jukebox
         # Before any capture the instruction side restores cold.
         fresh = state.restore_jukebox(params)
@@ -190,7 +199,7 @@ class TestSnapshotState:
         assert len(restored._replay_buffer) == state.metadata.n_entries
 
     def test_empty_capture_keeps_previous_image(self):
-        state = SnapshotState(PageReplayState(pages=10))
+        state = InstanceSnapshot(PageReplayState(pages=10))
         params = JukeboxParams()
         state.capture_metadata(Jukebox(params))  # nothing recorded yet
         assert state.metadata is None

@@ -33,7 +33,6 @@ import pytest
 import repro.experiments.ext_spectrum  # noqa: F401  (registers spectrum_point)
 from repro import engine
 from repro.coldstart import PageReplayState, working_set_pages
-from repro.coldstart.model import SnapshotState
 from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
@@ -41,6 +40,7 @@ from repro.sim.simulate import simulate
 from repro.workloads.suite import SUITE, get_profile
 
 from tests.coldstart import capture_prerefactor as cap
+from tests.jukebox.snapshot_oracle import InstanceSnapshot
 
 DATA_PATH = Path(__file__).parent / "data" / "prerefactor.json"
 
@@ -138,8 +138,9 @@ COLD_CASES = ([(p.abbrev, 1) for p in SUITE]
 def cold_boot_sequence(profile, machine, cfg, jukebox):
     """Every invocation boots from a snapshot: flushed microarchitectural
     state and, under Jukebox, a replayer restored from the metadata image
-    the previous invocation captured (:class:`SnapshotState`)."""
-    state = SnapshotState(PageReplayState(pages=working_set_pages(profile)))
+    the previous invocation captured (:class:`InstanceSnapshot`)."""
+    state = InstanceSnapshot(
+        PageReplayState(pages=working_set_pages(profile)))
     sim = Simulator(machine, backend=cfg.backend)
     measured = []
     for i, trace in enumerate(make_traces(profile, cfg)):

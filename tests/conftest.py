@@ -18,6 +18,19 @@ def update_golden(request) -> bool:
     """Whether this run should rewrite golden snapshots, not compare."""
     return request.config.getoption("--update-golden")
 
+
+@pytest.fixture(autouse=True)
+def isolated_cache_dir(tmp_path_factory, monkeypatch):
+    """Point the CLI's default result cache at a fresh directory per test.
+
+    A ``main([...])`` call with neither ``--cache-dir`` nor ``--no-cache``
+    opens the default cache; without this it would land in the user's
+    ``~/.cache``.  Child interpreters inherit the variable.
+    """
+    path = tmp_path_factory.mktemp("default-cache")
+    monkeypatch.setenv("LUKEWARM_CACHE_DIR", str(path))
+    return path
+
 from repro.experiments.common import RunConfig
 from repro.sim.params import (
     CacheParams,

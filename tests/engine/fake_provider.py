@@ -12,6 +12,9 @@ pytest's rootdir).
 
 from __future__ import annotations
 
+import os
+import sys
+import time
 from typing import Any, Dict
 
 from repro.experiments.common import register_config
@@ -26,6 +29,27 @@ def build_resilience_echo(profile: Any, machine: Any, cfg: Any,
         "cfg": cfg,
         "opts": dict(sorted(opts.items())),
     }
+
+
+@register_config("worker_pid")
+def build_worker_pid(profile: Any, machine: Any, cfg: Any,
+                     **opts: Any) -> Dict[str, Any]:
+    """The process that ran the cell.  The short hold keeps one worker
+    from draining a whole batch before its siblings have started."""
+    time.sleep(0.005)
+    return {"pid": os.getpid(), "opts": dict(sorted(opts.items()))}
+
+
+@register_config("exit_once")
+def build_exit_once(profile: Any, machine: Any, cfg: Any, marker: str = "",
+                    **opts: Any) -> Dict[str, Any]:
+    """Exit the running process with status 0 the first time a cell with
+    a ``marker`` path runs (creating the file), then echo its options.
+    Only for pool workers: in-process it would end the caller."""
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        sys.exit(0)
+    return {"opts": dict(sorted(opts.items()))}
 
 
 @register_config("diff_numeric")

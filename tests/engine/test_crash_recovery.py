@@ -156,9 +156,10 @@ class TestCrashHygiene:
         # reaps it (the writer pid is dead) and the rerun still matches.
         cache_dir = tmp_path / "stale"
         kill_after_checkpoints(cache_dir, 1)
-        slot = next(p for p in sorted(cache_dir.iterdir())
-                    if p.is_dir() and len(p.name) == 2)
-        entry = next(slot.glob("*.pkl"))
+        # The killed driver may already have made the next cell's fanout
+        # directory, so take the slot of the entry that landed.
+        entry = next(cache_dir.glob("??/*.pkl"))
+        slot = entry.parent
         stale = slot / f".{entry.name}.99999999.tmp"
         stale.write_bytes(b"half a write")
         result, _ = parse_run(run_driver(cache_dir))

@@ -60,7 +60,7 @@ def test_warm_cache_matches_serial(serial_bytes, tmp_path):
 
 def test_retry_after_injected_fault_matches_serial(serial_bytes):
     with configure(faults="fail:#2",
-                   policy=FailurePolicy.retrying(retries=1)) as ctx:
+                   policy=FailurePolicy(retries=1)) as ctx:
         retried = canonical(sweep(grid_jobs()))
         assert ctx.stats.retries == 1
     assert retried == serial_bytes
@@ -69,7 +69,7 @@ def test_retry_after_injected_fault_matches_serial(serial_bytes):
 def test_pool_after_fault_with_cache_matches_serial(serial_bytes, tmp_path):
     """The modes compose: pooled + cached + fault-retried is still exact."""
     with configure(jobs=2, cache_dir=tmp_path / "cache", faults="fail:#1",
-                   policy=FailurePolicy.retrying(retries=1)):
+                   policy=FailurePolicy(retries=1)):
         combined = canonical(sweep(grid_jobs()))
     assert combined == serial_bytes
 

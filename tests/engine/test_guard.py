@@ -132,8 +132,7 @@ class TestSerialSweepDeadline:
     def test_expired_sweep_fails_remaining_cells_permanently(self):
         # Huge step: the budget is gone before the second cell starts
         # (the first cell always runs -- the check precedes dispatch).
-        with configure(clock=TickClock(step=100.0), sweep_deadline_s=150.0,
-                       policy=FailurePolicy.keep_going()):
+        with configure(clock=TickClock(step=100.0), sweep_deadline_s=150.0):
             outcomes = sweep_outcomes(echo_jobs(4))
         failed = [o for o in outcomes if not o.ok]
         assert failed, "deadline never fired"
@@ -151,7 +150,7 @@ class TestSerialSweepDeadline:
         # budget is exhausted by the time the round drains -- no retry
         # round may be scheduled against a dead deadline.
         with configure(clock=TickClock(step=100.0), sweep_deadline_s=150.0,
-                       policy=FailurePolicy.retrying(retries=3),
+                       policy=FailurePolicy(retries=3),
                        faults="fail:#0:always") as ctx:
             outcomes = sweep_outcomes(echo_jobs(2))
         assert not outcomes[0].ok
@@ -159,8 +158,7 @@ class TestSerialSweepDeadline:
 
     def test_deadline_jobs_do_not_poison_the_cache(self, tmp_path):
         with configure(clock=TickClock(step=100.0), sweep_deadline_s=150.0,
-                       cache_dir=tmp_path / "c",
-                       policy=FailurePolicy.keep_going()):
+                       cache_dir=tmp_path / "c"):
             first = sweep_outcomes(echo_jobs(4))
         survivors = sum(1 for o in first if o.ok)
         # A fresh, unguarded context must recompute only what never ran.
@@ -172,8 +170,8 @@ class TestSerialSweepDeadline:
 
 class TestPoolHungWorkerReaping:
     @pytest.mark.parametrize("policy,expect_ok", [
-        (FailurePolicy.keep_going(), False),
-        (FailurePolicy.retrying(retries=1), True),
+        (FailurePolicy(), False),
+        (FailurePolicy(retries=1), True),
     ])
     def test_unbounded_hang_is_killed_and_classified(self, policy,
                                                      expect_ok, tmp_path):
@@ -195,14 +193,13 @@ class TestPoolHungWorkerReaping:
         assert ctx.executor.pool_restarts >= 1
 
     def test_deadline_kills_do_not_degrade_to_serial(self):
-        # Three always-on hangs, max_pool_failures=2: if deadline kills
+        # Three always-on hangs, MAX_POOL_FAILURES=2: if deadline kills
         # counted as pool failures the executor would degrade to serial
         # execution -- where an unbounded hang can never be interrupted.
         # They must not count, however many pools the guard reaps.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with configure(jobs=2, clock=time.monotonic, job_timeout_s=0.5,
-                           policy=FailurePolicy.keep_going(),
                            faults=["hang:#0:always", "hang:#2:always",
                                    "hang:#4:always"]) as ctx:
                 outcomes = sweep_outcomes(echo_jobs(6))
@@ -219,7 +216,6 @@ class TestPoolHungWorkerReaping:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with configure(jobs=2, clock=time.monotonic, job_timeout_s=0.5,
-                           policy=FailurePolicy.keep_going(),
                            faults="hang:#0", tracer=tracer):
                 sweep_outcomes(echo_jobs(3))
         kinds = [e.kind for e in tracer.events]

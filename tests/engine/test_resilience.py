@@ -7,12 +7,14 @@ machinery, not the simulator.
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
 
 import tests.engine.fake_provider  # noqa: F401  (registers resilience_echo)
 from repro.engine import (
+    MAX_POOL_FAILURES,
     EngineContext,
     FailurePolicy,
     Job,
@@ -35,6 +37,7 @@ from repro.engine import (
     sweep,
     sweep_outcomes,
 )
+from repro.engine.resilience import BACKOFF_BASE_S, BACKOFF_CAP_S
 from repro.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -58,13 +61,12 @@ def echo_jobs(n, cfg="cfg"):
                      provider=PROVIDER, cell=i) for i in range(n)]
 
 
-class TestKeepGoing:
+class TestSweepOutcomes:
     def test_one_fault_in_twenty_cells(self, tmp_path):
         """The acceptance sweep: 19 successes plus one typed failure."""
         with configure(cache_dir=tmp_path / "c",
-                       policy=FailurePolicy.keep_going(),
                        faults="fail:#7:always") as ctx:
-            outcomes = sweep(echo_jobs(20))
+            outcomes = sweep_outcomes(echo_jobs(20))
         assert len(outcomes) == 20
         assert all(isinstance(o, JobOutcome) for o in outcomes)
         oks = [o for o in outcomes if o.ok]
@@ -80,32 +82,22 @@ class TestKeepGoing:
 
     def test_rerun_simulates_only_the_failed_cell(self, tmp_path):
         with configure(cache_dir=tmp_path / "c",
-                       policy=FailurePolicy.keep_going(),
                        faults="fail:#7:always"):
-            sweep(echo_jobs(20))
+            sweep_outcomes(echo_jobs(20))
         # Same sweep, fault gone: 19 hits, one fresh simulation.
-        with configure(cache_dir=tmp_path / "c",
-                       policy=FailurePolicy.keep_going()) as ctx:
-            outcomes = sweep(echo_jobs(20))
+        with configure(cache_dir=tmp_path / "c") as ctx:
+            outcomes = sweep_outcomes(echo_jobs(20))
         assert all(o.ok for o in outcomes)
         assert ctx.stats.hits == 19
         assert ctx.stats.misses == 1
         assert sum(o.from_cache for o in outcomes) == 19
 
     def test_failed_outcome_unwrap_reraises(self):
-        with configure(policy=FailurePolicy.keep_going(),
-                       faults="fail:#0:always"):
-            outcomes = sweep(echo_jobs(2))
+        with configure(faults="fail:#0:always"):
+            outcomes = sweep_outcomes(echo_jobs(2))
         with pytest.raises(InjectedTransientError):
             outcomes[0].unwrap()
         assert outcomes[1].unwrap()["opts"] == {"cell": 1}
-
-    def test_sweep_configs_rejects_ambient_keep_going(self):
-        from repro.engine import sweep_configs
-
-        with configure(policy=FailurePolicy.keep_going()):
-            with pytest.raises(ConfigurationError, match="keep_going"):
-                sweep_configs([], None, "cfg", [])
 
 
 class TestRaiseMode:
@@ -141,18 +133,25 @@ class TestRaiseMode:
 class TestRetry:
     def test_transient_failure_is_retried_to_success(self):
         slept = []
-        with configure(policy=FailurePolicy.retrying(retries=2),
+        with configure(policy=FailurePolicy(retries=2),
                        faults="fail:#3:x1", sleep=slept.append) as ctx:
             results = sweep(echo_jobs(5))
         assert len(results) == 5
         assert results[3]["opts"] == {"cell": 3}
         assert ctx.stats.retries == 1
-        assert slept == [backoff_delay(FailurePolicy.retrying(retries=2), 3, 0)]
+        assert slept == [backoff_delay(FailurePolicy(retries=2), 3, 0)]
+
+    def test_default_policy_never_retries(self):
+        slept = []
+        with configure(faults="fail:#0:x1", sleep=slept.append) as ctx:
+            outcomes = sweep_outcomes(echo_jobs(1))
+        assert outcomes[0].failed and outcomes[0].attempts == 1
+        assert ctx.stats.retries == 0 and slept == []
 
     def test_retry_history_lands_on_the_final_outcome(self):
-        policy = FailurePolicy.keep_going(retries=2)
+        policy = FailurePolicy(retries=2)
         with configure(policy=policy, faults="fail:#0:x2"):
-            outcomes = sweep(echo_jobs(1))
+            outcomes = sweep_outcomes(echo_jobs(1))
         assert outcomes[0].ok
         assert outcomes[0].attempts == 3
         assert len(outcomes[0].errors) == 2
@@ -161,58 +160,51 @@ class TestRetry:
 
     def test_permanent_failure_is_never_retried(self):
         slept = []
-        with configure(policy=FailurePolicy.keep_going(retries=3),
+        with configure(policy=FailurePolicy(retries=3),
                        faults="fail:#0:always:permanent",
                        sleep=slept.append) as ctx:
-            outcomes = sweep(echo_jobs(1))
+            outcomes = sweep_outcomes(echo_jobs(1))
         assert outcomes[0].failed
         assert outcomes[0].attempts == 1
         assert ctx.stats.retries == 0
         assert slept == []
 
     def test_retries_exhausted_keeps_every_error_record(self):
-        with configure(policy=FailurePolicy.keep_going(retries=2),
+        with configure(policy=FailurePolicy(retries=2),
                        faults="fail:#0:always"):
-            outcomes = sweep(echo_jobs(1))
+            outcomes = sweep_outcomes(echo_jobs(1))
         assert outcomes[0].failed
         assert outcomes[0].attempts == 3
         assert len(outcomes[0].errors) == 3
         # The final attempt scheduled no backoff.
         assert outcomes[0].errors[-1].backoff_s == 0
 
+    def test_sweep_raises_once_retries_are_exhausted(self):
+        with configure(policy=FailurePolicy(retries=2),
+                       faults="fail:#1:always") as ctx:
+            with pytest.raises(InjectedTransientError):
+                sweep(echo_jobs(2))
+        assert ctx.stats.retries == 2
+
     def test_backoff_is_deterministic_and_capped(self):
-        policy = FailurePolicy.retrying(retries=8, seed=42,
-                                        backoff_base=0.5, backoff_cap=2.0)
+        policy = FailurePolicy(retries=8, seed=42)
         first = [backoff_delay(policy, index=3, attempt=a) for a in range(8)]
         again = [backoff_delay(policy, index=3, attempt=a) for a in range(8)]
         assert first == again
-        assert all(0 < d <= 2.0 for d in first)
+        # The window doubles from the base up to the cap; the delay is
+        # jittered over its upper half.
+        for attempt, delay in enumerate(first):
+            window = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** attempt)
+            assert window / 2 <= delay <= window
         assert backoff_delay(policy, 3, 0) != backoff_delay(policy, 4, 0)
-        other_seed = FailurePolicy.retrying(retries=8, seed=43,
-                                            backoff_base=0.5, backoff_cap=2.0)
+        other_seed = FailurePolicy(retries=8, seed=43)
         assert backoff_delay(other_seed, 3, 0) != first[0]
 
 
 class TestFailurePolicyValidation:
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            FailurePolicy(mode="explode")
-
     def test_negative_retries(self):
         with pytest.raises(ConfigurationError, match="retries"):
             FailurePolicy(retries=-1)
-
-    def test_retry_mode_needs_retries(self):
-        with pytest.raises(ConfigurationError, match="retries >= 1"):
-            FailurePolicy(mode="retry", retries=0)
-
-    def test_negative_backoff(self):
-        with pytest.raises(ConfigurationError, match="backoff"):
-            FailurePolicy(backoff_base=-0.1)
-
-    def test_unknown_retry_class(self):
-        with pytest.raises(ConfigurationError, match="retry class"):
-            FailurePolicy(retry_classes=("flaky",))
 
 
 class TestErrorTaxonomy:
@@ -263,27 +255,48 @@ class TestPoolResilience:
             with configure(jobs=4, faults="kill:*:always") as ctx:
                 pooled = sweep(jobs)
         assert pooled == sweep(jobs)
-        assert ctx.executor.pool_restarts == ctx.executor.max_pool_failures
+        assert ctx.executor.pool_restarts == MAX_POOL_FAILURES
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert any("degrading to serial" in m for m in messages)
 
-    def test_maxtasksperchild_retirement_is_not_a_crash(self):
-        executor = ProcessExecutor(jobs=2, maxtasksperchild=1)
-        tasks = [Task(job=job, index=i)
-                 for i, job in enumerate(echo_jobs(6))]
-        outcomes = executor.run_tasks(tasks)
-        assert all(o.ok for o in outcomes)
-        assert executor.pool_restarts == 0
+    def test_no_worker_is_recycled(self):
+        """65 cells on two workers run on exactly two worker processes:
+        a pool that retired a worker after 32 cells would start a third,
+        which regenerates every trace its predecessor had memoized."""
+        jobs = [Job.make(f"profile-{i}", None, "cfg", "worker_pid",
+                         provider=PROVIDER, cell=i) for i in range(65)]
+        with configure(jobs=2) as ctx:
+            results = sweep(jobs)
+        assert len({result["pid"] for result in results}) == 2
+        assert ctx.executor.pool_restarts == 0
+
+    def test_a_worker_exiting_zero_is_a_crash(self, tmp_path):
+        """Workers are never retired, so a worker that exits with status
+        0 (a cell calling ``sys.exit(0)``) has lost its cell like a
+        killed one: the pool is rebuilt and the cell re-run.  The job
+        timeout only bounds the test if the exit goes unnoticed."""
+        marker = tmp_path / "exited"
+        jobs = [Job.make(f"profile-{i}", None, "cfg", "exit_once",
+                         provider=PROVIDER, cell=i,
+                         marker=str(marker) if i == 1 else "")
+                for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with configure(jobs=2, clock=time.monotonic,
+                           job_timeout_s=30.0) as ctx:
+                results = sweep(jobs)
+        assert marker.exists()
+        assert [r["opts"]["cell"] for r in results] == [0, 1, 2, 3]
+        assert ctx.executor.pool_restarts == 1
 
     def test_executor_validation(self):
         with pytest.raises(ConfigurationError, match="jobs"):
             ProcessExecutor(jobs=0)
-        with pytest.raises(ConfigurationError, match="maxtasksperchild"):
-            ProcessExecutor(jobs=2, maxtasksperchild=0)
-        with pytest.raises(ConfigurationError, match="max_pool_failures"):
-            ProcessExecutor(jobs=2, max_pool_failures=0)
-        assert get_executor(2, maxtasksperchild=7).maxtasksperchild == 7
+        with pytest.raises(ConfigurationError, match="jobs"):
+            get_executor(0)
+        assert isinstance(get_executor(1), SerialExecutor)
+        assert get_executor(2).jobs == 2
 
 
 class AbortingExecutor:

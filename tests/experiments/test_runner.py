@@ -100,12 +100,15 @@ class TestParser:
     def test_resilience_flags(self):
         args = build_parser().parse_args(
             ["fig10", "--retries", "2", "--keep-going",
-             "--inject-fault", "fail:#3", "--inject-fault", "kill:#2",
-             "--maxtasksperchild", "8"])
+             "--inject-fault", "fail:#3", "--inject-fault", "kill:#2"])
         assert args.retries == 2
         assert args.keep_going
         assert args.inject_faults == ["fail:#3", "kill:#2"]
-        assert args.maxtasksperchild == 8
+
+    def test_no_worker_recycling_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig10", "--maxtasksperchild", "8"])
+        assert exc.value.code == 2
 
     def test_observability_flags(self, tmp_path):
         args = build_parser().parse_args(
@@ -203,6 +206,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert "engine: no simulation cells" in out
+
+    def test_run_without_cache_flag_writes_only_the_default_cache(
+            self, tmp_path, monkeypatch, isolated_cache_dir):
+        """A run with no cache flag opens the default cache -- under the
+        test suite, the per-test directory of ``LUKEWARM_CACHE_DIR`` --
+        and leaves ``HOME`` and ``XDG_CACHE_HOME`` untouched."""
+        for name in ("HOME", "XDG_CACHE_HOME"):
+            (tmp_path / name).mkdir()
+            monkeypatch.setenv(name, str(tmp_path / name))
+        assert main(["table2"]) == 0
+        assert (isolated_cache_dir / ".lock").is_file()
+        assert list((tmp_path / "HOME").iterdir()) == []
+        assert list((tmp_path / "XDG_CACHE_HOME").iterdir()) == []
 
     def test_json_output(self, capsys):
         assert main(["table2", "--json"]) == 0

@@ -1,4 +1,4 @@
-"""Jukebox metadata snapshotting (Sec. 3.4.2).
+"""Jukebox metadata snapshotting (Sec. 3.4.2), the tests' oracle.
 
 Under virtualization, Jukebox metadata lives in guest physical memory and
 is therefore part of the VM state: if a function snapshotting technique
@@ -11,6 +11,12 @@ instance.
 metadata buffer; :func:`snapshot_jukebox` captures it from a live
 :class:`~repro.core.jukebox.Jukebox` and :func:`restore_jukebox` builds a
 fresh Jukebox whose first invocation replays the snapshotted working set.
+:class:`InstanceSnapshot` adds that instruction side to the page side of
+:class:`~repro.coldstart.model.SnapshotState`.
+
+The spectrum's cold cells run the lukewarm Jukebox sequence instead, so
+nothing in ``repro`` restores a snapshot: this module is the oracle the
+"cold equals lukewarm" differential tests compare that sequence with.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.coldstart.model import SnapshotState
+from repro.coldstart.pages import PageReplayState
 from repro.core.jukebox import Jukebox
 from repro.core.metadata import MetadataBuffer
 from repro.core.regions import RegionGeometry
@@ -116,3 +124,36 @@ def restore_jukebox(snapshot: MetadataSnapshot,
     jukebox = Jukebox(params)
     jukebox._replay_buffer = snapshot.to_buffer(params.metadata_bytes)
     return jukebox
+
+
+class InstanceSnapshot(SnapshotState):
+    """Composed snapshot of one instance: pages + Jukebox metadata.
+
+    The page side is :class:`~repro.coldstart.model.SnapshotState`'s; the
+    instruction side holds the :class:`MetadataSnapshot` image so a
+    restore can re-arm the Jukebox replayer captured with the snapshot.
+    It agrees with the lukewarm Jukebox sequence only while every
+    invocation records something: an empty capture keeps the older
+    image, where a lukewarm Jukebox would replay nothing.
+    """
+
+    def __init__(self, pages: PageReplayState) -> None:
+        super().__init__(pages)
+        self.metadata: Optional[MetadataSnapshot] = None
+
+    def capture_metadata(self, jukebox: Jukebox) -> None:
+        """Fold the instance's current Jukebox state into the snapshot.
+
+        Keeps the previous image when the Jukebox has recorded nothing
+        yet (an empty capture must not erase a useful one).
+        """
+        snap = snapshot_jukebox(jukebox)
+        if snap is not None:
+            self.metadata = snap
+
+    def restore_jukebox(self, params: JukeboxParams) -> Jukebox:
+        """Instruction-side restore: a Jukebox pre-armed from the image
+        (or a fresh one when nothing was captured)."""
+        if self.metadata is None:
+            return Jukebox(params)
+        return restore_jukebox(self.metadata, params)

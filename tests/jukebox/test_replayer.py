@@ -80,9 +80,15 @@ class TestReplay:
         JukeboxReplayer(hier).replay(buf)
         assert hier.stats.memory.prefetch_overpredicted == 3 * 64
 
-    def test_start_cycle_offsets_completions(self, hier):
+    def test_first_fill_completes_one_line_after_the_metadata_read(self,
+                                                                   hier):
+        """The replay starts at cycle 0: the first prefetch issues once
+        the first metadata line arrives, and completes one line later."""
         region = GEO.region_of(BASE)
         buf = make_buffer([(region, 1)])
-        JukeboxReplayer(hier).replay(buf, start_cycle=1000.0)
+        JukeboxReplayer(hier).replay(buf)
         completion = next(iter(hier.l2_fills.inflight.values()))
-        assert completion > 1000.0
+        memory = hier.memory
+        assert isinstance(completion, float)
+        assert completion == (float(memory.params.row_hit_latency)
+                              + memory.cycles_per_line)

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.jukebox import Jukebox
-from repro.core.snapshot import (
-    MetadataSnapshot,
-    restore_jukebox,
-    snapshot_jukebox,
-)
 from repro.errors import MetadataError
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, skylake
 from repro.units import KB
+from tests.jukebox.snapshot_oracle import (
+    MetadataSnapshot,
+    restore_jukebox,
+    snapshot_jukebox,
+)
 
 
 def record_one_invocation(trace):

@@ -20,26 +20,17 @@ from repro.sim.topdown import TopDownBreakdown
 from repro.units import KB
 
 
-class TestEnableDisable:
-    def test_enabled_by_default(self):
-        assert contracts.enabled()
-
-    def test_disabled_context_manager(self):
+class TestAlwaysOn:
+    def test_corrupt_stats_raise(self):
         corrupt = AccessStats(inst_hits=1)
         corrupt.inst_misses = -3
-        with contracts.disabled():
-            corrupt.validate("l1i")  # no raise while suspended
-        assert contracts.enabled()
         with pytest.raises(ContractViolationError):
             corrupt.validate("l1i")
 
-    def test_set_enabled_returns_previous(self):
-        previous = contracts.set_enabled(False)
-        try:
-            assert previous is True
-            assert contracts.set_enabled(True) is False
-        finally:
-            contracts.set_enabled(True)
+    def test_generic_hook(self):
+        contracts.check(True, "never raised")
+        with pytest.raises(ContractViolationError, match="broken"):
+            contracts.check(False, "broken")
 
 
 class TestAccessStatsContracts:

@@ -80,13 +80,21 @@ class TestTraceMatchesSweepStats:
     def test_retried_fault_appears_in_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         with configure(trace_path=trace, faults="fail:#1",
-                       policy=FailurePolicy.retrying(retries=1)) as ctx:
+                       policy=FailurePolicy(retries=1)) as ctx:
             sweep(grid_jobs())
         assert ctx.stats.retries == 1
         self.assert_trace_agrees(trace, ctx.stats, cached=False)
         kinds = [e.kind for e in read_trace(trace)]
         assert kinds.count("retry.backoff") == 1
         assert kinds.count("executor.dispatch") == 5  # 4 cells + 1 retry
+
+    def test_sweep_begin_records_the_retry_count(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with configure(trace_path=trace, policy=FailurePolicy(retries=2)):
+            sweep(grid_jobs())
+        begin = [e.fields_dict() for e in read_trace(trace)
+                 if e.kind == "sweep.begin"]
+        assert begin == [{"jobs": 4, "retries": 2}]
 
     def test_uncached_sweep_traces_dispatch_per_cell(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

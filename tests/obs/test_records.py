@@ -28,7 +28,7 @@ class TestTraceEvent:
 
     def test_to_jsonl_is_canonical(self):
         event = TraceEvent.make(0, records.SWEEP_BEGIN, jobs=4,
-                                policy="raise")
+                                retries=0)
         line = event.to_jsonl()
         assert line == json.dumps(json.loads(line), sort_keys=True,
                                   separators=(",", ":"))

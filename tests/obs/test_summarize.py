@@ -23,7 +23,7 @@ from repro.obs.tracer import JsonlSink, Tracer
 def consistent_stream():
     """A hand-built trace whose sweep.end deltas match its event counts."""
     tracer = Tracer(clock=TickClock())
-    tracer.emit(records.SWEEP_BEGIN, jobs=3, policy="retry")
+    tracer.emit(records.SWEEP_BEGIN, jobs=3, retries=1)
     tracer.emit(records.CACHE_HIT, key="aa")
     tracer.emit(records.CACHE_MISS, key="bb")
     tracer.emit(records.CACHE_MISS, key="cc")
@@ -97,7 +97,7 @@ class TestSummarize:
         # dispatch cross-check applies.
         tracer = Tracer()
         for jobs, failures in ((2, 1), (3, 0), (1, 1)):
-            tracer.emit(records.SWEEP_BEGIN, jobs=jobs, policy="collect")
+            tracer.emit(records.SWEEP_BEGIN, jobs=jobs, retries=0)
             for index in range(jobs):
                 tracer.emit(records.DISPATCH, job="F", index=index,
                             attempt=0, dispatch=0)
@@ -135,7 +135,7 @@ class TestSummarize:
     def test_cells_sharing_a_label_time_separately(self):
         # A spectrum sweep labels all its cells function/config alike.
         tracer = Tracer(clock=TickClock())
-        tracer.emit(records.SWEEP_BEGIN, jobs=2, policy="raise")
+        tracer.emit(records.SWEEP_BEGIN, jobs=2, retries=0)
         for index in (0, 1):
             tracer.emit(records.DISPATCH, job="F/point", index=index,
                         attempt=0)
@@ -153,7 +153,7 @@ class TestSummarize:
     def test_sweeps_reusing_a_label_time_separately(self):
         tracer = Tracer(clock=TickClock())
         for _sweep in range(2):
-            tracer.emit(records.SWEEP_BEGIN, jobs=1, policy="raise")
+            tracer.emit(records.SWEEP_BEGIN, jobs=1, retries=0)
             tracer.emit(records.DISPATCH, job="F/baseline", index=0,
                         attempt=0)
             tracer.emit(records.HARVEST, job="F/baseline", index=0,
@@ -228,7 +228,7 @@ class TestReadTrace:
     def test_reads_a_tracer_written_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sinks=(JsonlSink(path),))
-        tracer.emit(records.SWEEP_BEGIN, jobs=1, policy="raise")
+        tracer.emit(records.SWEEP_BEGIN, jobs=1, retries=0)
         tracer.emit(records.SWEEP_END, jobs=1, hits=0, misses=0, stores=0,
                     failures=0, retries=0)
         tracer.close()

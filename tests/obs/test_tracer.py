@@ -36,18 +36,18 @@ class TestTracer:
 
     def test_no_clock_means_null_timestamps(self):
         tracer = Tracer()
-        assert tracer.emit(records.SWEEP_BEGIN, jobs=1, policy="raise").t \
+        assert tracer.emit(records.SWEEP_BEGIN, jobs=1, retries=0).t \
             is None
 
     def test_injected_clock_stamps_every_event(self):
         tracer = Tracer(clock=TickClock(start=10.0, step=0.5))
-        assert tracer.emit(records.SWEEP_BEGIN, jobs=0, policy="raise").t \
+        assert tracer.emit(records.SWEEP_BEGIN, jobs=0, retries=0).t \
             == 10.0
         assert tracer.emit(records.SWEEP_END, jobs=0).t == 10.5
 
     def test_two_tracers_same_actions_same_records_modulo_t(self):
         def drive(tracer):
-            tracer.emit(records.SWEEP_BEGIN, jobs=2, policy="raise")
+            tracer.emit(records.SWEEP_BEGIN, jobs=2, retries=0)
             tracer.emit(records.CACHE_MISS, key="aa")
             tracer.emit(records.SWEEP_END, jobs=2)
             return [e for e in tracer.events]
@@ -58,8 +58,9 @@ class TestTracer:
             [(e.seq, e.kind, e.fields) for e in b]
         assert [e.t for e in a] != [e.t for e in b]
 
-    def test_memory_window_is_bounded(self):
-        tracer = Tracer(memory_limit=3)
+    def test_memory_window_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.tracer.DEFAULT_MEMORY_LIMIT", 3)
+        tracer = Tracer()
         for _ in range(10):
             tracer.emit(records.CACHE_HIT, key="k")
         assert len(tracer.events) == 3
@@ -91,14 +92,10 @@ class TestSinks:
         assert extra.events == (event,)
         assert tracer.events == (event,)
 
-    def test_memory_sink_rejects_zero_limit(self):
-        with pytest.raises(ConfigurationError):
-            MemorySink(limit=0)
-
     def test_jsonl_sink_writes_canonical_lines(self, tmp_path):
         path = tmp_path / "nested" / "trace.jsonl"
         tracer = Tracer(sinks=(JsonlSink(path),))
-        tracer.emit(records.SWEEP_BEGIN, jobs=1, policy="raise")
+        tracer.emit(records.SWEEP_BEGIN, jobs=1, retries=0)
         tracer.emit(records.SWEEP_END, jobs=1)
         tracer.close()
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -58,6 +58,24 @@ class TestBasicAccounting:
         result = Simulator(skylake()).run(trace)
         assert result.topdown.bad_speculation > 0
 
+    def test_runs_start_at_cycle_zero(self):
+        """Every run starts its clock at 0.0, a float, on a fresh or a
+        warm simulator alike."""
+        core = Simulator(skylake(), backend="scalar")
+        cycles = []
+        access_instr = core.hierarchy.access_instr
+
+        def recording(addr, cycle):
+            cycles.append(cycle)
+            return access_instr(addr, cycle)
+
+        core.hierarchy.access_instr = recording
+        trace = build_trace(lambda b: b.fetch(CODE, insts=4))
+        core.run(trace)
+        core.run(trace)
+        assert cycles == [0.0, 0.0]
+        assert all(type(cycle) is float for cycle in cycles)
+
     def test_cycles_equals_topdown_total(self):
         def body(b):
             b.fetch(CODE, 8, 1)

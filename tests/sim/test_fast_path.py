@@ -40,8 +40,8 @@ def scalar_shares():
         counts[current[0]][0] += 1
         return access_instr(self, addr, cycle)
 
-    def counting_run(self, trace, start_cycle=0.0):
-        result = run(self, trace, start_cycle)
+    def counting_run(self, trace):
+        result = run(self, trace)
         counts[current[0]][1] += sum(result.fetch_sources.values())
         return result
 
