@@ -14,7 +14,7 @@ Run:  python examples/server_characterization.py
 """
 
 from repro.analysis import format_table
-from repro.server import FixedTTL, ServerConfig, ServerSimulator, Stressor
+from repro.server import ServerConfig, ServerSimulator, Stressor
 from repro.sim import Simulator, broadwell, simulate
 from repro.units import MB
 from repro.workloads import FunctionModel, SUITE, get_profile
@@ -25,8 +25,8 @@ def interleaving_study() -> None:
     """Interleaving degree as a function of warm-instance count."""
     rows = []
     for instances in (10, 100, 400):
-        server = ServerSimulator(ServerConfig(cores=10),
-                                 keepalive=FixedTTL(30), seed=7)
+        server = ServerSimulator(ServerConfig(cores=10, ttl_minutes=30),
+                                 seed=7)
         server.populate(
             SUITE, instances,
             lambda i, p: LognormalArrivals(mean_iat_ms=2000.0, sigma=1.0,
@@ -55,8 +55,8 @@ def keepalive_study() -> None:
     """Warm rate vs. keep-alive TTL for slow-arriving instances."""
     rows = []
     for ttl_minutes in (0.05, 0.5, 5.0, 60.0):
-        server = ServerSimulator(ServerConfig(cores=10),
-                                 keepalive=FixedTTL(ttl_minutes), seed=3)
+        server = ServerSimulator(
+            ServerConfig(cores=10, ttl_minutes=ttl_minutes), seed=3)
         server.populate(
             SUITE, 60,
             lambda i, p: LognormalArrivals(mean_iat_ms=8000.0, sigma=1.2,

@@ -103,7 +103,7 @@ echo "== benchmark harness tests (perfbench/tests) =="
 # install/restore); they live outside pytest's testpaths.
 python3 -m pytest perfbench/tests -q
 
-echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig10-warm) =="
+echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig10-warm, fleet-region) =="
 # One real command per workload on seed 1 (about 7 s, 12 s and 6 s): each
 # exits 1 when its result digest differs from the one committed in
 # perfbench/digests.json or a seeded-random cell's scalar re-simulation
@@ -117,12 +117,17 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig1
 # that keys its cells through the closure memo the fill wrote: every cell
 # must be a cache hit, the report byte-equal to the fill's and the cache
 # unchanged, so a wrong memo or a config registered only by an eager
-# import fails here.
+# import fails here.  fleet-region (about 4 s each) runs the full-scale
+# region serial and uncached on seed 1 and the held-out seed 4242; its
+# digest hashes every region result, config echo included, and every
+# node must conserve arrivals (arrivals == served + dropped).
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 4242 --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 5 --seconds 0
 python3 perfbench/run.py --workload fig10-warm --seconds 0
+python3 perfbench/run.py --workload fleet-region --seconds 0
+python3 perfbench/run.py --workload fleet-region --seed 4242 --seconds 0
 
 echo "== coverage gate (scripts/coverage_gate.py) =="
 # Branch-coverage ratchet against the floor in coverage-baseline.json.

@@ -9,8 +9,8 @@ Public API layers:
   substrate (the gem5 stand-in);
 * :mod:`repro.workloads` -- the 20-function serverless workload suite
   (Table 2) as calibrated synthetic trace generators;
-* :mod:`repro.server` -- server-level interleaving, arrival processes and
-  keep-alive policies;
+* :mod:`repro.server` -- server-level interleaving under arrival
+  processes and a fixed keep-alive;
 * :mod:`repro.analysis` -- metrics (CPI, MPKI, Jaccard, speedups) and
   report rendering;
 * :mod:`repro.experiments` -- one module per paper table/figure.

@@ -12,26 +12,20 @@ invocation-frequency spectrum:
   cost: a per-runtime import graph with eager-used / eager-unused / lazy
   libraries, exposed as an init-trimming knob.
 * :mod:`repro.coldstart.model` -- the :class:`ColdStartModel` protocol
-  the server and fleet simulators charge cold invocations through, with
-  a constant-penalty implementation byte-identical to the legacy scalar
-  ``cold_start_penalty_ms`` path and a spectrum implementation composing
-  pages + init.
+  and :class:`SpectrumColdStart`, which composes pages + init for the
+  cold cells of ``lukewarm-repro spectrum``.  The server and fleet
+  simulators charge a scalar cold-start penalty instead.
 """
 
 from repro.coldstart.libinit import (ImportGraph, Library, import_graph_for)
-from repro.coldstart.model import (COLDSTART_KINDS, ColdStartCharge,
-                                   ColdStartModel, ColdStartSpec,
-                                   ConstantColdStart, SnapshotState,
-                                   SpectrumColdStart, make_coldstart_model)
+from repro.coldstart.model import (ColdStartCharge, ColdStartModel,
+                                   SnapshotState, SpectrumColdStart)
 from repro.coldstart.pages import (PAGE_BYTES, PageReplayState, RestoreCharge,
                                    RestoreParams, working_set_pages)
 
 __all__ = [
-    "COLDSTART_KINDS",
     "ColdStartCharge",
     "ColdStartModel",
-    "ColdStartSpec",
-    "ConstantColdStart",
     "ImportGraph",
     "Library",
     "PAGE_BYTES",
@@ -41,6 +35,5 @@ __all__ = [
     "SnapshotState",
     "SpectrumColdStart",
     "import_graph_for",
-    "make_coldstart_model",
     "working_set_pages",
 ]

@@ -1,12 +1,11 @@
-"""The :class:`ColdStartModel` protocol and its two implementations.
+"""The :class:`ColdStartModel` protocol and its spectrum implementation.
 
-The server simulator charges every cold-started invocation through a
-model rather than a scalar: :class:`ConstantColdStart` reproduces the
-legacy ``cold_start_penalty_ms`` arithmetic byte-for-byte (the
-differential battery pins this), and :class:`SpectrumColdStart`
-decomposes the cold boot into library initialization (ColdSpy,
-:mod:`repro.coldstart.libinit`) plus page-granular snapshot restore
-(REAP, :mod:`repro.coldstart.pages`).
+:class:`SpectrumColdStart` decomposes a cold boot into library
+initialization (ColdSpy, :mod:`repro.coldstart.libinit`) plus
+page-granular snapshot restore (REAP, :mod:`repro.coldstart.pages`);
+``lukewarm-repro spectrum`` charges its cold cells through it.  The
+server simulator charges a scalar ``ServerConfig.cold_start_ms``
+instead.
 
 :class:`SnapshotState` is one instance's snapshot: its page
 record/replay state.  The instruction side of a restore needs no state
@@ -16,19 +15,15 @@ same lukewarm sequence as every other cell.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.coldstart.libinit import import_graph_for
 from repro.coldstart.pages import (PageReplayState, RestoreCharge,
-                                   RestoreParams, working_set_pages)
+                                   working_set_pages)
 from repro.errors import ConfigurationError
 from repro.workloads.profiles import FunctionProfile
-
-#: Model kinds accepted by :class:`ColdStartSpec` / fleet configs.
-COLDSTART_KINDS = ("constant", "spectrum")
 
 
 @dataclass(frozen=True)
@@ -39,46 +34,10 @@ class ColdStartCharge:
     init_ms: float = 0.0
     #: Page faults materializing the snapshot working set (REAP axis).
     page_ms: float = 0.0
-    #: Undecomposed cost (the constant model books everything here).
-    other_ms: float = 0.0
     faulted_pages: int = 0
     prefetched_pages: int = 0
     #: True when this charge's restore recorded the page trace.
     recorded: bool = False
-
-    @property
-    def total_ms(self) -> float:
-        return self.init_ms + self.page_ms + self.other_ms
-
-
-@dataclass(frozen=True)
-class ColdStartSpec:
-    """Declarative, content-addressable cold-start model selection.
-
-    A frozen dataclass (canonicalizable into engine job keys) that
-    :func:`make_coldstart_model` turns into a stateful model instance
-    per simulator -- never construct models at module scope (REPRO008).
-    """
-
-    kind: str = "constant"
-    #: Penalty of the constant model; ignored by ``spectrum``.
-    constant_ms: float = 0.0
-    #: Spectrum knob: REAP record/replay on restore (off = every
-    #: restore demand-faults the full working set).
-    page_replay: bool = True
-    #: Spectrum knob: trim eagerly-imported unused libraries (ColdSpy).
-    init_trim: bool = False
-    restore: RestoreParams = field(default_factory=RestoreParams)
-
-    def __post_init__(self) -> None:
-        if self.kind not in COLDSTART_KINDS:
-            raise ConfigurationError(
-                f"unknown cold-start model {self.kind!r}; expected one "
-                f"of {', '.join(COLDSTART_KINDS)}")
-        if not math.isfinite(self.constant_ms) or self.constant_ms < 0:
-            raise ConfigurationError(
-                f"constant_ms must be finite and >= 0, got "
-                f"{self.constant_ms}")
 
 
 class ColdStartModel(ABC):
@@ -86,7 +45,7 @@ class ColdStartModel(ABC):
 
     Implementations are deterministic state machines: the charge for
     the N-th cold start of a given instance is a pure function of the
-    spec, the profile, and N.  No wall clock, no RNG.
+    model's knobs, the profile, and N.  No wall clock, no RNG.
     """
 
     @abstractmethod
@@ -97,26 +56,6 @@ class ColdStartModel(ABC):
 
     def reset(self) -> None:
         """Drop per-instance state (recorded page traces)."""
-
-
-class ConstantColdStart(ColdStartModel):
-    """The legacy scalar penalty, byte-identical to the pre-model path.
-
-    Returns exactly the configured float so the caller's
-    ``start + service + penalty`` arithmetic is unchanged bit-for-bit.
-    """
-
-    def __init__(self, penalty_ms: float) -> None:
-        if not math.isfinite(penalty_ms) or penalty_ms < 0:
-            raise ConfigurationError(
-                f"penalty_ms must be finite and >= 0, got {penalty_ms}")
-        self._penalty_ms = penalty_ms
-        self._charge = ColdStartCharge(other_ms=penalty_ms)
-
-    def cold_start(self, instance_id: str,
-                   profile: Optional[FunctionProfile] = None
-                   ) -> ColdStartCharge:
-        return self._charge
 
 
 class SnapshotState:
@@ -135,19 +74,20 @@ class SnapshotState:
 
 
 class SpectrumColdStart(ColdStartModel):
-    """Library init + page restore, per the spec's knobs.
+    """Library init + page restore, per two knobs.
 
-    Maintains one :class:`SnapshotState` per instance; requires the
-    instance's :class:`~repro.workloads.profiles.FunctionProfile` to
-    size its working set and select its runtime's import graph.
+    ``page_replay`` turns REAP record/replay on restore on (off: every
+    restore demand-faults the full working set); ``init_trim`` trims
+    eagerly-imported unused libraries (ColdSpy).  Maintains one
+    :class:`SnapshotState` per instance; requires the instance's
+    :class:`~repro.workloads.profiles.FunctionProfile` to size its
+    working set and select its runtime's import graph.
     """
 
-    def __init__(self, spec: ColdStartSpec) -> None:
-        if spec.kind != "spectrum":
-            raise ConfigurationError(
-                f"SpectrumColdStart requires kind='spectrum', got "
-                f"{spec.kind!r}")
-        self.spec = spec
+    def __init__(self, page_replay: bool = True,
+                 init_trim: bool = False) -> None:
+        self.page_replay = page_replay
+        self.init_trim = init_trim
         self._states: Dict[str, SnapshotState] = {}
 
     def state_for(self, instance_id: str,
@@ -156,9 +96,7 @@ class SpectrumColdStart(ColdStartModel):
         state = self._states.get(instance_id)
         if state is None:
             state = SnapshotState(PageReplayState(
-                pages=working_set_pages(profile),
-                params=self.spec.restore,
-                replay=self.spec.page_replay))
+                pages=working_set_pages(profile), replay=self.page_replay))
             self._states[instance_id] = state
         return state
 
@@ -171,7 +109,7 @@ class SpectrumColdStart(ColdStartModel):
                 "to size its working set")
         restore = self.state_for(instance_id, profile).restore_pages()
         init_ms = import_graph_for(profile.language).init_cost_ms(
-            trim=self.spec.init_trim)
+            trim=self.init_trim)
         return ColdStartCharge(
             init_ms=init_ms,
             page_ms=restore.page_ms,
@@ -182,13 +120,3 @@ class SpectrumColdStart(ColdStartModel):
 
     def reset(self) -> None:
         self._states.clear()
-
-
-def make_coldstart_model(spec: ColdStartSpec) -> ColdStartModel:
-    """Instantiate the model a spec describes (one per simulator)."""
-    if spec.kind == "constant":
-        return ConstantColdStart(spec.constant_ms)
-    if spec.kind == "spectrum":
-        return SpectrumColdStart(spec)
-    raise ConfigurationError(
-        f"unknown cold-start model {spec.kind!r}")

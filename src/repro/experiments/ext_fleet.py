@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_table
 from repro.experiments.common import RunConfig
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import CORES_PER_NODE, FleetConfig
 from repro.fleet.region import simulate_region
 
 #: Arrival mixes swept by default (the >= 2 mixes the battery checks).
@@ -120,8 +120,8 @@ def render(result: FleetSweepResult) -> str:
          "p99 base", "p99 JB", "dropped"],
         rows,
         title=(f"Extension: fleet capacity with Jukebox "
-               f"({fleet.nodes} nodes x {fleet.cores_per_node} cores, "
-               f"{fleet.instances} instances, {fleet.balancer})"))
+               f"({fleet.nodes} nodes x {CORES_PER_NODE} cores, "
+               f"{fleet.instances} instances, round-robin)"))
     summary = (f"Region-wide geomean capacity uplift "
                f"{result.geomean_uplift * 100:+.1f}% across "
                f"{len(result.entries)} arrival mixes "

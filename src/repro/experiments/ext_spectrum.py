@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.coldstart.model import ColdStartSpec, SpectrumColdStart
+from repro.coldstart.model import SpectrumColdStart
 from repro.engine import Job, sweep
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig, register_config, run_config
@@ -149,8 +149,7 @@ def _build_spectrum_point(profile, machine: MachineParams, cfg: RunConfig,
         return _cell_dict(regime, iat_ms, freq_ghz, n, cycles, instructions)
 
     # Cold regime: every invocation is a snapshot restore.
-    model = SpectrumColdStart(ColdStartSpec(
-        kind="spectrum", page_replay=page_replay, init_trim=init_trim))
+    model = SpectrumColdStart(page_replay=page_replay, init_trim=init_trim)
     charges = [model.cold_start("cell", profile)
                for _ in range(cfg.invocations)]
     measured = charges[cfg.warmup:]

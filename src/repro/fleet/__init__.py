@@ -1,30 +1,15 @@
 """Region-scale fleet simulation (many servers behind a load balancer).
 
 The fleet layer scales the single-server model of :mod:`repro.server` out
-to a region: many multi-core nodes, a pluggable placement policy, a Zipf
-per-function popularity model, per-node keep-alive and Jukebox on/off --
-sharded across :mod:`repro.engine` so region sweeps are parallel, cached,
-and crash-resumable.  Entry point: :func:`repro.fleet.region
-.simulate_region`.
+to a region: many multi-core nodes, round-robin placement, a Zipf
+per-function popularity model, a fixed per-node keep-alive and Jukebox
+on/off -- sharded across :mod:`repro.engine` so region sweeps are
+parallel, cached, and crash-resumable.  Entry point:
+:func:`repro.fleet.region.simulate_region`.
 """
 
-from repro.fleet.balancer import (
-    Balancer,
-    FunctionAffinityBalancer,
-    LeastLoadedBalancer,
-    PlacementState,
-    RandomBalancer,
-    RoundRobinBalancer,
-    make_balancer,
-)
-from repro.fleet.config import (
-    BALANCER_NAMES,
-    KEEPALIVE_NAMES,
-    FleetConfig,
-    shard_bounds,
-    shard_node_ids,
-)
-from repro.fleet.node import build_node, make_keepalive, simulate_node
+from repro.fleet.config import FleetConfig, shard_bounds, shard_node_ids
+from repro.fleet.node import build_node, simulate_node
 from repro.fleet.plan import InstanceSpec, plan_region
 from repro.fleet.popularity import (
     JUKEBOX_UPLIFT,
@@ -37,24 +22,14 @@ from repro.fleet.region import shard_jobs, simulate_region
 from repro.fleet.result import LatencyHistogram, aggregate_nodes
 
 __all__ = [
-    "BALANCER_NAMES",
-    "Balancer",
     "FleetConfig",
-    "FunctionAffinityBalancer",
     "InstanceSpec",
     "JUKEBOX_UPLIFT",
-    "KEEPALIVE_NAMES",
     "LatencyHistogram",
-    "LeastLoadedBalancer",
     "PROVIDER",
-    "PlacementState",
-    "RandomBalancer",
-    "RoundRobinBalancer",
     "aggregate_nodes",
     "build_node",
     "instances_per_function",
-    "make_balancer",
-    "make_keepalive",
     "plan_region",
     "service_scale",
     "shard_bounds",

@@ -2,7 +2,8 @@
 
 A :class:`FleetConfig` is the *complete* description of one simulated
 region: everything a shard worker needs to reconstruct its slice of the
-fleet is derivable from this one frozen dataclass plus a node range, so a
+fleet is derivable from this one frozen dataclass (with the node policy
+constants below) plus a node range, so a
 region run shards across the sweep engine without shipping any plan data
 through :class:`~repro.engine.job.Job` options.  Determinism contract:
 the region's workload (function popularity, instance placement, arrival
@@ -17,16 +18,41 @@ import math
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, List, Tuple
 
-from repro.coldstart.model import COLDSTART_KINDS
 from repro.errors import ConfigurationError
 from repro.workloads.arrival import ARRIVAL_KINDS
 
-#: Load-balancer / placement policy names accepted by ``balancer``.
-BALANCER_NAMES = ("random", "round-robin", "least-loaded",
-                  "function-affinity")
+#: Cores of every node.
+CORES_PER_NODE = 10
+#: Memory of every node; cold arrivals that no longer fit are dropped.
+MEMORY_GB_PER_NODE = 64
+#: Mean service time of an *average* function instance; per-function
+#: heterogeneity multiplies this by the profile's instruction-count ratio
+#: against the suite mean.
+SERVICE_TIME_MS = 1.0
+#: Extra latency charged to a cold-started invocation.
+COLD_START_PENALTY_MS = 120.0
+#: Zipf skew of per-function popularity (instance allotment).
+ZIPF_ALPHA = 1.1
+#: Fixed keep-alive: an instance idle longer than this is evicted.
+TTL_MINUTES = 10.0
 
-#: Keep-alive policy names accepted by ``keepalive``.
-KEEPALIVE_NAMES = ("fixed", "histogram")
+#: The fixed settings as :func:`repro.fleet.region.simulate_region` echoes
+#: them next to the fields, with these keys and JSON types: perfbench's
+#: committed fleet-region digests hash the whole result, so a key can go
+#: only with a benchmark change that records the digests again.
+FIXED_SETTINGS = {
+    "cores_per_node": CORES_PER_NODE,
+    "memory_gb_per_node": MEMORY_GB_PER_NODE,
+    "service_time_ms": SERVICE_TIME_MS,
+    "cold_start_penalty_ms": COLD_START_PENALTY_MS,
+    "coldstart": "constant",
+    "page_replay": True,
+    "init_trim": False,
+    "zipf_alpha": ZIPF_ALPHA,
+    "balancer": "round-robin",
+    "keepalive": "fixed",
+    "ttl_minutes": TTL_MINUTES,
+}
 
 
 @dataclass(frozen=True)
@@ -34,32 +60,13 @@ class FleetConfig:
     """Parameters of one simulated region.
 
     Scale knobs (``nodes``/``functions``/``instances``/``duration_ms``)
-    size the region; policy knobs (``balancer``/``keepalive``/
-    ``arrival``) select the pluggable behaviours under comparison; and
-    ``jukebox`` turns the paper's optimization on per node, scaling every
-    function's service time down by its language's capacity uplift.
+    size the region, ``arrival`` and ``mean_iat_ms`` shape its traffic,
+    and ``jukebox`` turns the paper's optimization on per node, scaling
+    every function's service time down by its language's capacity
+    uplift.  Node hardware and policy are the module constants above.
     """
 
     nodes: int = 16
-    cores_per_node: int = 10
-    memory_gb_per_node: int = 64
-    #: Mean service time of an *average* function instance; per-function
-    #: heterogeneity multiplies this by the profile's instruction-count
-    #: ratio against the suite mean.
-    service_time_ms: float = 1.0
-    #: Extra latency charged to a cold-started invocation.  Under the
-    #: default ``coldstart="constant"`` model this scalar is the whole
-    #: cost (legacy-identical); the ``"spectrum"`` model replaces it
-    #: with library-init + page-restore decomposition per
-    #: :mod:`repro.coldstart`.
-    cold_start_penalty_ms: float = 120.0
-    #: Cold-start model kind: one of
-    #: :data:`repro.coldstart.model.COLDSTART_KINDS`.
-    coldstart: str = "constant"
-    #: Spectrum-model knob: REAP page record/replay on restore.
-    page_replay: bool = True
-    #: Spectrum-model knob: trim eagerly-imported unused libraries.
-    init_trim: bool = False
     #: Distinct functions in the region (mapped onto the Table 2 suite
     #: round-robin for footprints and language mix).
     functions: int = 40
@@ -72,11 +79,6 @@ class FleetConfig:
     #: Arrival mix: poisson | bursty | diurnal (fixed/lognormal also
     #: accepted for experiments).
     arrival: str = "poisson"
-    #: Zipf skew of per-function popularity (instance allotment).
-    zipf_alpha: float = 1.1
-    balancer: str = "round-robin"
-    keepalive: str = "fixed"
-    ttl_minutes: float = 10.0
     #: Per-node Jukebox on/off (the with/without axis of the capacity
     #: sweep).
     jukebox: bool = False
@@ -84,51 +86,27 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         for name, value in (("nodes", self.nodes),
-                            ("cores_per_node", self.cores_per_node),
-                            ("memory_gb_per_node", self.memory_gb_per_node),
                             ("functions", self.functions),
                             ("instances", self.instances)):
             if value <= 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {value}")
-        for name, value in (("service_time_ms", self.service_time_ms),
-                            ("duration_ms", self.duration_ms),
-                            ("mean_iat_ms", self.mean_iat_ms),
-                            ("ttl_minutes", self.ttl_minutes)):
+        for name, value in (("duration_ms", self.duration_ms),
+                            ("mean_iat_ms", self.mean_iat_ms)):
             if not math.isfinite(value) or value <= 0:
                 raise ConfigurationError(
                     f"{name} must be a finite positive number, got {value}")
-        if not math.isfinite(self.cold_start_penalty_ms) \
-                or self.cold_start_penalty_ms < 0:
-            raise ConfigurationError(
-                f"cold_start_penalty_ms must be finite and >= 0, got "
-                f"{self.cold_start_penalty_ms}")
-        if self.coldstart not in COLDSTART_KINDS:
-            raise ConfigurationError(
-                f"unknown cold-start model {self.coldstart!r}; expected "
-                f"one of {', '.join(COLDSTART_KINDS)}")
-        if not math.isfinite(self.zipf_alpha) or self.zipf_alpha < 0:
-            raise ConfigurationError(
-                f"zipf_alpha must be finite and >= 0, got {self.zipf_alpha}")
         if self.arrival not in ARRIVAL_KINDS:
             raise ConfigurationError(
                 f"unknown arrival mix {self.arrival!r}; expected one of "
                 f"{', '.join(ARRIVAL_KINDS)}")
-        if self.balancer not in BALANCER_NAMES:
-            raise ConfigurationError(
-                f"unknown balancer {self.balancer!r}; expected one of "
-                f"{', '.join(BALANCER_NAMES)}")
-        if self.keepalive not in KEEPALIVE_NAMES:
-            raise ConfigurationError(
-                f"unknown keep-alive policy {self.keepalive!r}; expected "
-                f"one of {', '.join(KEEPALIVE_NAMES)}")
 
     @property
     def abbrev(self) -> str:
         """Short label used by :meth:`repro.engine.job.Job.describe`."""
         jb = "jb" if self.jukebox else "base"
         return (f"fleet-{self.nodes}n-{self.instances}i-"
-                f"{self.arrival}-{self.balancer}-{jb}")
+                f"{self.arrival}-round-robin-{jb}")
 
     def replace(self, **kwargs: Any) -> "FleetConfig":
         """A copy with ``kwargs`` overridden, re-validated."""
@@ -136,7 +114,7 @@ class FleetConfig:
 
     @property
     def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
+        return self.nodes * CORES_PER_NODE
 
 
 def shard_bounds(nodes: int, shard: int, shards: int) -> Tuple[int, int]:

@@ -11,48 +11,32 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.coldstart.model import ColdStartSpec
-from repro.errors import ConfigurationError
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import (
+    COLD_START_PENALTY_MS,
+    CORES_PER_NODE,
+    MEMORY_GB_PER_NODE,
+    SERVICE_TIME_MS,
+    TTL_MINUTES,
+    FleetConfig,
+)
 from repro.fleet.plan import InstanceSpec, node_seed_for
 from repro.fleet.popularity import function_profile
 from repro.fleet.result import LatencyHistogram
-from repro.server.keepalive import FixedTTL, HistogramTTL, KeepAlivePolicy
 from repro.server.server import ServerConfig, ServerSimulator
 from repro.workloads.arrival import make_arrival_process
-
-
-def make_keepalive(config: FleetConfig) -> KeepAlivePolicy:
-    """Instantiate the configured keep-alive policy for one node."""
-    if config.keepalive == "fixed":
-        return FixedTTL(ttl_minutes=config.ttl_minutes)
-    if config.keepalive == "histogram":
-        return HistogramTTL(default_ttl_minutes=config.ttl_minutes)
-    raise ConfigurationError(
-        f"unknown keep-alive policy {config.keepalive!r}")
-
-
-def make_coldstart_spec(config: FleetConfig) -> ColdStartSpec:
-    """The node-level cold-start model spec the fleet config selects."""
-    return ColdStartSpec(
-        kind=config.coldstart,
-        constant_ms=config.cold_start_penalty_ms,
-        page_replay=config.page_replay,
-        init_trim=config.init_trim,
-    )
 
 
 def build_node(config: FleetConfig, node: int,
                specs: List[InstanceSpec]) -> ServerSimulator:
     """Construct the node's simulator with all planned instances added."""
     server_cfg = ServerConfig(
-        cores=config.cores_per_node,
-        memory_gb=config.memory_gb_per_node,
-        service_time_ms=config.service_time_ms,
-        coldstart=make_coldstart_spec(config),
+        cores=CORES_PER_NODE,
+        memory_gb=MEMORY_GB_PER_NODE,
+        service_time_ms=SERVICE_TIME_MS,
+        cold_start_ms=COLD_START_PENALTY_MS,
+        ttl_minutes=TTL_MINUTES,
     )
     sim = ServerSimulator(config=server_cfg,
-                          keepalive=make_keepalive(config),
                           seed=node_seed_for(config, node))
     for spec in specs:
         sim.add_instance(
@@ -76,7 +60,7 @@ def simulate_node(config: FleetConfig, node: int,
     # Throughput capacity: invocations the node's cores sustain per
     # core-busy second, scaled by core count -- the fleet analogue of the
     # paper's invocations/sec capacity metric.
-    capacity = (config.cores_per_node * stats.invocations / busy_s
+    capacity = (CORES_PER_NODE * stats.invocations / busy_s
                 if busy_s > 0 else 0.0)
     return {
         "node": node,

@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from repro.engine.job import Job
 from repro.engine.sweep import sweep
-from repro.fleet.config import FleetConfig, shard_bounds
+from repro.fleet.config import FIXED_SETTINGS, FleetConfig, shard_bounds
 from repro.fleet.provider import PROVIDER
 from repro.fleet.result import aggregate_nodes
 
@@ -35,7 +35,8 @@ def simulate_region(config: FleetConfig, shards: int = 1) -> Dict:
     """Simulate one region; returns a canonical, JSON-safe result dict.
 
     The dict has three parts: ``config`` (the full fleet configuration,
-    echoed so a result file is self-describing), ``node_results`` (one
+    fields and :data:`~repro.fleet.config.FIXED_SETTINGS`, echoed so a
+    result file is self-describing), ``node_results`` (one
     canonical dict per node, ascending by node id), and ``region`` (the
     order-free aggregate from :func:`repro.fleet.result.aggregate_nodes`).
     """
@@ -44,7 +45,7 @@ def simulate_region(config: FleetConfig, shards: int = 1) -> Dict:
                                 for node in nodes]
     node_results.sort(key=lambda n: n["node"])
     return {
-        "config": dataclasses.asdict(config),
+        "config": {**dataclasses.asdict(config), **FIXED_SETTINGS},
         "node_results": node_results,
         "region": aggregate_nodes(node_results),
     }

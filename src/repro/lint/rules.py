@@ -575,16 +575,15 @@ class GlobalObservability(Rule):
 
     id = "REPRO008"
     severity = "error"
-    description = ("module-level Tracer/sink/ColdStartModel "
-                   "singleton; stateful collaborators must be injected "
-                   "per context, not ambient global state")
+    description = ("module-level Tracer/sink/cold-start model or "
+                   "snapshot singleton; stateful collaborators must be "
+                   "injected per context, not ambient global state")
 
     _OBS_FACTORIES = frozenset({
         "Tracer", "NullTracer", "MemorySink", "JsonlSink",
         # Cold-start model state (recorded page traces, snapshot images)
         # is per-simulation; module-level construction shares it.
-        "ConstantColdStart", "SpectrumColdStart", "PageReplayState",
-        "SnapshotState", "make_coldstart_model",
+        "SpectrumColdStart", "PageReplayState", "SnapshotState",
     })
 
     def check(self, tree: ast.Module, source: str,

@@ -1,15 +1,12 @@
-"""Server-level substrate: warm-instance pools, keep-alive policies,
-arrival-driven interleaving, and microarchitectural stressors (Sec. 2.2)."""
+"""Server-level substrate: warm-instance pools under a fixed keep-alive
+TTL, arrival-driven interleaving, a scalar cold-start charge, and
+microarchitectural stressors (Sec. 2.2)."""
 
 from repro.server.instance import WarmInstance
-from repro.server.keepalive import FixedTTL, HistogramTTL, KeepAlivePolicy
 from repro.server.server import ServerConfig, ServerSimulator, ServerStats
 from repro.server.stressor import Stressor
 
 __all__ = [
-    "FixedTTL",
-    "HistogramTTL",
-    "KeepAlivePolicy",
     "ServerConfig",
     "ServerSimulator",
     "ServerStats",

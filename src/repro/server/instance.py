@@ -23,8 +23,6 @@ class WarmInstance:
 
     instance_id: str
     profile: FunctionProfile
-    #: Core the instance last ran on (affects private-cache reuse).
-    last_core: Optional[int] = None
     last_invocation_ms: Optional[float] = None
     #: Global invocation sequence number of this instance's previous run.
     last_global_seq: Optional[int] = None
@@ -56,7 +54,7 @@ class WarmInstance:
                 + runtime_overhead)
 
     def record_invocation(self, now_ms: float, global_seq: int,
-                          core: int, cold: bool = False) -> None:
+                          cold: bool = False) -> None:
         """Update bookkeeping for an invocation arriving at ``now_ms``."""
         if self.last_invocation_ms is not None:
             self.iats_ms.append(now_ms - self.last_invocation_ms)
@@ -65,7 +63,6 @@ class WarmInstance:
                 max(0, global_seq - self.last_global_seq - 1))
         self.last_invocation_ms = now_ms
         self.last_global_seq = global_seq
-        self.last_core = core
         self.invocations += 1
         if cold:
             self.cold_starts += 1

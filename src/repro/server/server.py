@@ -8,7 +8,7 @@ timing model for every co-tenant -- that is what the stressor abstraction
 is for); it measures:
 
 * interleaving degree between consecutive invocations of each instance;
-* warm / cold(start) invocation mix under a keep-alive policy;
+* warm / cold(start) invocation mix under a fixed keep-alive TTL;
 * per-core time occupancy and server memory pressure;
 * aggregate Jukebox metadata cost (the "32MB for a thousand functions"
   headline of the abstract).
@@ -24,13 +24,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.coldstart.model import ColdStartSpec, make_coldstart_model
 from repro.errors import ConfigurationError
 from repro.server.instance import WarmInstance
-from repro.server.keepalive import FixedTTL, KeepAlivePolicy
-from repro.units import MB
+from repro.units import KB, MB
 from repro.workloads.arrival import ArrivalProcess
 from repro.workloads.profiles import FunctionProfile
+
+
+#: Per-instance Jukebox metadata: two 16 KB buffers (Sec. 3.4.1).
+JUKEBOX_METADATA_BYTES_PER_INSTANCE = 32 * KB
 
 
 @dataclass
@@ -41,12 +43,12 @@ class ServerConfig:
     memory_gb: int = 64
     #: Mean service time per invocation in milliseconds.
     service_time_ms: float = 1.0
-    #: Per-instance Jukebox metadata (two buffers x 16KB = 32KB).
-    jukebox_metadata_bytes_per_instance: int = 32 * 1024
-    #: Cold-start model charged to every cold-started invocation
-    #: (container/runtime bring-up); the default constant model charges
-    #: 0 ms.
-    coldstart: ColdStartSpec = field(default_factory=ColdStartSpec)
+    #: Latency charged to every cold-started invocation
+    #: (container/runtime bring-up).
+    cold_start_ms: float = 0.0
+    #: Keep-alive: an instance idle longer than this is evicted
+    #: (providers keep idle instances warm 5-60 minutes, Sec. 2.1).
+    ttl_minutes: float = 10.0
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
@@ -55,19 +57,15 @@ class ServerConfig:
         if self.memory_gb <= 0:
             raise ConfigurationError(
                 f"memory_gb must be positive, got {self.memory_gb}")
-        if not math.isfinite(self.service_time_ms) \
-                or self.service_time_ms <= 0:
+        for name, value in (("service_time_ms", self.service_time_ms),
+                            ("ttl_minutes", self.ttl_minutes)):
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be a finite positive number, got {value}")
+        if not math.isfinite(self.cold_start_ms) or self.cold_start_ms < 0:
             raise ConfigurationError(
-                f"service_time_ms must be a finite positive number, got "
-                f"{self.service_time_ms}")
-        if self.jukebox_metadata_bytes_per_instance < 0:
-            raise ConfigurationError(
-                f"jukebox metadata bytes must be >= 0, got "
-                f"{self.jukebox_metadata_bytes_per_instance}")
-        if not isinstance(self.coldstart, ColdStartSpec):
-            raise ConfigurationError(
-                f"coldstart must be a ColdStartSpec, got "
-                f"{type(self.coldstart).__name__}")
+                f"cold_start_ms must be finite and >= 0, got "
+                f"{self.cold_start_ms}")
 
     @property
     def memory_bytes(self) -> int:
@@ -96,11 +94,6 @@ class ServerStats:
     peak_warm_instances: int = 0
     peak_memory_bytes: int = 0
     jukebox_metadata_bytes: int = 0
-    #: Cold-start latency decomposition, accumulated over all cold
-    #: starts (the constant model books everything under ``other``).
-    coldstart_init_ms: float = 0.0
-    coldstart_page_ms: float = 0.0
-    coldstart_other_ms: float = 0.0
 
     @property
     def warm_fraction(self) -> float:
@@ -132,11 +125,8 @@ class ServerSimulator:
     """Discrete-event simulation of invocation traffic on one server."""
 
     def __init__(self, config: Optional[ServerConfig] = None,
-                 keepalive: Optional[KeepAlivePolicy] = None,
                  seed: int = 0) -> None:
         self.config = config if config is not None else ServerConfig()
-        self.keepalive = keepalive if keepalive is not None else FixedTTL(10.0)
-        self.coldstart = make_coldstart_model(self.config.coldstart)
         self._rng = np.random.default_rng(seed)
         self._instances: Dict[str, WarmInstance] = {}
         self._arrivals: Dict[str, ArrivalProcess] = {}
@@ -161,7 +151,7 @@ class ServerSimulator:
         inst = WarmInstance(instance_id=instance_id, profile=profile,
                             service_scale=service_scale)
         inst.allocate_jukebox_metadata(
-            self.config.jukebox_metadata_bytes_per_instance // 2)
+            JUKEBOX_METADATA_BYTES_PER_INSTANCE // 2)
         self._instances[instance_id] = inst
         self._arrivals[instance_id] = arrivals
         return inst
@@ -204,6 +194,7 @@ class ServerSimulator:
         # expiry, so re-invocations never let the heap grow past one live
         # entry per warm instance.
         capacity = cfg.memory_bytes
+        ttl_ms = cfg.ttl_minutes * 60_000.0
         warm: Set[str] = set()
         warm_mem = 0
         peak_warm = 0
@@ -212,7 +203,7 @@ class ServerSimulator:
         expiry_at: Dict[str, float] = {}
 
         def schedule_expiry(iid: str, now: float) -> None:
-            expiry = now + self.keepalive.ttl_ms(iid)
+            expiry = now + ttl_ms
             expiry_at[iid] = expiry
             heapq.heappush(expiry_heap, (expiry, next(self._counter), iid))
 
@@ -224,19 +215,16 @@ class ServerSimulator:
                 if iid2 not in warm or expiry_at.get(iid2) != expiry:
                     continue  # evicted or superseded by a later invocation
                 inst2 = self._instances[iid2]
-                idle2 = now - inst2.last_invocation_ms
-                if self.keepalive.should_evict(iid2, idle2):
+                if now - inst2.last_invocation_ms > ttl_ms:
                     warm.discard(iid2)
                     del expiry_at[iid2]
                     warm_mem -= inst2.memory_bytes
                     stats.evictions += 1
                 else:
-                    # TTL moved (adaptive policy) or boundary equality:
-                    # re-schedule strictly after ``now`` so reaping always
-                    # progresses.
-                    retry = max(inst2.last_invocation_ms
-                                + self.keepalive.ttl_ms(iid2),
-                                math.nextafter(now, math.inf))
+                    # Idle exactly the TTL (an arrival at the expiry
+                    # instant) is still warm: look again just after
+                    # ``now``, so reaping always progresses.
+                    retry = math.nextafter(now, math.inf)
                     expiry_at[iid2] = retry
                     heapq.heappush(expiry_heap,
                                    (retry, next(self._counter), iid2))
@@ -262,28 +250,20 @@ class ServerSimulator:
                 warm.add(iid)
                 warm_mem += inst.memory_bytes
             if inst.last_invocation_ms is not None:
-                self.keepalive.observe_iat(iid, now - inst.last_invocation_ms)
                 stats.iats_ms.append(now - inst.last_invocation_ms)
 
             # Least-loaded core placement.
             core = int(np.argmin(core_busy_until))
             service = self._rng.exponential(
                 cfg.service_time_ms * inst.service_scale)
-            if cold:
-                charge = self.coldstart.cold_start(iid, inst.profile)
-                penalty = charge.total_ms
-                stats.coldstart_init_ms += charge.init_ms
-                stats.coldstart_page_ms += charge.page_ms
-                stats.coldstart_other_ms += charge.other_ms
-            else:
-                penalty = 0.0
+            penalty = cfg.cold_start_ms if cold else 0.0
             start = max(now, core_busy_until[core])
             completion = start + service + penalty
             core_busy_until[core] = completion
             stats.busy_ms += service + penalty
             stats.latencies_ms.append(completion - now)
 
-            inst.record_invocation(now, global_seq, core, cold=cold)
+            inst.record_invocation(now, global_seq, cold=cold)
             global_seq += 1
             stats.invocations += 1
             if cold:

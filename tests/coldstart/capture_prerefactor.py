@@ -1,7 +1,7 @@
 """Regenerate the pre-refactor ground-truth snapshots (maintainers only).
 
 The differential battery in ``test_spectrum_differential.py`` asserts
-that the constant-penalty :class:`~repro.coldstart.model.ColdStartModel`
+that the server's scalar ``ServerConfig.cold_start_ms`` charge
 reproduces, byte-for-byte, what the scalar ``cold_start_penalty_ms``
 arithmetic produced *before* the cold-start refactor.  The committed
 ``data/prerefactor.json`` was captured by running this script at the
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
-from repro.coldstart.model import ColdStartSpec
 from repro.engine import canonicalize
+from repro.fleet import node as fleet_node
 from repro.fleet.config import FleetConfig
 from repro.fleet.region import simulate_region
-from repro.server.keepalive import FixedTTL
 from repro.server.server import ServerConfig, ServerSimulator
 from repro.workloads.arrival import make_arrival_process
 from repro.workloads.suite import SUITE
@@ -64,9 +64,7 @@ def run_server_enforced(seed: int):
     """Warm-set admission model with a short TTL: plenty of cold starts,
     every one charged the scalar 120ms penalty."""
     sim = ServerSimulator(
-        config=ServerConfig(cores=4,
-                            coldstart=ColdStartSpec(constant_ms=120.0)),
-        keepalive=FixedTTL(ttl_minutes=0.05),
+        config=ServerConfig(cores=4, cold_start_ms=120.0, ttl_minutes=0.05),
         seed=seed)
     for i, profile in enumerate(SUITE[:8]):
         sim.add_instance(profile,
@@ -76,11 +74,15 @@ def run_server_enforced(seed: int):
 
 
 def run_fleet(seed: int) -> dict:
-    region = simulate_region(FleetConfig(
-        nodes=2, instances=60, functions=10, duration_ms=10_000.0,
-        mean_iat_ms=700.0, ttl_minutes=0.05, seed=seed))
-    # The config echo is excluded on purpose: the refactor adds fields to
-    # FleetConfig, and the battery pins *results*, not the config schema.
+    # The capture ran a 0.05-minute keep-alive; the fleet's TTL is now a
+    # constant, which its node builder reads at call time.
+    with mock.patch.object(fleet_node, "TTL_MINUTES", 0.05):
+        region = simulate_region(FleetConfig(
+            nodes=2, instances=60, functions=10, duration_ms=10_000.0,
+            mean_iat_ms=700.0, seed=seed))
+    # The config echo is excluded on purpose: FleetConfig's fields have
+    # changed since the capture, and the battery pins *results*, not the
+    # config schema.
     return {"node_results": region["node_results"],
             "region": region["region"]}
 

@@ -3,20 +3,16 @@
 import pytest
 
 from repro.coldstart import (
-    COLDSTART_KINDS,
-    ColdStartCharge,
-    ColdStartSpec,
-    ConstantColdStart,
     PageReplayState,
     RestoreParams,
     SnapshotState,
     SpectrumColdStart,
     import_graph_for,
-    make_coldstart_model,
     working_set_pages,
 )
 from repro.coldstart.libinit import (MAX_TRIM_MEMORY_REDUCTION,
                                      MAX_TRIM_SPEEDUP)
+from repro.coldstart.model import ColdStartModel
 from repro.core.jukebox import Jukebox
 from repro.errors import ConfigurationError
 from repro.sim.params import JukeboxParams
@@ -103,50 +99,23 @@ class TestLibInit:
 
 
 class TestModels:
-    def test_constant_charge_is_exactly_the_scalar(self):
-        model = ConstantColdStart(120.0)
-        charge = model.cold_start("any")
-        assert charge.total_ms == 120.0
-        assert charge.init_ms == 0.0 and charge.page_ms == 0.0
-        # The addition chain the server uses must be a float no-op.
-        assert 0.0 + 0.0 + 120.0 == 120.0
-
-    def test_spec_validation(self):
-        assert set(COLDSTART_KINDS) == {"constant", "spectrum"}
-        with pytest.raises(ConfigurationError):
-            ColdStartSpec(kind="magic")
-        with pytest.raises(ConfigurationError):
-            ColdStartSpec(constant_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            SpectrumColdStart(ColdStartSpec(kind="constant"))
-
-    def test_factory_dispatch(self):
-        assert isinstance(
-            make_coldstart_model(ColdStartSpec(kind="constant")),
-            ConstantColdStart)
-        assert isinstance(
-            make_coldstart_model(ColdStartSpec(kind="spectrum")),
-            SpectrumColdStart)
-
     def test_spectrum_needs_a_profile(self):
-        model = SpectrumColdStart(ColdStartSpec(kind="spectrum"))
+        model = SpectrumColdStart()
         with pytest.raises(ConfigurationError):
             model.cold_start("cell")
 
     def test_spectrum_decomposition_per_language(self):
-        model = SpectrumColdStart(ColdStartSpec(kind="spectrum"))
+        model = SpectrumColdStart()
         for profile in SUITE[:3]:
             charge = model.cold_start(profile.abbrev, profile)
             graph = import_graph_for(profile.language)
             assert charge.init_ms == graph.init_cost_ms(trim=False)
             assert charge.page_ms > 0
-            assert charge.other_ms == 0.0
 
     def test_init_trim_reduces_only_init(self):
         profile = SUITE[0]
-        full = SpectrumColdStart(ColdStartSpec(kind="spectrum"))
-        trim = SpectrumColdStart(ColdStartSpec(kind="spectrum",
-                                               init_trim=True))
+        full = SpectrumColdStart()
+        trim = SpectrumColdStart(init_trim=True)
         a = full.cold_start("x", profile)
         b = trim.cold_start("x", profile)
         assert b.init_ms < a.init_ms
@@ -154,16 +123,42 @@ class TestModels:
 
     def test_reset_drops_recorded_traces(self):
         profile = SUITE[0]
-        model = SpectrumColdStart(ColdStartSpec(kind="spectrum"))
+        model = SpectrumColdStart()
         first = model.cold_start("x", profile)
         model.cold_start("x", profile)
         model.reset()
         again = model.cold_start("x", profile)
         assert again.page_ms == first.page_ms
 
-    def test_charge_total_is_sum_of_parts(self):
-        charge = ColdStartCharge(init_ms=1.5, page_ms=2.25, other_ms=0.25)
-        assert charge.total_ms == 4.0
+    @pytest.mark.parametrize("language", LANGUAGES)
+    @pytest.mark.parametrize("init_trim", [False, True])
+    @pytest.mark.parametrize("page_replay", [False, True])
+    def test_knobs_select_the_charge(self, page_replay, init_trim,
+                                     language):
+        """``init_trim`` picks the import graph's trimmed or full init
+        cost on every cold start; ``page_replay`` records the page trace
+        on the first restore and prefetches it on later ones."""
+        profile = next(p for p in SUITE if p.language == language)
+        model = SpectrumColdStart(page_replay=page_replay,
+                                  init_trim=init_trim)
+        first = model.cold_start("x", profile)
+        second = model.cold_start("x", profile)
+        init_ms = import_graph_for(language).init_cost_ms(trim=init_trim)
+        assert first.init_ms == second.init_ms == init_ms
+        assert first.faulted_pages == working_set_pages(profile)
+        assert first.recorded == page_replay and not second.recorded
+        if page_replay:
+            assert second.prefetched_pages > 0
+            assert second.page_ms < first.page_ms
+        else:
+            assert second.prefetched_pages == 0
+            assert second.page_ms == first.page_ms
+
+    def test_spectrum_is_a_cold_start_model(self):
+        """The charge-span instrumentation finds models as
+        ``ColdStartModel`` subclasses that define ``cold_start``."""
+        assert issubclass(SpectrumColdStart, ColdStartModel)
+        assert "cold_start" in SpectrumColdStart.__dict__
 
 
 class TestSnapshotState:

@@ -2,11 +2,11 @@
 
 Four families of pins:
 
-* **Legacy byte-identity** -- the constant-penalty
-  :class:`~repro.coldstart.model.ColdStartModel` must reproduce, byte
-  for byte, the canonical JSON the scalar ``cold_start_penalty_ms``
-  arithmetic produced *before* the refactor, for the server simulator
-  and the fleet, on three seeds.  The expected strings live in
+* **Legacy byte-identity** -- the server's scalar
+  ``ServerConfig.cold_start_ms`` charge must reproduce, byte for byte,
+  the canonical JSON the scalar ``cold_start_penalty_ms`` arithmetic
+  produced *before* the refactor, for the server simulator and the
+  fleet, on three seeds.  The expected strings live in
   ``data/prerefactor.json``, captured at the last pre-refactor commit by
   ``capture_prerefactor.py`` -- they are history, not a fixture this
   suite may regenerate.
@@ -71,8 +71,8 @@ def test_constant_model_is_byte_identical_to_scalar_path(
         actual = cap.canonical(cap.run_fleet(seed))
     assert actual == prerefactor[str(seed)][scenario], (
         f"{scenario} (seed {seed}) drifted from the pre-refactor scalar "
-        f"cold_start_penalty_ms path -- the constant ColdStartModel is "
-        f"no longer a byte-identical replacement")
+        f"cold_start_penalty_ms path -- the server's cold_start_ms charge "
+        f"is no longer a byte-identical replacement")
 
 
 # ---------------------------------------------------------------------------

@@ -230,14 +230,24 @@ class TestDamagedMemosAreRebuilt:
         cells = _captured_cells(["fig10", "Fib-P", "ProdL-G"])
         expected = [job.key() for job in cells]
         invalidate_fingerprint_caches()
+        # The memo is written only if the sources hash the same after the
+        # graph build as before it; freezing the key at the value the
+        # sources have now attempts the write even if a source file
+        # changes while this test runs.
+        frozen = closure_memo_key(
+            "repro", jobmod._package_files(jobmod._package_root("repro")))
+        monkeypatch.setattr(jobmod, "closure_memo_key",
+                            lambda package, files: frozen)
+        refused = []
 
         def refuse(src, dst):
+            refused.append(dst)
             raise OSError(28, "No space left on device", str(dst))
 
         monkeypatch.setattr(jobmod.os, "replace", refuse)
         root = tmp_path / "cache"
         assert [job.key(cache_root=root) for job in cells] == expected
-        assert not _memo(root).exists()
+        assert refused == [_memo(root)]
         assert list((root / CLOSURE_MEMO_DIR).iterdir()) == []
 
     def test_a_killed_writers_temp_file_is_reaped_by_the_cache(

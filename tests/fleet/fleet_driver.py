@@ -31,8 +31,7 @@ DRILL_SHARDS = 4
 
 def drill_config(seed: int = 1) -> FleetConfig:
     return FleetConfig(nodes=4, instances=120, functions=10,
-                       duration_ms=8_000.0, mean_iat_ms=500.0,
-                       balancer="least-loaded", seed=seed)
+                       duration_ms=8_000.0, mean_iat_ms=500.0, seed=seed)
 
 
 def result_line(node_results: Sequence[dict]) -> str:

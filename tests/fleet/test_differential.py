@@ -13,9 +13,14 @@ import json
 import pytest
 
 from repro import engine
-from repro.coldstart.model import ColdStartSpec
-from repro.fleet.config import FleetConfig
-from repro.fleet.node import make_keepalive
+from repro.fleet.config import (
+    COLD_START_PENALTY_MS,
+    CORES_PER_NODE,
+    MEMORY_GB_PER_NODE,
+    SERVICE_TIME_MS,
+    TTL_MINUTES,
+    FleetConfig,
+)
 from repro.fleet.plan import node_seed_for, plan_region
 from repro.fleet.region import simulate_region
 from repro.fleet.result import LatencyHistogram
@@ -25,35 +30,29 @@ from repro.workloads.suite import SUITE
 
 SEEDS = (3, 17, 2022)
 
-#: (seed, cold-start kind) cases.  The constant-model cases keep the
-#: bare-seed ids that test selections and result histories refer to.
-ONE_NODE_CASES = (
-    [pytest.param(seed, "constant", id=str(seed)) for seed in SEEDS]
-    + [pytest.param(seed, "spectrum", id=f"spectrum-{seed}")
-       for seed in SEEDS])
-
 
 def canonical(value) -> str:
     return json.dumps(engine.canonicalize(value), sort_keys=True,
                       separators=(",", ":"))
 
 
-@pytest.mark.parametrize("seed,coldstart", ONE_NODE_CASES)
-def test_one_node_fleet_matches_server_simulator(seed, coldstart):
-    """Hand-build the node with server/workload APIs only and compare."""
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("jukebox", [False, True])
+@pytest.mark.parametrize("arrival", ["poisson", "bursty", "diurnal"])
+def test_one_node_fleet_matches_server_simulator(arrival, jukebox, seed):
+    """Hand-build the node with server/workload APIs only and compare,
+    for each arrival mix, with Jukebox's service scaling off and on."""
     cfg = FleetConfig(nodes=1, instances=60, functions=12,
                       duration_ms=15_000.0, mean_iat_ms=800.0,
-                      coldstart=coldstart, seed=seed)
+                      arrival=arrival, jukebox=jukebox, seed=seed)
     plan = plan_region(cfg)
 
     sim = ServerSimulator(
-        config=ServerConfig(cores=cfg.cores_per_node,
-                            memory_gb=cfg.memory_gb_per_node,
-                            service_time_ms=cfg.service_time_ms,
-                            coldstart=ColdStartSpec(
-                                kind=coldstart,
-                                constant_ms=cfg.cold_start_penalty_ms)),
-        keepalive=make_keepalive(cfg),
+        config=ServerConfig(cores=CORES_PER_NODE,
+                            memory_gb=MEMORY_GB_PER_NODE,
+                            service_time_ms=SERVICE_TIME_MS,
+                            cold_start_ms=COLD_START_PENALTY_MS,
+                            ttl_minutes=TTL_MINUTES),
         seed=node_seed_for(cfg, 0))
     for spec in plan[0]:
         sim.add_instance(
@@ -74,7 +73,7 @@ def test_one_node_fleet_matches_server_simulator(seed, coldstart):
         "dropped": stats.dropped,
         "evictions": stats.evictions,
         "busy_ms": stats.busy_ms,
-        "capacity_inv_s": (cfg.cores_per_node * stats.invocations
+        "capacity_inv_s": (CORES_PER_NODE * stats.invocations
                            / (stats.busy_ms / 1000.0)),
         "peak_warm_instances": stats.peak_warm_instances,
         "peak_memory_bytes": stats.peak_memory_bytes,
@@ -88,8 +87,7 @@ def test_one_node_fleet_matches_server_simulator(seed, coldstart):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_serial_sharded_and_resumed_are_byte_identical(seed, tmp_path):
     cfg = FleetConfig(nodes=4, instances=120, functions=10,
-                      duration_ms=10_000.0, mean_iat_ms=600.0,
-                      balancer="least-loaded", seed=seed)
+                      duration_ms=10_000.0, mean_iat_ms=600.0, seed=seed)
 
     serial = canonical(simulate_region(cfg, shards=1))
 

@@ -17,10 +17,11 @@ from repro.fleet.region import simulate_region
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "fleet_region.json"
 
 #: Small enough to simulate in well under a second, rich enough to cover
-#: Zipf allotment, affinity placement, evictions, and the Jukebox scale.
+#: Zipf allotment, round-robin placement, evictions (a 30-minute window
+#: at a 5-minute mean IAT outlasts the 10-minute keep-alive), and the
+#: Jukebox scale.
 GOLDEN_CFG = FleetConfig(nodes=3, instances=90, functions=12,
-                         duration_ms=12_000.0, mean_iat_ms=600.0,
-                         balancer="function-affinity", ttl_minutes=0.05,
+                         duration_ms=1_800_000.0, mean_iat_ms=300_000.0,
                          jukebox=True, seed=2022)
 
 

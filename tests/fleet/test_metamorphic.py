@@ -23,8 +23,7 @@ P99_TOLERANCE = 1.05
 @pytest.mark.parametrize("seed", SEEDS)
 def test_doubling_nodes_never_worsens_p99(seed):
     base = FleetConfig(nodes=3, instances=240, functions=12,
-                       duration_ms=10_000.0, mean_iat_ms=300.0,
-                       balancer="least-loaded", seed=seed)
+                       duration_ms=10_000.0, mean_iat_ms=300.0, seed=seed)
     doubled = base.replace(nodes=6)
     p99_base = simulate_region(base)["region"]["p99_latency_ms"]
     p99_doubled = simulate_region(doubled)["region"]["p99_latency_ms"]

@@ -4,9 +4,8 @@ A spectrum model's recorded page traces are per-simulation state; built
 at import time they would leak one run's working set into the next.
 """
 
-from repro.coldstart import (ColdStartSpec, PageReplayState,
-                             SpectrumColdStart, make_coldstart_model)
+from repro.coldstart import PageReplayState, SnapshotState, SpectrumColdStart
 
-MODEL = SpectrumColdStart(ColdStartSpec(kind="spectrum"))
+MODEL = SpectrumColdStart(page_replay=True)
 PAGES: PageReplayState = PageReplayState(pages=4096)
-DEFAULT = make_coldstart_model(ColdStartSpec(kind="constant"))
+DEFAULT = SnapshotState(PAGES)

@@ -2,19 +2,17 @@
 
 from dataclasses import dataclass, field
 
-from repro.coldstart import (ColdStartSpec, PageReplayState,
-                             SpectrumColdStart, make_coldstart_model)
+from repro.coldstart import PageReplayState, SnapshotState, SpectrumColdStart
 
 
-def make_model(spec: ColdStartSpec):
-    return make_coldstart_model(spec)
+def make_snapshot(pages: int) -> SnapshotState:
+    return SnapshotState(PageReplayState(pages=pages))
 
 
 @dataclass
 class Simulation:
     model: SpectrumColdStart = field(
-        default_factory=lambda: SpectrumColdStart(
-            ColdStartSpec(kind="spectrum")))
+        default_factory=lambda: SpectrumColdStart(page_replay=True))
 
     def fresh_pages(self, pages: int) -> PageReplayState:
         return PageReplayState(pages=pages)

@@ -56,7 +56,7 @@ class TestScopeKey:
         rule = get_rule("REPRO002")
         assert rule.applies_to("sim/core.py")
         assert rule.applies_to("analysis/metrics.py")
-        assert not rule.applies_to("server/keepalive.py")
+        assert not rule.applies_to("server/server.py")
 
     def test_excluded_path_does_not_apply(self):
         rule = get_rule("REPRO003")
@@ -92,7 +92,7 @@ class TestScopeKey:
         # host-clock read anywhere in the region simulator poisons them.
         rule = get_rule("REPRO006")
         assert rule.applies_to("fleet/region.py")
-        assert rule.applies_to("fleet/balancer.py")
+        assert rule.applies_to("fleet/plan.py")
 
     def test_wallclock_covers_coldstart(self):
         # Restore/init charges land inside memoized spectrum cells, so
@@ -267,7 +267,7 @@ class TestREPRO008:
         found = _for_file(fixture_violations, "bad_global_model.py")
         assert {v.rule_id for v in found} == {"REPRO008"}
         assert len(found) == 3  # SpectrumColdStart, PageReplayState,
-        #                         make_coldstart_model
+        #                         SnapshotState
 
     def test_injected_coldstart_model_is_silent(self, fixture_violations):
         assert not _for_file(fixture_violations, "good_injected_model.py")

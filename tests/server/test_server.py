@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.coldstart.model import ColdStartSpec
 from repro.errors import ConfigurationError
 from repro.server.instance import WarmInstance
-from repro.server.keepalive import FixedTTL
 from repro.server.server import ServerConfig, ServerSimulator
 from repro.units import MB
 from repro.workloads.arrival import FixedIAT, PoissonArrivals
@@ -15,14 +13,14 @@ from repro.workloads.suite import SUITE, get_profile
 class TestWarmInstance:
     def test_record_invocation_tracks_iat(self):
         inst = WarmInstance("i", get_profile("Auth-G"))
-        inst.record_invocation(100.0, global_seq=0, core=0)
-        inst.record_invocation(1100.0, global_seq=5, core=0)
+        inst.record_invocation(100.0, global_seq=0)
+        inst.record_invocation(1100.0, global_seq=5)
         assert inst.iats_ms == [1000.0]
         assert inst.interleave_degrees == [4]
 
     def test_cold_start_counted(self):
         inst = WarmInstance("i", get_profile("Auth-G"))
-        inst.record_invocation(0.0, 0, 0, cold=True)
+        inst.record_invocation(0.0, 0, cold=True)
         assert inst.cold_starts == 1
 
     def test_memory_includes_runtime_overhead(self):
@@ -37,9 +35,9 @@ class TestWarmInstance:
 
 class TestServerSimulator:
     def make_server(self, instances=50, mean_iat=1000.0, seed=1,
-                    keepalive=None):
-        server = ServerSimulator(ServerConfig(cores=10), keepalive=keepalive,
-                                 seed=seed)
+                    ttl_minutes=10.0):
+        server = ServerSimulator(
+            ServerConfig(cores=10, ttl_minutes=ttl_minutes), seed=seed)
         profiles = SUITE
         server.populate(
             profiles, instances,
@@ -76,7 +74,7 @@ class TestServerSimulator:
         assert stats.mean_interleaving() == pytest.approx(n - 1, rel=0.25)
 
     def test_no_evictions_with_long_ttl(self):
-        server = self.make_server(keepalive=FixedTTL(60))
+        server = self.make_server(ttl_minutes=60)
         stats = server.run(20_000.0)
         invoked = sum(1 for inst in server.instances.values()
                       if inst.invocations > 0)
@@ -86,7 +84,7 @@ class TestServerSimulator:
 
     def test_short_ttl_causes_cold_starts(self):
         server = self.make_server(instances=20, mean_iat=5_000.0,
-                                  keepalive=FixedTTL(0.02))  # 1.2s TTL
+                                  ttl_minutes=0.02)  # 1.2s TTL
         stats = server.run(60_000.0)
         assert stats.cold_starts > 0
         assert stats.warm_fraction < 1.0
@@ -138,27 +136,23 @@ class TestServerConfigValidation:
         with pytest.raises(ConfigurationError):
             ServerConfig(service_time_ms=service_time_ms)
 
-    @pytest.mark.parametrize("penalty", [-0.001, float("nan"), float("inf")])
+    @pytest.mark.parametrize("penalty", [-0.001, float("nan"), float("inf"),
+                                         float("-inf")])
     def test_rejects_bad_cold_start_penalty(self, penalty):
         with pytest.raises(ConfigurationError):
-            ServerConfig(coldstart=ColdStartSpec(constant_ms=penalty))
+            ServerConfig(cold_start_ms=penalty)
 
-    @pytest.mark.parametrize("coldstart", ["constant", None, 120.0])
-    def test_rejects_non_spec_coldstart(self, coldstart):
-        """Only a ColdStartSpec selects the model -- not the kind string
-        a FleetConfig takes, nor a bare penalty."""
-        with pytest.raises(ConfigurationError, match="ColdStartSpec"):
-            ServerConfig(coldstart=coldstart)
-
-    def test_rejects_negative_metadata_bytes(self):
+    @pytest.mark.parametrize("minutes", [0.0, -1.0, -0.001, float("nan"),
+                                         float("inf"), float("-inf")])
+    def test_rejects_bad_ttl(self, minutes):
         with pytest.raises(ConfigurationError):
-            ServerConfig(jukebox_metadata_bytes_per_instance=-1)
+            ServerConfig(ttl_minutes=minutes)
 
     def test_defaults_are_valid(self):
         cfg = ServerConfig()
         assert cfg.cores == 10 and cfg.memory_gb == 64
         assert cfg.memory_bytes == 64 * 1024 * MB
-        assert cfg.coldstart == ColdStartSpec()
+        assert cfg.cold_start_ms == 0.0 and cfg.ttl_minutes == 10.0
 
     @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
     def test_add_instance_rejects_bad_service_scale(self, scale):
@@ -173,8 +167,8 @@ class TestEnforceMemory:
     accounting."""
 
     def overcommitted(self, seed=1):
-        server = ServerSimulator(ServerConfig(cores=4, memory_gb=1),
-                                 keepalive=FixedTTL(60.0), seed=seed)
+        server = ServerSimulator(
+            ServerConfig(cores=4, memory_gb=1, ttl_minutes=60.0), seed=seed)
         server.populate(
             SUITE, 100,
             lambda i, p: PoissonArrivals(500.0, seed=seed * 1000 + i))
@@ -191,9 +185,8 @@ class TestEnforceMemory:
         assert stats.peak_memory_bytes <= server.config.memory_bytes
 
     def test_latencies_include_cold_start_penalty(self):
-        cfg = ServerConfig(cores=10,
-                           coldstart=ColdStartSpec(constant_ms=250.0))
-        server = ServerSimulator(cfg, keepalive=FixedTTL(60.0), seed=2)
+        cfg = ServerConfig(cores=10, cold_start_ms=250.0, ttl_minutes=60.0)
+        server = ServerSimulator(cfg, seed=2)
         server.populate(
             SUITE, 10, lambda i, p: PoissonArrivals(1000.0, seed=i))
         stats = server.run(10_000.0)
@@ -204,3 +197,37 @@ class TestEnforceMemory:
         assert max(stats.latencies_ms) >= 250.0
         assert stats.p99_latency_ms >= 250.0
         assert stats.busy_ms > 0
+
+
+class TestColdStartPenalty:
+    """``ServerConfig.cold_start_ms`` is added, once, to exactly the
+    invocations that cold-start."""
+
+    def run(self, cold_start_ms, factor):
+        """One instance invoked every ``factor`` x a 1.2 s TTL."""
+        sim = ServerSimulator(ServerConfig(cores=2,
+                                           cold_start_ms=cold_start_ms,
+                                           ttl_minutes=0.02), seed=4)
+        sim.add_instance(get_profile("Auth-G"), FixedIAT(factor * 1200.0))
+        return sim.run(30_000.0)
+
+    @pytest.mark.parametrize("factor,all_cold", [(0.5, False), (2.0, True)])
+    @pytest.mark.parametrize("penalty", [0.0, 120.0, 250.5])
+    def test_penalty_charged_once_per_cold_start(self, penalty, factor,
+                                                 all_cold):
+        free = self.run(0.0, factor)
+        charged = self.run(penalty, factor)
+        # The penalty moves no arrival, admission or service draw.
+        assert charged.invocations == free.invocations > 10
+        assert charged.cold_starts == free.cold_starts
+        assert charged.cold_starts == (charged.invocations if all_cold
+                                       else 1)
+        # One idle instance never queues, so each latency is its service
+        # time plus the penalty when that invocation cold-started.
+        extra = [a - b for a, b in zip(charged.latencies_ms,
+                                       free.latencies_ms)]
+        expected = [penalty if all_cold or i == 0 else 0.0
+                    for i in range(len(extra))]
+        assert extra == pytest.approx(expected, abs=1e-9)
+        assert charged.busy_ms - free.busy_ms == pytest.approx(
+            charged.cold_starts * penalty)
