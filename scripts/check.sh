@@ -11,7 +11,7 @@
 #
 # The lint step runs the full analyzer -- per-file rules over src/ and
 # the auxiliary targets (tests/, benchmarks/, examples/), plus the
-# whole-program passes (taint flow, REPRO009/REPRO010) -- emitting the
+# whole-program passes (taint flow, REPRO010) -- emitting the
 # canonical JSON report.  Exit status 1 means a finding not grandfathered
 # in lint-baseline.json; run `python -m repro.lint` locally for the
 # human-readable version, or `python -m repro.lint --changed-only` for a
@@ -114,10 +114,10 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig1
 # on seed 1, ProdL-G/baseline on 4242 and Fib-N/jukebox on 5, so each
 # config's bulk walk classes meet the scalar oracle on real traces.
 # fig10-warm fills a cache, then re-runs the command in a fresh process
-# that keys its cells through the closure memo the fill wrote: every cell
-# must be a cache hit, the report byte-equal to the fill's and the cache
-# unchanged, so a wrong memo or a config registered only by an eager
-# import fails here.  fleet-region (about 4 s each) runs the full-scale
+# that keys its cells from the same sources: every cell must be a cache
+# hit, the report byte-equal to the fill's and the cache unchanged, so an
+# unstable key or a config registered only by an eager import fails
+# here.  fleet-region (about 4 s each) runs the full-scale
 # region serial and uncached on seed 1 and the held-out seed 4242; its
 # digest hashes every region result, config echo included, and every
 # node must conserve arrivals (arrivals == served + dropped).

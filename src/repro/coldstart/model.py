@@ -54,9 +54,6 @@ class ColdStartModel(ABC):
                    ) -> ColdStartCharge:
         """Charge one cold start of ``instance_id``."""
 
-    def reset(self) -> None:
-        """Drop per-instance state (recorded page traces)."""
-
 
 class SnapshotState:
     """One instance's snapshot: its page record/replay state.
@@ -117,6 +114,3 @@ class SpectrumColdStart(ColdStartModel):
             prefetched_pages=restore.prefetched_pages,
             recorded=restore.recorded,
         )
-
-    def reset(self) -> None:
-        self._states.clear()

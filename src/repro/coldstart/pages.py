@@ -143,8 +143,3 @@ class PageReplayState:
             prefetched_pages=self.recorded_pages,
             recorded=False,
         )
-
-    def reset(self) -> None:
-        """Forget the recorded trace (snapshot discarded)."""
-        self.restores = 0
-        self.recorded_pages = None

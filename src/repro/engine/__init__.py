@@ -6,7 +6,7 @@ declarative, picklable :class:`Job`, executes batches through a pluggable
 executor (serial, or a ``multiprocessing`` pool via ``--jobs N``) with
 deterministic result ordering, and memoizes results in a
 content-addressed on-disk :class:`ResultCache` keyed by a stable hash of
-every input plus the simulator's source digest.
+every input plus a digest of the package's sources.
 
 Execution is failure-aware: each cell resolves to a typed
 :class:`JobOutcome` (:func:`sweep_outcomes`; :func:`sweep` unwraps them
@@ -65,11 +65,9 @@ from repro.engine.job import (
     Job,
     SCHEMA_VERSION,
     canonicalize,
-    code_version,
     fingerprint,
     invalidate_fingerprint_caches,
-    provider_closure,
-    provider_version,
+    source_digest,
 )
 from repro.engine.resilience import (
     ERROR_CLASSES,
@@ -124,7 +122,6 @@ __all__ = [
     "encode_entry",
     "canonicalize",
     "classify_error",
-    "code_version",
     "configure",
     "current_context",
     "execute_job",
@@ -132,10 +129,9 @@ __all__ = [
     "fingerprint",
     "get_executor",
     "invalidate_fingerprint_caches",
-    "provider_closure",
-    "provider_version",
     "register_error_class",
     "run_with_policy",
+    "source_digest",
     "sweep",
     "sweep_configs",
     "sweep_outcomes",

@@ -9,19 +9,10 @@ Because a job is plain frozen data rather than a closure, it can cross
 process boundaries to a worker pool and it has a *stable identity*:
 :meth:`Job.key` hashes the canonical JSON encoding of every input that can
 affect the result -- profile, machine parameters, run configuration,
-config name, provider module, options -- plus :func:`code_version`, a
-digest of the simulation sources, and :func:`provider_version`, a digest
-of every source in the import closure of the module that registers the
-job's config builder, so editing the simulator, any builder or any
-helper a builder imports transparently invalidates every affected
-memoized result.
-
-Provider closures come from :mod:`repro.lint.graph`'s AST graph of the
-whole package.  Building it costs far more than reading a warm cache, so
-a caller keying against a result cache passes the cache root and the
-closures are memoized under it (:func:`provider_closure`): one
-``closures/<package>.json`` file per package, keyed by a digest of every
-source file the graph reads.
+config name, provider module, options -- plus :func:`source_digest` of
+the whole ``repro`` package (and of the provider's own package when it
+lives outside ``repro``), so editing any source transparently
+invalidates every memoized result.
 
 This module deliberately imports nothing from ``repro.experiments`` or
 ``repro.sim``: the engine layer only describes and transports work; the
@@ -31,16 +22,13 @@ worker resolves ``Job.provider`` at execution time (see
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -53,170 +41,30 @@ SCHEMA_VERSION = 2
 #: Module whose ``CONFIGS`` registry resolves standard config names.
 DEFAULT_PROVIDER = "repro.experiments.common"
 
-#: Package subtrees whose sources participate in :func:`code_version`:
-#: any edit to simulation behaviour must invalidate memoized results.
-_CODE_SUBTREES = ("sim", "core", "workloads", "server", "coldstart")
-_CODE_FILES = ("experiments/common.py",)
-
-#: Subdirectory of a result-cache root holding the provider-closure memos.
-CLOSURE_MEMO_DIR = "closures"
-
-#: The analyzer whose output the closure memo stores: its own source is
-#: part of the memo key, so a changed analyzer never serves old closures.
-_ANALYZER = "repro.lint.graph"
-
-#: Module -> (source path relative to the package root, import closure),
-#: for every module of one package's graph.
-ClosureTable = Dict[str, Tuple[str, Tuple[str, ...]]]
-
-
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of every simulation-relevant source file.
-
-    The digest covers file *contents* in sorted path order, so it is
-    identical across processes and machines for the same checkout.
-    """
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    paths = []
-    for subtree in _CODE_SUBTREES:
-        paths.extend((root / subtree).glob("**/*.py"))
-    paths.extend(root / name for name in _CODE_FILES)
-    for path in sorted(paths):
-        digest.update(path.relative_to(root).as_posix().encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+#: Directory of the ``repro`` package, whose sources key every cell.
+_REPRO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @lru_cache(maxsize=None)
-def _package_graph(root: str, package: str) -> Any:
-    """Memoized :class:`repro.lint.graph.ProjectGraph` for one package.
+def source_digest(root: Path) -> str:
+    """SHA-256 of every ``*.py`` under package directory ``root``.
 
-    Imported lazily: the analyzer only depends on ``repro.errors``, so no
-    cycle forms, but the engine stays importable without paying a parse
-    of the whole tree until a provider fingerprint is first requested.
+    Files outside ``__pycache__`` are hashed in sorted order, each framed
+    as its relative POSIX path, its byte length and its bytes, so a
+    rename with the same bytes or bytes moved across a file boundary
+    changes the digest.  It is identical across processes and machines
+    for the same sources.
     """
-    from repro.lint.graph import ProjectGraph
-
-    return ProjectGraph.from_package(Path(root), package)
-
-
-def _graph_table(root: str, package: str) -> ClosureTable:
-    """Every module's relative path and closure, from the package graph."""
-    graph = _package_graph(root, package)
-    return {name: (node.path.relative_to(graph.root).as_posix(),
-                   graph.closure(name))
-            for name, node in graph.modules.items()}
-
-
-def _package_files(root: Path) -> List[Tuple[str, Path]]:
-    """``(relative POSIX path, path)`` of every ``*.py`` under ``root``
-    outside ``__pycache__``, sorted: the files
-    :meth:`~repro.lint.graph.ProjectGraph.from_package` reads."""
-    root = root.resolve()
-    return [(path.relative_to(root).as_posix(), path)
-            for path in sorted(root.rglob("*.py"))
-            if "__pycache__" not in path.parts]
-
-
-def closure_memo_key(package: str, files: List[Tuple[str, Path]]) -> str:
-    """Digest of everything a package graph's closures depend on.
-
-    It covers the package name, the Python minor version (the ``ast``
-    grammar), the analyzer's own source and, for every source file, its
-    relative path and its bytes (length-prefixed, so no two file sets
-    share one byte stream).
-    """
+    root = Path(root).resolve()
     digest = hashlib.sha256()
-    version = "%d.%d" % sys.version_info[:2]
-    digest.update(f"{package}\0{version}\0".encode())
-    digest.update(_provider_source(_ANALYZER).read_bytes())
-    for rel, path in files:
+    for path in sorted(root.rglob("*.py")):
+        if "__pycache__" in path.parts:
+            continue
         data = path.read_bytes()
+        rel = path.relative_to(root).as_posix()
         digest.update(f"\0{rel}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
-
-
-def _read_closure_memo(path: Path, key: str,
-                       files: List[Tuple[str, Path]]
-                       ) -> Optional[ClosureTable]:
-    """The memo's table if it is intact and keyed ``key``, else None.
-
-    Anything unreadable, unparsable, keyed otherwise or of the wrong
-    shape is a miss, never an error: every module must map to one of the
-    package's source files and to a sorted closure of known modules that
-    contains the module itself.
-    """
-    try:
-        memo = json.loads(path.read_bytes())
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(memo, dict) or memo.get("key") != key:
-        return None
-    modules = memo.get("modules")
-    if not isinstance(modules, dict):
-        return None
-    sources = {rel for rel, _path in files}
-    table: ClosureTable = {}
-    for name, entry in modules.items():
-        if not (isinstance(entry, list) and len(entry) == 2):
-            return None
-        rel, closure = entry
-        if not (isinstance(rel, str) and rel in sources
-                and isinstance(closure, list)
-                and all(isinstance(m, str) and m in modules for m in closure)
-                and name in closure and closure == sorted(closure)):
-            return None
-        table[name] = (rel, tuple(closure))
-    return table
-
-
-def _write_closure_memo(path: Path, key: str, table: ClosureTable) -> None:
-    """Atomically replace the memo; best effort, since every caller has
-    the table either way.  The temp name matches the result cache's, so
-    :meth:`~repro.engine.cache.ResultCache.open` reaps an orphan."""
-    memo = {"key": key,
-            "modules": {name: [rel, list(closure)]
-                        for name, (rel, closure) in table.items()}}
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(memo, sort_keys=True,
-                                  separators=(",", ":")))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
-
-@lru_cache(maxsize=None)
-def _closure_table(root: str, package: str,
-                   cache_root: Union[str, Path, None]) -> ClosureTable:
-    """Every module's relative path and closure for one package.
-
-    With no ``cache_root`` this builds the graph.  Otherwise it reads
-    ``<cache_root>/closures/<package>.json`` and rebuilds (and rewrites)
-    it only when the memo is missing, damaged or keyed by other sources.
-    A memo is written only if the sources hash the same after the build
-    as before it, so an edit racing the build is never recorded.
-    """
-    if cache_root is None:
-        return _graph_table(root, package)
-    files = _package_files(Path(root))
-    key = closure_memo_key(package, files)
-    path = Path(cache_root) / CLOSURE_MEMO_DIR / f"{package}.json"
-    table = _read_closure_memo(path, key, files)
-    if table is None:
-        table = _graph_table(root, package)
-        if closure_memo_key(package, _package_files(Path(root))) == key:
-            _write_closure_memo(path, key, table)
-    return table
 
 
 def _package_root(top: str) -> "Path | None":
@@ -240,98 +88,53 @@ def _package_root(top: str) -> "Path | None":
     return None
 
 
-@lru_cache(maxsize=None)
-def provider_closure(provider: str,
-                     cache_root: Union[str, Path, None] = None
-                     ) -> Tuple[str, ...]:
-    """Sorted module names whose sources :func:`provider_version` digests.
+def _provider_digest(provider: str) -> Optional[str]:
+    """Digest of a provider's sources beyond the ``repro`` package.
 
-    The closure is the provider's *whole-program static import closure*
-    inside its own top-level package, computed by the AST analyzer in
-    :mod:`repro.lint.graph` (cycle-safe, sorted, memoized) -- so a helper
-    module merely *imported* by a config builder participates in the
-    digest, and editing it invalidates exactly the providers that depend
-    on it.  A provider that is a plain single-file module (no enclosing
-    package) digests just its own source.  Lint rule REPRO009
-    cross-validates this closure against an independently built graph.
-
-    ``cache_root`` names a result-cache root to memoize the package's
-    closures under (see :func:`closure_memo_key`); without one the graph
-    is built in-process.  Either way the closure is the same.
+    The provider is located first, so an unlocatable one raises a typed
+    error before anything is hashed.  A ``repro`` provider adds nothing;
+    another one adds its top-level package's :func:`source_digest`, or
+    its own bytes when it is a plain module.
     """
-    top = provider.split(".")[0]
+    source = _provider_source(provider)
+    top = provider.partition(".")[0]
+    if top == "repro":
+        return None
     root = _package_root(top)
-    if root is None:
-        _provider_source(provider)  # raises a typed error if unlocatable
-        return (provider,)
-    table = _closure_table(str(root), top, cache_root)
-    if provider not in table:
-        _provider_source(provider)
-        return (provider,)
-    return table[provider][1]
-
-
-@lru_cache(maxsize=None)
-def provider_version(provider: str,
-                     cache_root: Union[str, Path, None] = None) -> str:
-    """Digest of every source in a provider module's import closure.
-
-    Config builders registered outside the :func:`code_version` subtrees
-    (e.g. ``contended`` in ``fig01_iat``, ``footprints`` in fig06,
-    ``miss_stream`` in fig08) contain real measurement logic, so every
-    job fingerprints the *closure* of the module providing its config:
-    editing the builder -- or any helper module it imports, directly or
-    transitively -- invalidates exactly that provider's memoized cells,
-    while cells of unrelated providers stay warm.  ``cache_root`` is
-    passed through to :func:`provider_closure`.
-    """
-    digest = hashlib.sha256()
-    top = provider.split(".")[0]
-    root = _package_root(top)
-    table = (_closure_table(str(root), top, cache_root)
-             if root is not None else {})
-    for module in provider_closure(provider, cache_root):
-        if module in table:
-            path = root / table[module][0]
-        else:
-            path = _provider_source(module)
-        digest.update(module.encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()[:16]
+    if root is not None:
+        return source_digest(root)
+    return hashlib.sha256(source.read_bytes()).hexdigest()
 
 
 def invalidate_fingerprint_caches() -> None:
     """Drop every memoized source digest (tests that edit sources on
     disk call this between edits; production never needs it)."""
-    code_version.cache_clear()
-    provider_version.cache_clear()
-    provider_closure.cache_clear()
-    _closure_table.cache_clear()
-    _package_graph.cache_clear()
+    source_digest.cache_clear()
 
 
 def _provider_source(module: str) -> Path:
     """Locate a module's source file without importing it.
 
-    ``repro.*`` modules resolve against the installed package root; other
-    modules fall back to :func:`importlib.util.find_spec`.  A provider
-    whose source cannot be found raises a typed
+    A module inside a package resolves against its top-level package's
+    directory (``repro`` against the installed package root); a plain
+    top-level module falls back to :func:`importlib.util.find_spec`.  A
+    provider whose source cannot be found raises a typed
     :class:`~repro.errors.ConfigurationError` naming the module and the
     reason -- its cells must never be cached without code fingerprinting.
     """
-    import repro
-
     reason = "module source not found"
-    parts = module.split(".")
-    if parts[0] == "repro":
-        base = Path(repro.__file__).resolve().parent.joinpath(*parts[1:])
-        for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+    top, _, rest = module.partition(".")
+    root = _REPRO_ROOT if top == "repro" else _package_root(top)
+    if root is not None:
+        base = root.joinpath(*rest.split(".")) if rest else root
+        for candidate in (base / "__init__.py", base.with_suffix(".py")):
             if candidate.is_file():
                 return candidate
-        reason = (f"no such file under the installed package root "
-                  f"({base.with_suffix('.py').name} or __init__.py)")
+        if base.is_dir():
+            reason = "module has no source origin (namespace package)"
+        else:
+            reason = (f"no such file under its package root "
+                      f"({base.with_suffix('.py').name} or __init__.py)")
     else:
         import importlib.util
 
@@ -348,8 +151,7 @@ def _provider_source(module: str) -> Path:
                 reason = (f"spec origin {spec.origin!r} is not a "
                           f"readable source file")
             else:
-                reason = ("module has no source origin (namespace "
-                          "package or built-in)")
+                reason = "module has no source origin"
     raise ConfigurationError(
         f"cannot locate source for provider module {module!r} ({reason}); "
         f"its jobs cannot be fingerprinted"
@@ -436,18 +238,14 @@ class Job:
     def opts_dict(self) -> Dict[str, Any]:
         return dict(self.opts)
 
-    def key(self, cache_root: Union[str, Path, None] = None) -> str:
-        """Content-addressed cache key of this cell's result.
-
-        ``cache_root`` is the result cache the key addresses, if any; the
-        provider's import closure is memoized under it.  The key is the
-        same with or without it.
-        """
+    def key(self) -> str:
+        """Content-addressed cache key of this cell's result."""
+        provider_code = _provider_digest(self.provider)
         return fingerprint({
             "schema": SCHEMA_VERSION,
-            "code": code_version(),
+            "code": source_digest(_REPRO_ROOT),
             "provider": self.provider,
-            "provider_code": provider_version(self.provider, cache_root),
+            "provider_code": provider_code,
             "profile": self.profile,
             "machine": self.machine,
             "cfg": self.cfg,

@@ -248,7 +248,7 @@ def sweep_outcomes(jobs: Sequence[Job],
     keys: Dict[int, str] = {}
     for i, job in enumerate(jobs):
         if ctx.cache is not None:
-            key = job.key(cache_root=ctx.cache.root)
+            key = job.key()
             keys[i] = key
             if ctx.faults is not None and ctx.faults.should_corrupt(job, i):
                 ctx.cache.corrupt(key)

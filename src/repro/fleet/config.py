@@ -112,10 +112,6 @@ class FleetConfig:
         """A copy with ``kwargs`` overridden, re-validated."""
         return _dc_replace(self, **kwargs)
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * CORES_PER_NODE
-
 
 def shard_bounds(nodes: int, shard: int, shards: int) -> Tuple[int, int]:
     """Half-open node range ``[lo, hi)`` owned by ``shard`` of ``shards``.

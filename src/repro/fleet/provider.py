@@ -8,11 +8,10 @@ of the config -- and simulates only its own contiguous node range, so
 shard results concatenate into exactly the serial region whatever the
 shard count or executor.
 
-This module is the ``provider`` named by fleet jobs: its static import
-closure (the whole ``repro.fleet`` package plus the server/workload
-modules it reaches) is fingerprinted into every job key by
-:func:`repro.engine.job.provider_version`, so editing any fleet source
-transparently invalidates memoized shard results.
+This module is the ``provider`` named by fleet jobs.  Like every job,
+a shard's key folds in :func:`repro.engine.job.source_digest` of the
+whole ``repro`` package, so editing any fleet source transparently
+invalidates memoized shard results.
 """
 
 from __future__ import annotations

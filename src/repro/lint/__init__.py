@@ -12,10 +12,9 @@ Three layers keep the simulator trustworthy:
 * **whole-program analysis** (:mod:`repro.lint.graph` builds an
   AST-only import + call graph; :mod:`repro.lint.flow` runs an
   interprocedural nondeterminism taint analysis over it;
-  :mod:`repro.lint.soundness` audits cache-key soundness [REPRO009,
-  every module in a provider's import closure must be digested] and
-  worker safety [REPRO010, picklable pool-boundary classes, no
-  worker-reachable module-state mutation]);
+  :mod:`repro.lint.soundness` audits worker safety [REPRO010,
+  picklable pool-boundary classes, no worker-reachable module-state
+  mutation]);
 * **runtime contracts** (:mod:`repro.lint.contracts`): cheap invariant
   checks wired into the simulator's lifecycle points -- stats balance,
   Top-Down components sum to total cycles, metadata record counts match
@@ -27,34 +26,8 @@ Suppress a static finding inline with
 file-wide with ``# repro-lint: disable-file=REPRO003``.  Whole-tree
 debt is grandfathered through :mod:`repro.lint.baseline`; machine
 output (``--format json|sarif``) lives in :mod:`repro.lint.formats`.
+
+This package root imports nothing: the simulator imports
+:mod:`repro.lint.contracts` on every run, and must not load the analyzer
+with it.  Import each name from the submodule that defines it.
 """
-
-from repro.lint import contracts
-from repro.lint.baseline import Baseline
-from repro.lint.engine import (
-    TextEdit,
-    Violation,
-    apply_fixes,
-    lint_file,
-    lint_paths,
-    lint_source,
-    scope_key,
-)
-from repro.lint.graph import ProjectGraph
-from repro.lint.rules import ALL_RULES, Rule, get_rule
-
-__all__ = [
-    "ALL_RULES",
-    "Baseline",
-    "ProjectGraph",
-    "Rule",
-    "TextEdit",
-    "Violation",
-    "apply_fixes",
-    "contracts",
-    "get_rule",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "scope_key",
-]

@@ -11,12 +11,11 @@ Target classes
 ``src/`` trees get the full REPRO00x rule set plus, when the ``repro``
 package root is found under one of the lint paths, the *whole-program*
 passes: the interprocedural taint analysis (:mod:`repro.lint.flow`) and
-the cache-key/worker-safety soundness rules REPRO009/REPRO010
-(:mod:`repro.lint.soundness`).  ``tests/``, ``benchmarks/`` and
-``examples/`` are auxiliary targets: they are linted with REPRO001/
-REPRO004/REPRO005 only (scope restrictions lifted), because determinism
-of fixtures and harnesses matters but simulation-path rules do not apply
-there.
+the worker-safety rule REPRO010 (:mod:`repro.lint.soundness`).
+``tests/``, ``benchmarks/`` and ``examples/`` are auxiliary targets: they
+are linted with REPRO001/REPRO004/REPRO005 only (scope restrictions
+lifted), because determinism of fixtures and harnesses matters but
+simulation-path rules do not apply there.
 
 Machine output and baselines
 ----------------------------
@@ -26,8 +25,8 @@ Machine output and baselines
 grandfathers known findings: the exit code only reflects findings *not*
 in the baseline, and ``--write-baseline`` regenerates the file.
 ``--changed-only`` restricts the per-file pass to files reported changed
-by git (whole-program closures are still computed globally, so a helper
-edit still re-audits every provider that imports it).
+by git (the whole-program passes still analyse the whole package, so an
+edit still re-audits every caller it reaches).
 """
 
 from __future__ import annotations
@@ -103,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--changed-only", action="store_true",
         help=("lint only files git reports as changed (staged, unstaged "
-              "or untracked); whole-program closures are still computed "
-              "globally"),
+              "or untracked); the whole-program passes still analyse the "
+              "whole package"),
     )
     parser.add_argument(
         "--no-whole-program", action="store_true",
-        help=("skip the whole-program passes (taint flow, REPRO009/"
-              "REPRO010) even when the repro package root is found"),
+        help=("skip the whole-program passes (taint flow, REPRO010) "
+              "even when the repro package root is found"),
     )
     return parser
 
@@ -207,7 +206,6 @@ def _whole_program_violations(root: Path) -> List[Violation]:
 
     graph = ProjectGraph.from_package(root, "repro")
     violations = flow.analyze(graph)
-    violations.extend(soundness.check_cache_soundness(graph))
     violations.extend(soundness.check_worker_safety(graph))
     return violations
 

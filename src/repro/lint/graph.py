@@ -11,24 +11,18 @@ resolves
   ``__init__``'s own ``from``-imports), and
 * attribute calls on imported modules (``cache.fingerprint(...)``).
 
-Two derived structures feed the downstream analyses:
-
-* the **import closure** of a module (:meth:`ProjectGraph.closure`):
-  every project module whose source can influence it, computed with a
-  cycle-safe iterative traversal, memoized, and always returned sorted --
-  this is what :func:`repro.engine.job.provider_version` digests and what
-  rule REPRO009 audits;
-* the **call graph** (:meth:`ProjectGraph.functions`,
-  :attr:`FunctionInfo.calls`): one node per function/method with edges to
-  every project-internal callee that static resolution can pin down, plus
-  the canonical dotted names of unresolved/external calls
-  (:attr:`FunctionInfo.raw_calls`) -- this is what the taint analysis in
-  :mod:`repro.lint.flow` walks.
+Each module's import **bindings** feed the **call graph**
+(:meth:`ProjectGraph.functions`, :attr:`FunctionInfo.calls`): one node
+per function/method with edges to every project-internal callee that
+static resolution can pin down, plus the canonical dotted names of
+unresolved/external calls (:attr:`FunctionInfo.raw_calls`) -- this is
+what the taint analysis in :mod:`repro.lint.flow` and the worker-safety
+rule in :mod:`repro.lint.soundness` walk.
 
 Resolution is deliberately *under*-approximate for call edges (an edge we
-cannot prove is dropped, so findings stay precise) and
-*over*-approximate for import edges (a lazy ``import`` inside a function
-still counts: it is a real dependency of the module's behaviour).
+cannot prove is dropped, so findings stay precise); a lazy ``import``
+inside a function still binds its name, since it is a real dependency of
+the module's behaviour.
 """
 
 from __future__ import annotations
@@ -100,13 +94,12 @@ class FunctionInfo:
 
 @dataclass
 class ModuleNode:
-    """One parsed module: its tree, resolved deps and name bindings."""
+    """One parsed module: its tree, external deps and name bindings."""
 
     name: str
     path: Path
     tree: ast.Module
     is_package: bool
-    internal_deps: Set[str] = field(default_factory=set)
     external_deps: Set[str] = field(default_factory=set)
     bindings: Dict[str, ImportBinding] = field(default_factory=dict)
     definitions: Set[str] = field(default_factory=set)
@@ -120,7 +113,6 @@ class ProjectGraph:
         self.package = package
         self.root = root
         self.modules = modules
-        self._closures: Dict[str, Tuple[str, ...]] = {}
         self._functions: Optional[Dict[str, FunctionInfo]] = None
 
     # -- construction ----------------------------------------------------
@@ -177,16 +169,11 @@ class ProjectGraph:
 
     def _bind_import(self, node: ModuleNode, alias: ast.alias) -> None:
         target = alias.name
-        if self._is_internal(target):
-            self._add_internal_dep(node, target)
-            local = alias.asname or target.split(".")[0]
-            bound = target if alias.asname else target.split(".")[0]
-            node.bindings[local] = ImportBinding(module=bound)
-        else:
+        if not self._is_internal(target):
             node.external_deps.add(target.split(".")[0])
-            local = alias.asname or target.split(".")[0]
-            bound = target if alias.asname else target.split(".")[0]
-            node.bindings[local] = ImportBinding(module=bound)
+        local = alias.asname or target.split(".")[0]
+        bound = target if alias.asname else target.split(".")[0]
+        node.bindings[local] = ImportBinding(module=bound)
 
     def _bind_import_from(self, node: ModuleNode,
                           stmt: ast.ImportFrom) -> None:
@@ -195,19 +182,9 @@ class ProjectGraph:
             return
         if not self._is_internal(base):
             node.external_deps.add(base.split(".")[0])
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                node.bindings[alias.asname or alias.name] = ImportBinding(
-                    module=base, attr=alias.name)
-            return
-        self._add_internal_dep(node, base)
         for alias in stmt.names:
             if alias.name == "*":
                 continue
-            sub = f"{base}.{alias.name}"
-            if sub in self.modules:
-                self._add_internal_dep(node, sub)
             node.bindings[alias.asname or alias.name] = ImportBinding(
                 module=base, attr=alias.name)
 
@@ -229,54 +206,6 @@ class ProjectGraph:
     def _is_internal(self, module: str) -> bool:
         return (module == self.package
                 or module.startswith(self.package + "."))
-
-    def _add_internal_dep(self, node: ModuleNode, target: str) -> None:
-        # Importing a.b.c executes a and a.b's __init__ too: every known
-        # prefix (and the longest known prefix of an unknown leaf) is a
-        # real dependency of the importing module.
-        name = target
-        while True:
-            if name in self.modules and name != node.name:
-                node.internal_deps.add(name)
-            if "." not in name:
-                break
-            name = name.rsplit(".", 1)[0]
-
-    # -- closures --------------------------------------------------------
-
-    def closure(self, module: str) -> Tuple[str, ...]:
-        """Sorted transitive import closure of ``module``, itself included.
-
-        Iterative traversal with an explicit visited set, so import cycles
-        terminate; results are memoized per graph and stable across runs
-        (the module set is discovered in sorted path order and the result
-        is sorted by name).
-        """
-        if module in self._closures:
-            return self._closures[module]
-        if module not in self.modules:
-            raise ConfigurationError(
-                f"module {module!r} is not part of the "
-                f"{self.package!r} project graph")
-        visited: Set[str] = set()
-        stack = [module]
-        while stack:
-            name = stack.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            node = self.modules.get(name)
-            if node is None:
-                continue
-            stack.extend(sorted(node.internal_deps - visited))
-        result = tuple(sorted(visited))
-        self._closures[module] = result
-        return result
-
-    def importers_of(self, module: str) -> Tuple[str, ...]:
-        """Sorted names of modules whose closure contains ``module``."""
-        return tuple(sorted(
-            name for name in self.modules if module in self.closure(name)))
 
     # -- symbol resolution ----------------------------------------------
 

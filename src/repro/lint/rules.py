@@ -21,9 +21,9 @@ instance to :data:`ALL_RULES`.
 | REPRO011 | unbounded blocking waits (``.wait()``/``.get()``/             |
 |          | ``.acquire()`` with no arguments) in engine code              |
 
-Two further rules, REPRO009 (cache-key soundness) and REPRO010 (worker
-safety), are *whole-program* analyses over the import/call graph; they
-live in :mod:`repro.lint.soundness` rather than here because they check
+One further rule, REPRO010 (worker safety), is a *whole-program*
+analysis over the import/call graph; it lives in
+:mod:`repro.lint.soundness` rather than here because it checks
 relationships between files, not patterns within one.  The
 interprocedural taint pass in :mod:`repro.lint.flow` additionally
 re-reports REPRO001/REPRO006 findings that are only visible through the

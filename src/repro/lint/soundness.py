@@ -1,23 +1,9 @@
-"""Whole-program soundness rules: cache keys (REPRO009) and worker
-safety (REPRO010).
+"""Whole-program soundness rule REPRO010: worker safety.
 
-**REPRO009 -- cache-key soundness.**  A sweep cell's cache key embeds
-:func:`repro.engine.job.code_version` (a digest of the simulation
-subtrees) and :func:`repro.engine.job.provider_version` (a digest of the
-provider module's import closure).  The rule recomputes each registered
-provider's *static* import closure from the :class:`~repro.lint.graph
-.ProjectGraph` and fails if any closure module escapes the union of the
-``code_version()`` subtrees and the modules ``provider_version()``
-actually digests: such a module could change without invalidating the
-provider's memoized cells -- a silent stale-cache hazard.  Because the
-engine side digests the analyzer-computed closure, the rule is a
-cross-validation: it fires exactly when someone bypasses or narrows the
-closure digest.
-
-**REPRO010 -- worker safety.**  Objects crossing the
-:class:`~repro.engine.executors.ProcessExecutor` pickle boundary (the
-classes named by :data:`repro.engine.executors.PICKLE_BOUNDARY`) must not
-carry unpicklable members (lambdas, open handles, locks, generators), and
+Objects crossing the :class:`~repro.engine.executors.ProcessExecutor`
+pickle boundary (the classes named by
+:data:`repro.engine.executors.PICKLE_BOUNDARY`) must not carry
+unpicklable members (lambdas, open handles, locks, generators), and
 worker-reachable code must not mutate module-level mutable state: each
 pool worker has its own copy, so such mutations silently diverge between
 serial and parallel runs.
@@ -27,7 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import Violation
 from repro.lint.graph import (
@@ -47,23 +33,13 @@ class WholeProgramRule:
     description: str
 
 
-REPRO009 = WholeProgramRule(
-    id="REPRO009", severity="error",
-    description=("cache-key soundness: every module in a provider's "
-                 "import closure must be covered by code_version() or "
-                 "digested by provider_version()"))
-
 REPRO010 = WholeProgramRule(
     id="REPRO010", severity="error",
     description=("worker safety: no unpicklable members on classes "
                  "crossing the ProcessExecutor boundary; no module-level "
                  "mutable state mutated in worker-reachable code"))
 
-WHOLE_PROGRAM_RULES: Tuple[WholeProgramRule, ...] = (REPRO009, REPRO010)
-
-#: Decorator (last dotted component) that marks a function as a config
-#: builder; the module defining it is a cache *provider*.
-PROVIDER_DECORATOR = "register_config"
+WHOLE_PROGRAM_RULES: Tuple[WholeProgramRule, ...] = (REPRO010,)
 
 _MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "pop", "popitem",
@@ -76,86 +52,6 @@ _UNPICKLABLE_CALLS = frozenset({
     "threading.Event", "threading.Semaphore", "threading.BoundedSemaphore",
     "threading.Barrier",
 })
-
-
-def discover_providers(graph: ProjectGraph) -> Tuple[str, ...]:
-    """Modules that register config builders (``@register_config``),
-    plus the default provider module when it is part of the graph."""
-    providers: Set[str] = set()
-    for info in graph.functions().values():
-        for dec in info.decorators:
-            if dec.rsplit(".", 1)[-1] == PROVIDER_DECORATOR:
-                providers.add(info.module)
-    default = f"{graph.package}.experiments.common"
-    if default in graph.modules:
-        providers.add(default)
-    return tuple(sorted(providers))
-
-
-def _default_covered_prefixes(graph: ProjectGraph) -> Tuple[str, ...]:
-    """Module-name prefixes covered by the engine's code_version()."""
-    if graph.package != "repro":
-        return ()
-    from repro.engine import job as _job
-
-    prefixes = tuple(f"repro.{subtree}" for subtree in _job._CODE_SUBTREES)
-    files = tuple(
-        "repro." + name[:-3].replace("/", ".") if name.endswith(".py")
-        else "repro." + name.replace("/", ".")
-        for name in _job._CODE_FILES)
-    return prefixes + files
-
-
-def _covered(module: str, prefixes: Sequence[str]) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in prefixes)
-
-
-def check_cache_soundness(
-        graph: ProjectGraph,
-        providers: Optional[Sequence[str]] = None,
-        covered_prefixes: Optional[Sequence[str]] = None,
-        digested: Optional[Callable[[str], Iterable[str]]] = None,
-) -> List[Violation]:
-    """REPRO009: audit provider closures against the engine's digests.
-
-    ``digested(provider)`` must return the module names whose sources the
-    engine folds into ``provider_version(provider)``; it defaults to
-    :func:`repro.engine.job.provider_closure`, making the default run a
-    cross-validation of the real engine.  Tests pass a narrowed function
-    (e.g. single-file digests) to prove the rule catches the hazard.
-    """
-    if providers is None:
-        providers = discover_providers(graph)
-    if covered_prefixes is None:
-        covered_prefixes = _default_covered_prefixes(graph)
-    if digested is None:
-        from repro.engine.job import provider_closure as digested
-
-    violations: List[Violation] = []
-    for provider in providers:
-        if provider not in graph.modules:
-            continue
-        closure = graph.closure(provider)
-        digested_set = set(digested(provider))
-        for module in closure:
-            if _covered(module, covered_prefixes):
-                continue
-            if module in digested_set:
-                continue
-            node = graph.modules[provider]
-            violations.append(Violation(
-                rule_id=REPRO009.id,
-                severity=REPRO009.severity,
-                path=str(node.path),
-                line=1,
-                col=0,
-                message=(f"cache-key soundness: provider {provider!r} "
-                         f"depends on {module!r}, which is neither in a "
-                         f"code_version() subtree nor digested by "
-                         f"provider_version(); editing it would leave "
-                         f"{provider!r}'s cached cells stale"),
-            ))
-    return violations
 
 
 def _default_boundary(graph: ProjectGraph) -> Tuple[str, ...]:

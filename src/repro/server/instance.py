@@ -10,8 +10,8 @@ per-process buffers of Sec. 3.4.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.units import MB
 from repro.workloads.profiles import FunctionProfile
@@ -28,10 +28,6 @@ class WarmInstance:
     last_global_seq: Optional[int] = None
     invocations: int = 0
     cold_starts: int = 0
-    #: Interleaving degrees observed (other invocations between two
-    #: consecutive invocations of this instance, Sec. 2.2).
-    interleave_degrees: List[int] = field(default_factory=list)
-    iats_ms: List[float] = field(default_factory=list)
     #: Jukebox metadata resident in instance memory (two buffers).
     jukebox_metadata_bytes: int = 0
     #: Multiplier on the server's mean service time for this instance
@@ -56,11 +52,6 @@ class WarmInstance:
     def record_invocation(self, now_ms: float, global_seq: int,
                           cold: bool = False) -> None:
         """Update bookkeeping for an invocation arriving at ``now_ms``."""
-        if self.last_invocation_ms is not None:
-            self.iats_ms.append(now_ms - self.last_invocation_ms)
-        if self.last_global_seq is not None:
-            self.interleave_degrees.append(
-                max(0, global_seq - self.last_global_seq - 1))
         self.last_invocation_ms = now_ms
         self.last_global_seq = global_seq
         self.invocations += 1

@@ -84,6 +84,8 @@ class ServerStats:
     #: Cold arrivals rejected because they no longer fit in memory.
     dropped: int = 0
     evictions: int = 0
+    #: Interleaving degree of every re-invocation: the other invocations
+    #: since the same instance's previous one (Sec. 2.2).
     interleave_degrees: List[int] = field(default_factory=list)
     iats_ms: List[float] = field(default_factory=list)
     #: Per-served-invocation end-to-end latency: queueing wait + service
@@ -263,13 +265,15 @@ class ServerSimulator:
             stats.busy_ms += service + penalty
             stats.latencies_ms.append(completion - now)
 
+            if inst.last_global_seq is not None:
+                # Other invocations since this instance's previous one.
+                stats.interleave_degrees.append(
+                    max(0, global_seq - inst.last_global_seq - 1))
             inst.record_invocation(now, global_seq, cold=cold)
             global_seq += 1
             stats.invocations += 1
             if cold:
                 stats.cold_starts += 1
-            if inst.interleave_degrees:
-                stats.interleave_degrees.append(inst.interleave_degrees[-1])
             schedule_expiry(iid, now)
             peak_warm = max(peak_warm, len(warm))
             peak_mem = max(peak_mem, warm_mem)

@@ -48,14 +48,17 @@ class TestPages:
         assert first.page_ms == second.page_ms
         assert second.faulted_pages == 1000
 
-    def test_reset_forgets_the_trace(self):
-        state = PageReplayState(pages=500)
-        first = state.restore()
-        state.restore()
-        state.reset()
-        again = state.restore()
+    def test_a_fresh_state_records_the_trace_again(self):
+        """Recorded traces live in one state object: a fresh state (one
+        per cold cell) starts by recording, whatever another replayed."""
+        used = PageReplayState(pages=500)
+        first = used.restore()
+        used.restore()
+        fresh = PageReplayState(pages=500)
+        again = fresh.restore()
         assert again.recorded
         assert again.page_ms == first.page_ms
+        assert fresh.restore().page_ms == used.restore().page_ms
 
     def test_restore_params_validated(self):
         with pytest.raises(ConfigurationError):
@@ -121,14 +124,15 @@ class TestModels:
         assert b.init_ms < a.init_ms
         assert b.page_ms == a.page_ms
 
-    def test_reset_drops_recorded_traces(self):
+    def test_a_fresh_model_repeats_the_first_charges(self):
+        """A cold cell builds its own model, so its charges never depend
+        on what an earlier cell's model recorded."""
         profile = SUITE[0]
-        model = SpectrumColdStart()
-        first = model.cold_start("x", profile)
-        model.cold_start("x", profile)
-        model.reset()
-        again = model.cold_start("x", profile)
-        assert again.page_ms == first.page_ms
+        used = SpectrumColdStart(page_replay=True)
+        first = [used.cold_start("x", profile) for _ in range(3)]
+        assert first[1].page_ms < first[0].page_ms
+        fresh = SpectrumColdStart(page_replay=True)
+        assert [fresh.cold_start("x", profile) for _ in range(3)] == first
 
     @pytest.mark.parametrize("language", LANGUAGES)
     @pytest.mark.parametrize("init_trim", [False, True])

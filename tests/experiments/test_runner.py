@@ -238,17 +238,27 @@ class TestMain:
         assert warm["simulated"] == 0
         assert warm["cache_hits"] == cold["simulated"]
 
-    def test_closure_memo_lives_under_the_cache_root_only(
+    def test_cache_root_holds_only_entries_and_the_lock(
             self, capsys, tmp_path, monkeypatch):
-        """A cached run memoizes provider closures beside its results; a
-        --no-cache run writes nothing, not even to the default root."""
+        """A cached run writes only two-hex fanout directories of entries
+        and the lock under its root; a --no-cache run writes nothing,
+        not even to the default root."""
         monkeypatch.setenv("LUKEWARM_CACHE_DIR", str(tmp_path / "default"))
         argv = ["fig06", "--fast", "--functions", "Auth-G"]
         assert main(argv + ["--no-cache"]) == 0
         assert list(tmp_path.iterdir()) == []
-        assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
-        assert (tmp_path / "cache" / "closures" / "repro.json").is_file()
+        root = tmp_path / "cache"
+        assert main(argv + ["--cache-dir", str(root)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        names = sorted(p.name for p in root.iterdir())
+        assert ".lock" in names
+        fanout = [name for name in names if name != ".lock"]
+        assert fanout
+        for name in fanout:
+            assert len(name) == 2 and int(name, 16) >= 0
+            assert (root / name).is_dir()
+            assert all(entry.suffix == ".pkl"
+                       for entry in (root / name).iterdir())
 
     def test_trace_output(self, capsys, tmp_path):
         """--trace writes a schema-valid file whose aggregates agree with
@@ -363,16 +373,20 @@ print("\\n".join(sorted(
 """
 
 
-def _loaded_after(action: str) -> list:
-    """The lazily imported modules loaded by a fresh interpreter that
-    imports the runner and then runs ``action``."""
+#: The analyzer's modules, which no experiment run may load.
+_ANALYZER_MODULES = ("repro.lint.graph", "repro.lint.rules",
+                     "repro.lint.engine", "repro.lint.baseline")
+
+
+def _loaded_after(action: str, prefixes=_LAZY_PREFIXES) -> list:
+    """The modules named by ``prefixes`` loaded by a fresh interpreter
+    that imports the runner and then runs ``action``."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    script = _LOADED_SCRIPT.format(action=action, prefixes=_LAZY_PREFIXES)
+    script = _LOADED_SCRIPT.format(action=action, prefixes=prefixes)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    return [line for line in out.splitlines()
-            if line.startswith(_LAZY_PREFIXES)]
+    return [line for line in out.splitlines() if line.startswith(prefixes)]
 
 
 class TestLazyImports:
@@ -385,3 +399,23 @@ class TestLazyImports:
         loaded = _loaded_after(
             'assert runner.main(["table1", "--no-cache"]) == 0')
         assert loaded == ["repro.experiments.table1_config"]
+
+    def test_a_cached_simulation_run_loads_no_analyzer(self, tmp_path):
+        """The simulator imports ``repro.lint.contracts``; the package
+        root it goes through must not drag the analyzer in with it."""
+        argv = ["fig10", "--fast", "--functions", "Fib-P",
+                "--cache-dir", str(tmp_path)]
+        loaded = _loaded_after(f"assert runner.main({argv!r}) == 0",
+                               prefixes=_ANALYZER_MODULES)
+        assert loaded == []
+
+    def test_importing_the_runner_loads_no_analyzer(self):
+        assert _loaded_after("", prefixes=_ANALYZER_MODULES) == []
+
+    def test_keying_a_cell_loads_no_analyzer(self):
+        """Cache keys digest the sources directly; no import graph is
+        built, so keying needs nothing from the analyzer."""
+        action = ("from repro.engine import Job\n"
+                  "assert len(Job.make('Fib-P', None, {'n': 1},"
+                  " 'baseline').key()) == 64")
+        assert _loaded_after(action, prefixes=_ANALYZER_MODULES) == []

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import (
-    CORES_PER_NODE,
     FleetConfig,
     shard_bounds,
     shard_node_ids,
@@ -19,8 +18,7 @@ from repro.workloads.arrival import ARRIVAL_KINDS
 
 class TestFleetConfigValidation:
     def test_defaults_are_valid(self):
-        cfg = FleetConfig()
-        assert cfg.total_cores == cfg.nodes * CORES_PER_NODE
+        FleetConfig()
 
     def test_fields_are_the_settings_callers_set(self):
         assert [f.name for f in dataclasses.fields(FleetConfig)] == [

@@ -1,6 +1,7 @@
 """CLI tests, including the tier-1 gate: the shipped tree must lint clean."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,20 @@ class TestRepoGate:
         assert "clean" in result.stdout
 
 
+class TestPackageRoot:
+    def test_importing_the_package_loads_only_the_contracts(self):
+        """``repro.lint`` imports nothing itself; what loads with it is
+        ``repro.lint.contracts``, which the simulator (imported by the
+        ``repro`` root) uses on every run."""
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        script = ("import sys, repro.lint\n"
+                  "print(*sorted(m for m in sys.modules"
+                  " if m.startswith('repro.lint.')))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["repro.lint.contracts"]
+
+
 class TestCliBehaviour:
     def test_fixture_tree_fails_with_violations(self, capsys):
         exit_code = main([str(FIXTURES)])
@@ -48,6 +63,13 @@ class TestCliBehaviour:
         for rule_id in ("REPRO001", "REPRO002", "REPRO003", "REPRO004",
                         "REPRO005", "REPRO006", "REPRO007", "REPRO008"):
             assert rule_id in captured
+
+    def test_list_rules_names_exactly_the_registry(self, capsys):
+        assert main(["--list-rules"]) == 0
+        listed = re.findall(r"^(REPRO\d{3}) ", capsys.readouterr().out,
+                            flags=re.MULTILINE)
+        assert sorted(listed) == [f"REPRO{n:03d}"
+                                  for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 11)]
 
     def test_missing_path_is_an_error_not_clean(self, tmp_path, capsys):
         """A typo'd path must not report clean — that would pass CI silently."""

@@ -64,9 +64,9 @@ class TestRenderSarif:
 
     def test_rules_cover_descriptions_even_without_findings(self):
         doc = json.loads(render_sarif([], rule_descriptions={
-            "REPRO009": "cache-key soundness"}))
+            "REPRO010": "worker safety"}))
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["REPRO009"]
+        assert [r["id"] for r in rules] == ["REPRO010"]
         assert doc["runs"][0]["results"] == []
 
 
@@ -270,6 +270,5 @@ class TestWholeProgramBudget:
     def test_whole_program_rules_listed(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO009" in out
         assert "REPRO010" in out
         assert "whole-program" in out

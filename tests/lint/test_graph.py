@@ -1,11 +1,11 @@
-"""Property/fixture tests for the whole-program import graph.
+"""Fixture tests for the whole-program import and call graph.
 
 Synthetic module trees exercise the resolution corners the analyzer must
-get right for closure digests to be trustworthy: import cycles, relative
-imports at every level, re-exports through ``__init__``, and stdlib names
-shadowed by project modules.  The property battery builds seeded random
-dependency graphs and checks the analyzer's closure against an
-independent reference computation.
+get right for its call edges to be trustworthy: relative imports at
+every level, lazy imports, re-exports through ``__init__``, and stdlib
+names shadowed by project modules.  The property battery builds seeded
+random packages and checks the call edges and re-export resolution
+against what the generator wrote.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.lint.graph import ProjectGraph
+from repro.lint.graph import ImportBinding, ProjectGraph
 
 
 def _write_package(root: Path, files: dict) -> Path:
@@ -62,29 +62,22 @@ class TestImportResolution:
     def test_absolute_import(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
-            "a.py": "import pkg.b\n",
-            "b.py": "",
+            "a.py": "import pkg.b\ndef go():\n    return pkg.b.f()\n",
+            "b.py": "def f():\n    return 1\n",
         })
-        assert "pkg.b" in graph.modules["pkg.a"].internal_deps
-
-    def test_importing_submodule_depends_on_parent_inits(self, tmp_path):
-        graph = _graph(tmp_path, {
-            "__init__.py": "",
-            "a.py": "import pkg.sub.deep\n",
-            "sub/__init__.py": "",
-            "sub/deep.py": "",
-        })
-        deps = graph.modules["pkg.a"].internal_deps
-        assert {"pkg", "pkg.sub", "pkg.sub.deep"} <= deps
+        assert graph.modules["pkg.a"].bindings["pkg"] == ImportBinding("pkg")
+        assert "pkg.b:f" in graph.functions()["pkg.a:go"].calls
 
     def test_relative_import_single_dot(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
             "sub/__init__.py": "",
-            "sub/a.py": "from . import b\n",
-            "sub/b.py": "",
+            "sub/a.py": "from . import b\ndef go():\n    return b.f()\n",
+            "sub/b.py": "def f():\n    return 1\n",
         })
-        assert "pkg.sub.b" in graph.modules["pkg.sub.a"].internal_deps
+        assert graph.modules["pkg.sub.a"].bindings["b"] == ImportBinding(
+            "pkg.sub", "b")
+        assert "pkg.sub.b:f" in graph.functions()["pkg.sub.a:go"].calls
 
     def test_relative_import_two_dots(self, tmp_path):
         graph = _graph(tmp_path, {
@@ -93,7 +86,8 @@ class TestImportResolution:
             "sub/__init__.py": "",
             "sub/a.py": "from ..other import THING\n",
         })
-        assert "pkg.other" in graph.modules["pkg.sub.a"].internal_deps
+        assert graph.modules["pkg.sub.a"].bindings["THING"] == (
+            ImportBinding("pkg.other", "THING"))
 
     def test_relative_import_from_package_init(self, tmp_path):
         # An __init__'s `from . import x` anchors at the package itself.
@@ -102,17 +96,19 @@ class TestImportResolution:
             "sub/__init__.py": "from . import a\n",
             "sub/a.py": "",
         })
-        assert "pkg.sub.a" in graph.modules["pkg.sub"].internal_deps
+        assert graph.modules["pkg.sub"].bindings["a"] == ImportBinding(
+            "pkg.sub", "a")
+        assert graph.resolve_export("pkg.sub", "a") == ("pkg.sub.a", None)
 
-    def test_external_imports_are_not_internal_deps(self, tmp_path):
+    def test_external_imports_are_external_deps(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
             "a.py": "import os\nfrom collections import deque\n",
         })
         node = graph.modules["pkg.a"]
-        assert not node.internal_deps
-        assert "os" in node.external_deps
-        assert "collections" in node.external_deps
+        assert node.external_deps == {"os", "collections"}
+        assert node.bindings["deque"] == ImportBinding("collections",
+                                                       "deque")
 
     def test_lazy_function_level_import_still_counts(self, tmp_path):
         graph = _graph(tmp_path, {
@@ -120,7 +116,8 @@ class TestImportResolution:
             "a.py": "def f():\n    from pkg import b\n    return b\n",
             "b.py": "",
         })
-        assert "pkg.b" in graph.modules["pkg.a"].internal_deps
+        assert graph.modules["pkg.a"].bindings["b"] == ImportBinding(
+            "pkg", "b")
 
 
 class TestShadowedStdlibNames:
@@ -132,10 +129,14 @@ class TestShadowedStdlibNames:
             "relative.py": "from . import json\n",  # project module
             "explicit.py": "from pkg import json\n",
         })
-        assert not graph.modules["pkg.absolute"].internal_deps
-        assert "json" in graph.modules["pkg.absolute"].external_deps
-        assert "pkg.json" in graph.modules["pkg.relative"].internal_deps
-        assert "pkg.json" in graph.modules["pkg.explicit"].internal_deps
+        absolute = graph.modules["pkg.absolute"]
+        assert absolute.bindings["json"] == ImportBinding("json")
+        assert absolute.external_deps == {"json"}
+        for name in ("pkg.relative", "pkg.explicit"):
+            assert graph.modules[name].bindings["json"] == ImportBinding(
+                "pkg", "json")
+            assert not graph.modules[name].external_deps
+        assert graph.resolve_export("pkg", "json") == ("pkg.json", None)
 
     def test_shadowed_module_resolves_calls_internally(self, tmp_path):
         graph = _graph(tmp_path, {
@@ -199,112 +200,152 @@ class TestReexports:
         assert graph.resolve_export("pkg.a", "ghost") is None
 
 
-class TestClosures:
-    def test_closure_includes_self_and_is_sorted(self, tmp_path):
+class TestModuleImports:
+    def test_importing_a_submodule_binds_the_top_package(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
-            "a.py": "from pkg import c\nfrom pkg import b\n",
-            "b.py": "",
-            "c.py": "",
+            "a.py": ("import pkg.sub.deep\n"
+                     "def go():\n    return pkg.sub.deep.f()\n"),
+            "sub/__init__.py": "",
+            "sub/deep.py": "def f():\n    return 1\n",
         })
-        closure = graph.closure("pkg.a")
-        assert closure == tuple(sorted(closure))
-        assert set(closure) == {"pkg", "pkg.a", "pkg.b", "pkg.c"}
+        assert graph.modules["pkg.a"].bindings == {"pkg": ImportBinding("pkg")}
+        assert graph.functions()["pkg.a:go"].calls == {"pkg.sub.deep:f"}
 
-    def test_cycle_safe(self, tmp_path):
+    def test_import_as_binds_the_full_module(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
-            "a.py": "from pkg import b\n",
-            "b.py": "from pkg import c\n",
-            "c.py": "from pkg import a\n",
+            "a.py": ("import pkg.sub.deep as d\nimport os.path as osp\n"
+                     "def go():\n    return d.f(), osp.join('x')\n"),
+            "sub/__init__.py": "",
+            "sub/deep.py": "def f():\n    return 1\n",
         })
-        expected = {"pkg", "pkg.a", "pkg.b", "pkg.c"}
-        for module in ("pkg.a", "pkg.b", "pkg.c"):
-            assert set(graph.closure(module)) == expected
+        node = graph.modules["pkg.a"]
+        assert node.bindings["d"] == ImportBinding("pkg.sub.deep")
+        assert node.bindings["osp"] == ImportBinding("os.path")
+        info = graph.functions()["pkg.a:go"]
+        assert info.calls == {"pkg.sub.deep:f"}
+        assert [call[0] for call in info.raw_calls] == ["os.path.join"]
 
-    def test_closure_of_unknown_module_is_error(self, tmp_path):
-        graph = _graph(tmp_path, {"__init__.py": ""})
-        with pytest.raises(ConfigurationError):
-            graph.closure("pkg.missing")
+    def test_star_import_binds_nothing(self, tmp_path):
+        """Names a ``*`` import brings in cannot be pinned down, so their
+        calls stay unresolved rather than guessed."""
+        graph = _graph(tmp_path, {
+            "__init__.py": "",
+            "a.py": "from pkg.b import *\ndef go():\n    return f()\n",
+            "b.py": "def f():\n    return 1\n",
+        })
+        assert graph.modules["pkg.a"].bindings == {}
+        info = graph.functions()["pkg.a:go"]
+        assert info.calls == set()
+        assert [call[0] for call in info.raw_calls] == ["f"]
+
+    def test_relative_import_above_the_top_is_dropped(self, tmp_path):
+        graph = _graph(tmp_path, {
+            "__init__.py": "",
+            "a.py": "from .. import x\nfrom ...y import z\n",
+        })
+        node = graph.modules["pkg.a"]
+        assert node.bindings == {}
+        assert node.external_deps == set()
+
+
+def _edges(graph: ProjectGraph) -> dict:
+    return {fid: (sorted(info.calls), sorted(info.raw_calls))
+            for fid, info in graph.functions().items()}
+
+
+class TestCallGraph:
+    CYCLE = {
+        "__init__.py": "",
+        "a.py": "from pkg import b\ndef f():\n    return b.f()\n",
+        "b.py": "from pkg import c\ndef f():\n    return c.f()\n",
+        "c.py": "from pkg import a\ndef f():\n    return a.f()\n",
+    }
+
+    def test_call_cycle_resolves_every_edge(self, tmp_path):
+        functions = _graph(tmp_path, self.CYCLE).functions()
+        assert functions["pkg.a:f"].calls == {"pkg.b:f"}
+        assert functions["pkg.b:f"].calls == {"pkg.c:f"}
+        assert functions["pkg.c:f"].calls == {"pkg.a:f"}
 
     def test_stable_across_rebuilds(self, tmp_path):
-        files = {
-            "__init__.py": "",
-            "a.py": "from pkg import b\nimport pkg.c\n",
-            "b.py": "from pkg import c\n",
-            "c.py": "",
-        }
-        root = _write_package(tmp_path / "pkg", files)
+        root = _write_package(tmp_path / "pkg",
+                              TestCallGraphProperties._random_tree(5))
         first = ProjectGraph.from_package(root, "pkg")
         second = ProjectGraph.from_package(root, "pkg")
-        for module in sorted(first.modules):
-            assert first.closure(module) == second.closure(module)
-
-    def test_importers_of_inverts_closure(self, tmp_path):
-        graph = _graph(tmp_path, {
-            "__init__.py": "",
-            "helper.py": "",
-            "user.py": "from pkg import helper\n",
-            "loner.py": "",
-        })
-        importers = graph.importers_of("pkg.helper")
-        assert "pkg.user" in importers
-        assert "pkg.loner" not in importers
+        assert _edges(first) == _edges(second)
 
 
-class TestClosureProperties:
-    """Seeded-random dependency graphs vs an independent reference BFS."""
+class TestCallGraphProperties:
+    """Seeded-random packages whose generator knows every call edge."""
 
-    def _random_tree(self, seed: int, n: int = 12) -> dict:
+    #: How module ``m{i}`` may import ``m{j}``, and the call it makes.
+    STYLES = {
+        "from-package": ("from pkg import m{j}", "m{j}.f()"),
+        "from-module": ("from pkg.m{j} import f as f{j}", "f{j}()"),
+        "relative": ("from . import m{j}", "m{j}.f()"),
+        "absolute": ("import pkg.m{j}", "pkg.m{j}.f()"),
+        "alias": ("import pkg.m{j} as a{j}", "a{j}.f()"),
+    }
+
+    @staticmethod
+    def _random_tree(seed: int, n: int = 10, edges=None) -> dict:
         rng = random.Random(seed)
         files = {"__init__.py": ""}
+        styles = sorted(TestCallGraphProperties.STYLES)
         for i in range(n):
             deps = [j for j in range(n) if j != i and rng.random() < 0.3]
-            body = "".join(f"from pkg import m{j}\n" for j in deps)
-            files[f"m{i}.py"] = body or "X = 1\n"
+            top, lazy, calls = ["import os"], [], ["_g()", "os.getcwd()"]
+            for j in deps:
+                imp, call = TestCallGraphProperties.STYLES[rng.choice(styles)]
+                (lazy if rng.random() < 0.3 else top).append(
+                    imp.format(j=j))
+                calls.append(call.format(j=j))
+            body = "".join(f"    {line}\n" for line in lazy + calls)
+            files[f"m{i}.py"] = ("\n".join(top) + "\n"
+                                 "def _g():\n    return 0\n"
+                                 "def f():\n" + body)
+            if edges is not None:
+                edges[f"pkg.m{i}:f"] = ({f"pkg.m{j}:f" for j in deps}
+                                        | {f"pkg.m{i}:_g"})
         return files
 
-    def _reference_closure(self, files: dict, module: str) -> set:
-        """Closure computed straight from the source dict, no analyzer."""
-        import re
-
-        deps = {}
-        for rel, body in files.items():
-            if rel == "__init__.py":
-                name = "pkg"
-            else:
-                name = "pkg." + rel[:-3]
-            deps[name] = set(re.findall(r"from pkg import (m\d+)", body))
-        visited, stack = set(), [module]
-        while stack:
-            cur = stack.pop()
-            if cur in visited:
-                continue
-            visited.add(cur)
-            # `from pkg import x` also executes pkg's __init__.
-            if cur != "pkg":
-                visited.add("pkg") if deps.get(cur) else None
-            for dep in deps.get(cur, ()):
-                stack.append(f"pkg.{dep}")
-            if deps.get(cur):
-                stack.append("pkg")
-        return visited
-
     @pytest.mark.parametrize("seed", [1, 7, 42, 1337])
-    def test_matches_reference(self, tmp_path, seed):
-        files = self._random_tree(seed)
-        graph = _graph(tmp_path, files, package="pkg")
-        for i in range(12):
-            module = f"pkg.m{i}"
-            got = set(graph.closure(module))
-            want = self._reference_closure(files, module)
-            assert got == want, f"closure mismatch for {module} (seed={seed})"
+    def test_call_edges_match_the_generator(self, tmp_path, seed):
+        want: dict = {}
+        graph = _graph(tmp_path, self._random_tree(seed, edges=want))
+        functions = graph.functions()
+        for fid, callees in want.items():
+            info = functions[fid]
+            assert info.calls == callees, f"{fid} (seed={seed})"
+            assert [call[0] for call in info.raw_calls] == ["os.getcwd"]
 
     @pytest.mark.parametrize("seed", [3, 99])
-    def test_closure_is_transitively_consistent(self, tmp_path, seed):
-        """Every member's closure is a subset of the owner's closure."""
-        graph = _graph(tmp_path, self._random_tree(seed))
-        for module in graph.modules:
-            closure = set(graph.closure(module))
-            for member in closure:
-                assert set(graph.closure(member)) <= closure
+    def test_reexport_chains_resolve_to_the_definition(self, tmp_path,
+                                                       seed):
+        """Names re-exported through relay modules and the package
+        ``__init__`` resolve to their defining module, and calls through
+        the package link to the definition."""
+        rng = random.Random(seed)
+        n = 8
+        files = {f"m{i}.py": f"def fn{i}():\n    return {i}\n"
+                 for i in range(n)}
+        init, user = [], []
+        for i in range(n):
+            source = f"pkg.m{i}"
+            for hop in range(rng.randrange(3)):
+                relay = f"relay{i}_{hop}"
+                files[f"{relay}.py"] = f"from {source} import fn{i}\n"
+                source = f"pkg.{relay}"
+            init.append(f"from {source} import fn{i}\n")
+            user.append(f"    fn{i}()\n")
+        files["__init__.py"] = "".join(init)
+        files["user.py"] = ("from pkg import " + ", ".join(
+            f"fn{i}" for i in range(n)) + "\ndef go():\n" + "".join(user))
+        graph = _graph(tmp_path, files)
+        for i in range(n):
+            assert graph.resolve_export("pkg", f"fn{i}") == (
+                f"pkg.m{i}", f"fn{i}")
+        assert graph.functions()["pkg.user:go"].calls == {
+            f"pkg.m{i}:fn{i}" for i in range(n)}

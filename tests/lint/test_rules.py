@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, Violation, get_rule, lint_paths, scope_key
-from repro.lint.engine import apply_fixes, lint_file
+from repro.lint.engine import (Violation, apply_fixes, lint_file,
+                               lint_paths, scope_key)
+from repro.lint.rules import ALL_RULES, get_rule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

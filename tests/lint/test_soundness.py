@@ -1,10 +1,9 @@
-"""Tests for cache-key soundness (REPRO009) and worker safety (REPRO010).
+"""Tests for worker safety (REPRO010) and the stale-cache hazard.
 
-The centerpiece is the stale-cache acceptance test: a provider package
-whose builder imports a helper module *indirectly*; editing the helper
-(a) trips REPRO009 when the closure digest is bypassed, and (b) changes
-the fixed ``provider_version()``, invalidating exactly that provider's
-cached cells while a control provider's cells stay warm.
+The stale-cache acceptance test: a provider package whose builder
+imports a helper module *indirectly*; editing the helper changes the
+provider's cache key, invalidating exactly that provider's cached cells
+while a control provider's cells stay warm.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cache import ResultCache
-from repro.engine.job import (
-    Job,
-    invalidate_fingerprint_caches,
-    provider_closure,
-    provider_version,
-)
+from repro.engine.job import Job, invalidate_fingerprint_caches
 from repro.lint import soundness
 from repro.lint.graph import ProjectGraph
 
@@ -59,163 +53,75 @@ def provider_packages(tmp_path, monkeypatch):
     invalidate_fingerprint_caches()
 
 
-class TestRepro009Synthetic:
-    def _graph(self, tmp_path):
-        root = _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
-        return ProjectGraph.from_package(root, "provpkg")
-
-    def test_bypassed_digest_fires(self, tmp_path):
-        graph = self._graph(tmp_path)
-        findings = soundness.check_cache_soundness(
-            graph, providers=["provpkg.provider"], covered_prefixes=(),
-            digested=lambda p: (p,))  # digest only the provider file
-        assert findings, "narrowed digest must trip REPRO009"
-        assert all(v.rule_id == "REPRO009" for v in findings)
-        messages = " ".join(v.message for v in findings)
-        assert "provpkg.helper" in messages
-        assert "stale" in messages
-
-    def test_full_closure_digest_is_sound(self, tmp_path):
-        graph = self._graph(tmp_path)
-        findings = soundness.check_cache_soundness(
-            graph, providers=["provpkg.provider"], covered_prefixes=(),
-            digested=graph.closure)
-        assert findings == []
-
-    def test_covered_prefixes_substitute_for_digest(self, tmp_path):
-        graph = self._graph(tmp_path)
-        findings = soundness.check_cache_soundness(
-            graph, providers=["provpkg.provider"],
-            covered_prefixes=("provpkg",), digested=lambda p: ())
-        assert findings == []
-
-    def test_unknown_provider_is_skipped(self, tmp_path):
-        graph = self._graph(tmp_path)
-        assert soundness.check_cache_soundness(
-            graph, providers=["provpkg.missing"], covered_prefixes=(),
-            digested=lambda p: (p,)) == []
-
-    def test_provider_discovery_via_decorator(self, tmp_path):
-        root = _write_tree(tmp_path / "dpkg", {
-            "__init__.py": "",
-            "registry.py": ("def register_config(name):\n"
-                            "    def wrap(fn):\n"
-                            "        return fn\n"
-                            "    return wrap\n"),
-            "exp.py": ("from dpkg.registry import register_config\n"
-                       "@register_config('x')\n"
-                       "def build_x(cfg):\n"
-                       "    return cfg\n"),
-        })
-        graph = ProjectGraph.from_package(root, "dpkg")
-        assert soundness.discover_providers(graph) == ("dpkg.exp",)
-
-
-class TestRepro009EngineCrossValidation:
-    """Against the real tree, the default run audits the real engine."""
-
-    @pytest.fixture(scope="class")
-    def real_graph(self):
-        src_root = Path(__file__).resolve().parents[2] / "src" / "repro"
-        return ProjectGraph.from_package(src_root, "repro")
-
-    def test_real_engine_digests_full_closures(self, real_graph):
-        assert soundness.check_cache_soundness(real_graph) == []
-
-    def test_real_providers_are_discovered(self, real_graph):
-        providers = soundness.discover_providers(real_graph)
-        assert "repro.experiments.common" in providers
-
-    def test_bypassing_the_real_digest_fires(self, real_graph):
-        # Same graph, same providers -- but pretend provider_version()
-        # digested only the provider's own file.  The experiments
-        # helpers in each builder's closure escape coverage.
-        findings = soundness.check_cache_soundness(
-            real_graph, digested=lambda p: (p,))
-        assert findings, ("the real providers import helpers outside the "
-                          "code_version() subtrees; a single-file digest "
-                          "must be flagged")
-        assert all(v.rule_id == "REPRO009" for v in findings)
-
-
 class TestStaleCacheHazard:
     """Acceptance: editing a helper module imported (not directly named)
     by a provider invalidates exactly that provider's cells."""
 
-    def test_closure_includes_indirect_helper(self, provider_packages):
-        closure = provider_closure("provpkg.provider")
-        assert closure == ("provpkg", "provpkg.helper", "provpkg.provider")
-
-    def test_helper_edit_changes_provider_version(self, provider_packages):
-        before = provider_version("provpkg.provider")
+    def test_helper_edit_changes_the_key(self, provider_packages):
+        job = Job.make("fnA", None, {"n": 1}, "hot",
+                       provider="provpkg.provider")
+        before = job.key()
         helper = provider_packages / "provpkg" / "helper.py"
         helper.write_text(helper.read_text().replace("SCALE = 2",
                                                      "SCALE = 3"))
         invalidate_fingerprint_caches()
-        after = provider_version("provpkg.provider")
-        assert before != after
+        assert job.key() != before
 
-    @staticmethod
-    def _edit_invalidates_exactly_one_provider(packages, cache, memo):
-        root = cache.root if memo else None
+    def test_helper_edit_invalidates_exactly_one_provider(
+            self, provider_packages, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         edited = Job.make("fnA", None, {"n": 1}, "hot",
                           provider="provpkg.provider")
         control = Job.make("fnA", None, {"n": 1}, "hot",
                            provider="ctrlpkg.provider")
-        key_edited, key_control = edited.key(root), control.key(root)
+        key_edited, key_control = edited.key(), control.key()
         cache.put(key_edited, {"result": 1})
         cache.put(key_control, {"result": 2})
 
-        helper = packages / "provpkg" / "helper.py"
+        helper = provider_packages / "provpkg" / "helper.py"
         helper.write_text(helper.read_text() + "\nEXTRA = 1\n")
         invalidate_fingerprint_caches()
 
         # The edited provider addresses a different cell now...
-        assert edited.key(root) != key_edited
-        hit, _ = cache.get(edited.key(root))
+        assert edited.key() != key_edited
+        hit, _ = cache.get(edited.key())
         assert not hit
         # ...while the control provider's cell stays warm.
-        assert control.key(root) == key_control
-        hit, value = cache.get(control.key(root))
+        assert control.key() == key_control
+        hit, value = cache.get(control.key())
         assert hit and value == {"result": 2}
 
-    def test_helper_edit_invalidates_exactly_one_provider(
-            self, provider_packages, tmp_path):
-        self._edit_invalidates_exactly_one_provider(
-            provider_packages, ResultCache(tmp_path / "cache"), memo=False)
-
-    def test_helper_edit_invalidates_exactly_one_provider_with_warm_memo(
-            self, provider_packages, tmp_path):
-        """The same with both packages' closures memoized under the cache
-        root before the edit: the edited package's memo goes stale and is
-        rebuilt, the control's is served as written."""
-        cache = ResultCache(tmp_path / "cache")
-        for package in ("provpkg", "ctrlpkg"):
-            provider_closure(f"{package}.provider", cache.root)
+    @pytest.mark.parametrize("edit", [
+        "helper-edit", "provider-edit", "new-module", "deleted-module",
+        "renamed-module", "new-subpackage",
+    ])
+    def test_an_edit_moves_only_its_own_packages_key(
+            self, edit, provider_packages):
+        """Across top-level packages invalidation stays exact: whatever
+        the kind of edit under ``provpkg``, its provider's key moves and
+        ``ctrlpkg``'s does not."""
+        edited = Job.make("fnA", None, {"n": 1}, "hot",
+                          provider="provpkg.provider")
+        control = Job.make("fnA", None, {"n": 1}, "hot",
+                           provider="ctrlpkg.provider")
+        key_edited, key_control = edited.key(), control.key()
+        pkg = provider_packages / "provpkg"
+        if edit == "helper-edit":
+            (pkg / "helper.py").write_text("SCALE = 3\n")
+        elif edit == "provider-edit":
+            (pkg / "provider.py").write_text(
+                "def build(cfg):\n    return cfg\n")
+        elif edit == "new-module":
+            (pkg / "render.py").write_text("")
+        elif edit == "deleted-module":
+            (pkg / "helper.py").unlink()
+        elif edit == "renamed-module":
+            (pkg / "helper.py").rename(pkg / "helpers.py")
+        else:
+            _write_tree(pkg, {"sub/__init__.py": ""})
         invalidate_fingerprint_caches()
-        memos = {path.name: path.read_bytes()
-                 for path in (cache.root / "closures").iterdir()}
-        assert sorted(memos) == ["ctrlpkg.json", "provpkg.json"]
-        self._edit_invalidates_exactly_one_provider(
-            provider_packages, cache, memo=True)
-        closures = cache.root / "closures"
-        assert (closures / "ctrlpkg.json").read_bytes() == memos["ctrlpkg.json"]
-        assert (closures / "provpkg.json").read_bytes() != memos["provpkg.json"]
-
-    def test_lint_catches_the_same_hazard_when_digest_is_bypassed(
-            self, provider_packages):
-        # The lint rule and the engine agree: what the fixed engine
-        # digests is exactly what the analyzer demands.
-        graph = ProjectGraph.from_package(
-            provider_packages / "provpkg", "provpkg")
-        bypassed = soundness.check_cache_soundness(
-            graph, providers=["provpkg.provider"], covered_prefixes=(),
-            digested=lambda p: (p,))
-        assert any("provpkg.helper" in v.message for v in bypassed)
-        sound = soundness.check_cache_soundness(
-            graph, providers=["provpkg.provider"], covered_prefixes=(),
-            digested=provider_closure)
-        assert sound == []
+        assert edited.key() != key_edited
+        assert control.key() == key_control
 
 
 class TestRepro010BoundaryClasses:

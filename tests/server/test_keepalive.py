@@ -87,7 +87,7 @@ def test_evicted_iff_idle_gap_exceeds_ttl(seed):
     stats = sim.run(float(sum(gaps)))
     longer = sum(1 for gap in gaps[1:] if gap > ttl_ms)
     assert stats.arrivals == len(gaps)
-    assert inst.iats_ms == [float(gap) for gap in gaps[1:]]
+    assert stats.iats_ms == [float(gap) for gap in gaps[1:]]
     assert stats.evictions == longer
     assert stats.cold_starts == inst.cold_starts == 1 + longer
 

@@ -11,13 +11,6 @@ from repro.workloads.suite import SUITE, get_profile
 
 
 class TestWarmInstance:
-    def test_record_invocation_tracks_iat(self):
-        inst = WarmInstance("i", get_profile("Auth-G"))
-        inst.record_invocation(100.0, global_seq=0)
-        inst.record_invocation(1100.0, global_seq=5)
-        assert inst.iats_ms == [1000.0]
-        assert inst.interleave_degrees == [4]
-
     def test_cold_start_counted(self):
         inst = WarmInstance("i", get_profile("Auth-G"))
         inst.record_invocation(0.0, 0, cold=True)
@@ -34,6 +27,45 @@ class TestWarmInstance:
 
 
 class TestServerSimulator:
+    def test_stats_track_iat_and_interleave_degree(self):
+        """A every 1000 ms, B every 300 ms: B300 B600 B900 A1000 B1200
+        B1500 B1800 A2000.  Each re-invocation records its gap and the
+        other invocations since the same instance's previous one."""
+        server = ServerSimulator(ServerConfig(cores=2), seed=1)
+        server.add_instance(get_profile("Auth-G"), FixedIAT(1000.0))
+        server.add_instance(get_profile("Fib-P"), FixedIAT(300.0))
+        stats = server.run(2000.5)
+        assert stats.iats_ms == [300.0] * 5 + [1000.0]
+        assert stats.interleave_degrees == [0, 0, 1, 0, 0, 3]
+
+    def test_round_robin_arrivals_interleave_every_other_instance(self):
+        """Four instances on one period arrive in a fixed rotation, so
+        each re-invocation follows exactly the other three."""
+        server = ServerSimulator(ServerConfig(cores=2), seed=1)
+        for abbrev in ("Auth-G", "Fib-P", "Email-P", "Fib-N"):
+            server.add_instance(get_profile(abbrev), FixedIAT(100.0))
+        stats = server.run(1000.5)
+        assert stats.invocations == 40
+        assert stats.interleave_degrees == [3] * 36
+        assert stats.iats_ms == [100.0] * 36
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_reinvocation_records_one_gap_and_one_degree(self, seed):
+        """A served arrival of an instance served before records one IAT
+        and one degree; a first invocation or a dropped arrival records
+        neither, evictions notwithstanding."""
+        server = self.make_server(instances=30, seed=seed, ttl_minutes=0.02)
+        stats = server.run(20_000.0)
+        assert stats.evictions > 0
+        served = [inst for inst in server.instances.values()
+                  if inst.invocations]
+        reinvocations = stats.invocations - len(served)
+        assert len(stats.iats_ms) == reinvocations
+        assert len(stats.interleave_degrees) == reinvocations
+        assert all(gap > 0 for gap in stats.iats_ms)
+        assert all(0 <= d < stats.invocations
+                   for d in stats.interleave_degrees)
+
     def make_server(self, instances=50, mean_iat=1000.0, seed=1,
                     ttl_minutes=10.0):
         server = ServerSimulator(
