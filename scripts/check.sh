@@ -11,46 +11,33 @@
 #
 # The lint step runs the full analyzer -- per-file rules over src/ and
 # the auxiliary targets (tests/, benchmarks/, examples/), plus the
-# whole-program passes (taint flow, REPRO010) -- emitting the
-# canonical JSON report.  Exit status 1 means a finding not grandfathered
-# in lint-baseline.json; run `python -m repro.lint` locally for the
-# human-readable version, or `python -m repro.lint --changed-only` for a
-# quick diff-scoped pass while iterating.
+# whole-program passes (taint flow, REPRO010).  It prints every finding
+# and exits 1 on any of them, warnings included.
+#
+# Everything the gate writes goes to one temp directory, removed on
+# exit, so a passing run leaves the checkout as it found it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
-echo "== repro.lint (whole-program analyzer, --format json) =="
-python -m repro.lint --format json > /tmp/repro-lint-report.json || {
-    status=$?
-    cat /tmp/repro-lint-report.json
-    echo "repro-lint: non-baselined findings (full report above)" >&2
-    exit "$status"
-}
-python - <<'EOF'
-import json
-doc = json.load(open("/tmp/repro-lint-report.json"))
-s = doc["summary"]
-print(f"repro-lint: clean ({doc['files']} files, "
-      f"{s['grandfathered']} grandfathered)")
-EOF
+work_dir="$(mktemp -d)"
+trap 'rm -rf "$work_dir"' EXIT
+
+echo "== repro.lint (whole-program analyzer) =="
+python -m repro.lint
 
 echo "== backend throughput gate (benchmarks/bench_engine.py --json) =="
 # Fails (exit 1) if the columnar backend's speedup over the scalar
-# reference drops below 5x on the instruction-fetch gate cell; the full
-# cell matrix lands in benchmarks/results/BENCH_engine.json.
-mkdir -p benchmarks/results
-python benchmarks/bench_engine.py --json \
-    --out benchmarks/results/BENCH_engine.json
+# reference drops below 5x on the instruction-fetch gate cell.
+python benchmarks/bench_engine.py --json --out "$work_dir/BENCH_engine.json"
 
 echo "== fleet smoke gate (benchmarks/bench_fleet.py --json) =="
 # Simulates a small region across two arrival mixes with Jukebox off/on;
 # fails if the geomean capacity uplift is not positive or any region
 # violates arrival conservation (arrivals != served + dropped).
-python benchmarks/bench_fleet.py --json \
-    --out benchmarks/results/BENCH_fleet.json
+python benchmarks/bench_fleet.py --json --out "$work_dir/BENCH_fleet.json"
 
 echo "== chaos smoke (scripts/chaos_smoke.py) =="
 # End-to-end failure drill: injected worker kills/hangs (reaped by the
@@ -65,21 +52,20 @@ echo "== trace summaries of real runs (python -m repro.obs summarize) =="
 # fleet region (~1 s), then summarizes each trace; summarize exits 1
 # when a record breaks the schema or the counted events disagree with
 # the sweep.end totals.
-trace_dir="$(mktemp -d)"
-home_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$home_dir"' EXIT
 python -m repro.experiments.runner spectrum --fast --jobs 2 \
-    --functions ProdL-G --no-cache --trace "$trace_dir/spectrum.jsonl" \
+    --functions ProdL-G --no-cache --trace "$work_dir/spectrum.jsonl" \
     > /dev/null
 python -m repro.experiments.runner fleet --fast --no-cache \
-    --trace "$trace_dir/fleet.jsonl" > /dev/null
-python -m repro.obs summarize "$trace_dir/spectrum.jsonl" --slowest 1
-python -m repro.obs summarize "$trace_dir/fleet.jsonl" --slowest 1
+    --trace "$work_dir/fleet.jsonl" > /dev/null
+python -m repro.obs summarize "$work_dir/spectrum.jsonl" --slowest 1
+python -m repro.obs summarize "$work_dir/fleet.jsonl" --slowest 1
 
 # The suite runs with HOME and XDG_CACHE_HOME pointed at an empty
 # directory and fails if anything lands there: a test that opens the
 # default result cache must get tests/conftest.py's per-test directory,
 # never the user's ~/.cache.
+home_dir="$work_dir/home"
+mkdir "$home_dir"
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== pytest (fast: unit suites only) =="
     HOME="$home_dir" XDG_CACHE_HOME="$home_dir" python -m pytest -q \

@@ -37,7 +37,6 @@ One-shot cold runs need no simulator at all --
 
 from repro.core import Jukebox, PIF, PIFParams, pif_ideal_params
 from repro.errors import (
-    ConfigError,
     ConfigurationError,
     ContractViolationError,
     MetadataError,
@@ -72,7 +71,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BACKENDS",
     "BROADWELL",
-    "ConfigError",
     "ConfigurationError",
     "ContractViolationError",
     "FunctionModel",

@@ -11,7 +11,6 @@ from repro.core.recorder import (
     record_miss_stream_merging,
 )
 from repro.core.regions import RegionGeometry
-from repro.core.sizing import MetadataSizer, SizingDecision
 from repro.core.replayer import (
     JukeboxReplayer,
     ReplayStats,
@@ -27,7 +26,6 @@ __all__ = [
     "JukeboxRecorder",
     "JukeboxReplayer",
     "MetadataBuffer",
-    "MetadataSizer",
     "PIF",
     "PIFParams",
     "PIFStats",
@@ -38,6 +36,5 @@ __all__ = [
     "pif_ideal_params",
     "record_miss_stream",
     "record_miss_stream_merging",
-    "SizingDecision",
     "unbounded_metadata_size_bytes",
 ]

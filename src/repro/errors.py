@@ -59,9 +59,3 @@ class WorkerCrashError(ReproError):
     :class:`~repro.engine.executors.ProcessExecutor` re-dispatches the
     unfinished frontier to a fresh pool and the caller never sees this.
     """
-
-
-#: Canonical short alias for configuration failures.  ``repro.lint`` and the
-#: parameter validators raise :class:`ConfigurationError`; ``ConfigError``
-#: is the same class under the name used throughout the lint docs.
-ConfigError = ConfigurationError

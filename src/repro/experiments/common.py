@@ -165,6 +165,12 @@ def _measure(sim: Simulator, traces: List[InvocationTrace], cfg: RunConfig,
                 pif.flush()
         if jukebox is not None:
             jukebox.begin_invocation(sim.hierarchy)
+            if pif is not None:
+                # Combined Jukebox + PIF: PIF observes fetches through a
+                # forwarding hook while Jukebox owns the L2-miss record
+                # stream; end_invocation drops the hook.
+                sim.hierarchy.record_hook = _TeeHook(
+                    sim.hierarchy.record_hook, pif)
         result = simulate(trace, sim=sim)
         if jukebox is not None:
             report = jukebox.end_invocation(sim.hierarchy, result)
@@ -268,29 +274,11 @@ def _build_pif(profile: FunctionProfile, machine: MachineParams,
     params = params if params is not None else PIFParams()
     sim = Simulator(machine, backend=cfg.backend)
     pif = PIF(params, sim.hierarchy)
-    if not with_jukebox:
+    jukebox = Jukebox(machine.jukebox) if with_jukebox else None
+    if jukebox is None:
         sim.hierarchy.record_hook = pif
-        return _measure(sim, make_traces(profile, cfg), cfg, flush=True,
-                        pif=pif)
-    # Combined JB + PIF: PIF observes fetches through a forwarding hook
-    # while Jukebox owns the L2-miss record stream.
-    jukebox = Jukebox(machine.jukebox)
-    traces = make_traces(profile, cfg)
-    measured: List[InvocationResult] = []
-    reports: List[JukeboxInvocationReport] = []
-    for i, trace in enumerate(traces):
-        sim.flush_microarch_state()
-        pif.flush()
-        jukebox.begin_invocation(sim.hierarchy)
-        jb_recorder = sim.hierarchy.record_hook
-        sim.hierarchy.record_hook = _TeeHook(jb_recorder, pif)
-        result = simulate(trace, sim=sim)
-        sim.hierarchy.record_hook = jb_recorder
-        report = jukebox.end_invocation(sim.hierarchy, result)
-        if i >= cfg.warmup:
-            measured.append(result)
-            reports.append(report)
-    return SequenceResult(results=measured, jukebox_reports=reports)
+    return _measure(sim, make_traces(profile, cfg), cfg, flush=True,
+                    jukebox=jukebox, pif=pif)
 
 
 class _TeeHook:

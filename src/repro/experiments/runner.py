@@ -273,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           sweep_deadline_s=args.sweep_deadline) as ctx:
         for name in names:
             before = ctx.stats.snapshot()
-            started = time.time()  # repro-lint: disable=REPRO006 -- CLI progress reporting, not simulation
+            started = ctx.clock()
             try:
                 report = run_experiment(name, cfg, args.functions)
                 error = None
@@ -283,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 report = None
                 error = exc
                 failed.append((name, exc))
-            seconds = time.time() - started  # repro-lint: disable=REPRO006 -- CLI progress reporting, not simulation
+            seconds = ctx.clock() - started
             delta = ctx.stats.since(before)
             if args.as_json:
                 records.append({

@@ -4,11 +4,12 @@ Three layers keep the simulator trustworthy:
 
 * **per-file static rules** (:mod:`repro.lint.rules`, run by
   :mod:`repro.lint.engine` and ``python -m repro.lint``): AST checks
-  REPRO001-REPRO008 for unseeded randomness, float equality, magic
-  size/latency literals, mutable defaults, swallowed exceptions,
-  wall-clock reads in simulation paths, broad exception handlers in
-  engine code outside the sanctioned resilience capture point, and
-  module-level observability singletons;
+  REPRO001-REPRO008 and REPRO011 for unseeded randomness, float
+  equality, magic size/latency literals, mutable defaults, swallowed
+  exceptions, wall-clock reads in simulation paths, broad exception
+  handlers in engine code outside the sanctioned resilience capture
+  point, module-level observability singletons and unbounded blocking
+  waits in engine code;
 * **whole-program analysis** (:mod:`repro.lint.graph` builds an
   AST-only import + call graph; :mod:`repro.lint.flow` runs an
   interprocedural nondeterminism taint analysis over it;
@@ -23,9 +24,9 @@ Three layers keep the simulator trustworthy:
 
 Suppress a static finding inline with
 ``# repro-lint: disable=REPRO003 -- reason`` (or ``disable=all``), or
-file-wide with ``# repro-lint: disable-file=REPRO003``.  Whole-tree
-debt is grandfathered through :mod:`repro.lint.baseline`; machine
-output (``--format json|sarif``) lives in :mod:`repro.lint.formats`.
+file-wide with ``# repro-lint: disable-file=REPRO003``.  There is no
+baseline of forgiven findings: ``python -m repro.lint`` fails on any
+finding, warnings included.
 
 This package root imports nothing: the simulator imports
 :mod:`repro.lint.contracts` on every run, and must not load the analyzer

@@ -1,4 +1,4 @@
-"""The static-analysis engine: file discovery, suppression, fix application.
+"""The static-analysis engine: file discovery and suppression.
 
 The engine walks Python sources, parses each into an ``ast`` tree and runs
 every applicable :class:`repro.lint.rules.Rule` over it.  Rules are scoped
@@ -11,9 +11,6 @@ Suppression comments::
     x = time.time()  # repro-lint: disable=REPRO006
     y = a == 1.0     # repro-lint: disable=all
     # repro-lint: disable-file=REPRO003   (anywhere in the file)
-
-Violations may carry :class:`TextEdit` fixes; :func:`apply_fixes` applies
-them to a source string (used by ``python -m repro.lint --fix``).
 """
 
 from __future__ import annotations
@@ -33,18 +30,6 @@ _FILE_SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
 
 
-@dataclass(frozen=True)
-class TextEdit:
-    """A replacement of ``[start, end)`` (1-based line, 0-based column) with
-    ``replacement``.  A zero-width span is an insertion."""
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-
 @dataclass
 class Violation:
     """One finding of one rule at one source location."""
@@ -55,11 +40,6 @@ class Violation:
     line: int
     col: int
     message: str
-    fixes: Tuple[TextEdit, ...] = ()
-
-    @property
-    def fixable(self) -> bool:
-        return bool(self.fixes)
 
     def format(self) -> str:
         return (f"{self.path}:{self.line}:{self.col + 1}: "
@@ -174,45 +154,3 @@ def lint_file(path: Path, rules: Optional[Sequence] = None,
     source = Path(path).read_text(encoding="utf-8")
     scope = scope_key(Path(path), root)
     return lint_source(source, str(path), scope, rules)
-
-
-def lint_paths(paths: Iterable, rules: Optional[Sequence] = None
-               ) -> List[Violation]:
-    """Lint every Python file under ``paths`` (files or directories)."""
-    if rules is None:
-        from repro.lint.rules import ALL_RULES
-        rules = ALL_RULES
-    violations: List[Violation] = []
-    for file, root in iter_python_files(Path(p) for p in paths):
-        violations.extend(lint_file(file, rules=rules, root=root))
-    return violations
-
-
-def apply_fixes(source: str, violations: Sequence[Violation]) -> Tuple[str, int]:
-    """Apply every fix carried by ``violations`` to ``source``.
-
-    Returns ``(new_source, fixes_applied)``.  Edits are applied bottom-up
-    so earlier edits never invalidate later spans.
-    """
-    edits: List[TextEdit] = []
-    fixed = 0
-    for violation in violations:
-        if violation.fixes:
-            edits.extend(violation.fixes)
-            fixed += 1
-    if not edits:
-        return source, 0
-    lines = source.splitlines(keepends=True)
-    for edit in sorted(edits, key=lambda e: (e.line, e.col), reverse=True):
-        start_idx = edit.line - 1
-        end_idx = edit.end_line - 1
-        if start_idx >= len(lines) or end_idx >= len(lines):
-            continue
-        if start_idx == end_idx:
-            text = lines[start_idx]
-            lines[start_idx] = (text[:edit.col] + edit.replacement
-                                + text[edit.end_col:])
-        else:
-            first = lines[start_idx][:edit.col] + edit.replacement
-            lines[start_idx:end_idx + 1] = [first + lines[end_idx][edit.end_col:]]
-    return "".join(lines), fixed

@@ -94,13 +94,12 @@ class FunctionInfo:
 
 @dataclass
 class ModuleNode:
-    """One parsed module: its tree, external deps and name bindings."""
+    """One parsed module: its tree and name bindings."""
 
     name: str
     path: Path
     tree: ast.Module
     is_package: bool
-    external_deps: Set[str] = field(default_factory=set)
     bindings: Dict[str, ImportBinding] = field(default_factory=dict)
     definitions: Set[str] = field(default_factory=set)
 
@@ -169,8 +168,6 @@ class ProjectGraph:
 
     def _bind_import(self, node: ModuleNode, alias: ast.alias) -> None:
         target = alias.name
-        if not self._is_internal(target):
-            node.external_deps.add(target.split(".")[0])
         local = alias.asname or target.split(".")[0]
         bound = target if alias.asname else target.split(".")[0]
         node.bindings[local] = ImportBinding(module=bound)
@@ -180,8 +177,6 @@ class ProjectGraph:
         base = self._resolve_from_base(node, stmt.module, stmt.level)
         if base is None:
             return
-        if not self._is_internal(base):
-            node.external_deps.add(base.split(".")[0])
         for alias in stmt.names:
             if alias.name == "*":
                 continue
@@ -202,10 +197,6 @@ class ProjectGraph:
         if module:
             return f"{prefix}.{module}" if prefix else module
         return prefix or None
-
-    def _is_internal(self, module: str) -> bool:
-        return (module == self.package
-                or module.startswith(self.package + "."))
 
     # -- symbol resolution ----------------------------------------------
 

@@ -1,11 +1,11 @@
 """The REPRO00x static-analysis rule set.
 
 Every rule is a pluggable :class:`Rule` subclass with an ``id``, a
-``severity`` (``error`` or ``warning``), an ``autofixable`` flag and an
-optional path ``scopes`` tuple restricting where it fires (keys are
-package-relative, see :func:`repro.lint.engine.scope_key`).  To add a rule:
-subclass :class:`Rule`, implement :meth:`Rule.check`, and append an
-instance to :data:`ALL_RULES`.
+``severity`` (``error`` or ``warning``) and an optional path ``scopes``
+tuple restricting where it fires (keys are package-relative, see
+:func:`repro.lint.engine.scope_key`).  To add a rule: subclass
+:class:`Rule`, implement :meth:`Rule.check`, and append an instance to
+:data:`ALL_RULES`.
 
 | id       | checks                                                        |
 |----------|---------------------------------------------------------------|
@@ -34,9 +34,9 @@ unscoped modules).
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from repro.lint.engine import TextEdit, Violation
+from repro.lint.engine import Violation
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -66,7 +66,6 @@ class Rule:
 
     id: str = "REPRO000"
     severity: str = "error"
-    autofixable: bool = False
     #: Package-relative path prefixes this rule is restricted to
     #: (None = fires everywhere).
     scopes: Optional[Tuple[str, ...]] = None
@@ -85,8 +84,7 @@ class Rule:
               path: str) -> List[Violation]:
         raise NotImplementedError
 
-    def violation(self, node: ast.AST, path: str, message: str,
-                  fixes: Tuple[TextEdit, ...] = ()) -> Violation:
+    def violation(self, node: ast.AST, path: str, message: str) -> Violation:
         return Violation(
             rule_id=self.id,
             severity=self.severity,
@@ -94,7 +92,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            fixes=fixes,
         )
 
 
@@ -410,14 +407,11 @@ class WallClock(Rule):
     simulation paths.
 
     Simulated time is the only clock the simulator may read; host time and
-    unsorted directory listings make runs non-reproducible.  The
-    ``os.listdir``/``glob.glob`` case is autofixable by wrapping the call
-    in ``sorted(...)``.
+    unsorted directory listings make runs non-reproducible.
     """
 
     id = "REPRO006"
     severity = "error"
-    autofixable = True
     #: ``server/`` and ``experiments/`` joined the scope with the
     #: simulate() migration: both now sit directly on the simulation path
     #: (stressors mutate hierarchy state; experiment builders are the
@@ -466,7 +460,6 @@ class WallClock(Rule):
                     node, path,
                     f"{dotted}() returns entries in filesystem order; wrap "
                     f"it in sorted(...)",
-                    fixes=self._sorted_wrap_fixes(node),
                 ))
         return violations
 
@@ -480,17 +473,6 @@ class WallClock(Rule):
                     and node.func.id == "sorted" and node.args):
                 wrapped.add(id(node.args[0]))
         return wrapped
-
-    @staticmethod
-    def _sorted_wrap_fixes(node: ast.Call) -> Tuple[TextEdit, ...]:
-        if node.end_lineno is None or node.end_col_offset is None:
-            return ()
-        return (
-            TextEdit(node.lineno, node.col_offset,
-                     node.lineno, node.col_offset, "sorted("),
-            TextEdit(node.end_lineno, node.end_col_offset,
-                     node.end_lineno, node.end_col_offset, ")"),
-        )
 
 
 class BroadExceptInEngine(Rule):

@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.core.pif import PIFParams, pif_ideal_params
+from repro.core.jukebox import Jukebox
+from repro.core.pif import PIF, PIFParams, pif_ideal_params
+from repro.engine.job import fingerprint
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     CONFIGS,
     RunConfig,
+    SequenceResult,
+    _TeeHook,
     config_names,
+    make_traces,
     register_config,
     run_all_configs,
     run_config,
 )
+from repro.sim.core import BACKENDS, Simulator
 from repro.sim.params import skylake
+from repro.sim.simulate import simulate
 
 CFG = RunConfig(invocations=3, warmup=1)
 
@@ -123,6 +130,42 @@ class TestDrivers:
                            params=pif_ideal_params(), with_jukebox=True)
         assert combo.cycles < base.cycles
         assert combo.jukebox_reports
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_combined_jukebox_pif_matches_dedicated_loop(self, tiny_profile,
+                                                         backend):
+        """Jukebox + PIF runs through the shared measurement loop; the
+        reference is the dedicated loop it replaced, kept inline: flush
+        both, arm Jukebox, tee its recorder to PIF for the run, restore
+        it, then close the invocation."""
+        machine = skylake()
+        cfg = CFG.replace(backend=backend)
+        params = pif_ideal_params()
+        sim = Simulator(machine, backend=cfg.backend)
+        pif = PIF(params, sim.hierarchy)
+        jukebox = Jukebox(machine.jukebox)
+        measured, reports = [], []
+        for i, trace in enumerate(make_traces(tiny_profile, cfg)):
+            sim.flush_microarch_state()
+            pif.flush()
+            jukebox.begin_invocation(sim.hierarchy)
+            jb_recorder = sim.hierarchy.record_hook
+            sim.hierarchy.record_hook = _TeeHook(jb_recorder, pif)
+            result = simulate(trace, sim=sim)
+            sim.hierarchy.record_hook = jb_recorder
+            report = jukebox.end_invocation(sim.hierarchy, result)
+            if i >= cfg.warmup:
+                measured.append(result)
+                reports.append(report)
+        reference = SequenceResult(results=measured,
+                                   jukebox_reports=reports)
+        combo = run_config(tiny_profile, machine, cfg, "pif",
+                           params=params, with_jukebox=True)
+        assert fingerprint(combo) == fingerprint(reference)
+        # PIF's prefetches show in the result: the cell is not Jukebox
+        # alone.
+        jukebox_only = run_config(tiny_profile, machine, cfg, "jukebox")
+        assert fingerprint(combo) != fingerprint(jukebox_only)
 
     def test_run_all_configs_keys(self, tiny_profile):
         results = run_all_configs(tiny_profile, skylake(), CFG)

@@ -1,9 +1,11 @@
 """Tests for the lukewarm-repro CLI."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -12,6 +14,9 @@ import pytest
 from repro.experiments.runner import (
     EXPERIMENTS,
     Experiment,
+    _nonnegative_int,
+    _positive_float,
+    _positive_int,
     build_parser,
     default_cache_dir,
     main,
@@ -133,6 +138,50 @@ class TestParser:
         assert "--retries" in capsys.readouterr().err
 
 
+class TestArgumentTypes:
+    """The argparse types behind --jobs, --retries, --job-timeout and
+    --sweep-deadline, called directly."""
+
+    def test_positive_int_accepts_one(self):
+        assert _positive_int("1") == 1
+
+    def test_positive_int_names_the_bound(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="must be >= 1, got 0"):
+            _positive_int("0")
+
+    def test_positive_int_rejects_a_fraction(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="expected an integer, got '1.5'"):
+            _positive_int("1.5")
+
+    def test_nonnegative_int_accepts_zero(self):
+        assert _nonnegative_int("0") == 0
+
+    def test_nonnegative_int_names_the_bound(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="must be >= 0, got -2"):
+            _nonnegative_int("-2")
+
+    def test_nonnegative_int_rejects_words(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="expected an integer, got 'two'"):
+            _nonnegative_int("two")
+
+    def test_positive_float_accepts_a_fraction(self):
+        assert _positive_float("0.25") == 0.25
+
+    def test_positive_float_rejects_zero_seconds(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="must be > 0 seconds, got 0.0"):
+            _positive_float("0")
+
+    def test_positive_float_rejects_words(self):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="expected a number of seconds, got 'soon'"):
+            _positive_float("soon")
+
+
 class TestCacheDir:
     def test_env_override_wins(self, monkeypatch, tmp_path):
         monkeypatch.setenv("LUKEWARM_CACHE_DIR", str(tmp_path / "env"))
@@ -226,6 +275,18 @@ class TestMain:
         assert records[0]["experiment"] == "table2"
         assert "Table 2" in records[0]["report"]
         assert records[0]["engine"]["cells"] == 0
+
+    def test_times_experiments_on_the_injected_clock(self, monkeypatch,
+                                                     capsys):
+        """Per-experiment seconds come from the clock the runner hands
+        the engine; the runner never reads ``time.time``."""
+        def wall_clock():
+            raise AssertionError("the runner read time.time()")
+
+        monkeypatch.setattr(time, "time", wall_clock)
+        assert main(["table2", "--json", "--no-cache"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records[0]["seconds"] >= 0
 
     def test_warm_cache_run_skips_simulation(self, capsys, tmp_path):
         argv = ["fig06", "--fast", "--functions", "Auth-G",
@@ -375,7 +436,7 @@ print("\\n".join(sorted(
 
 #: The analyzer's modules, which no experiment run may load.
 _ANALYZER_MODULES = ("repro.lint.graph", "repro.lint.rules",
-                     "repro.lint.engine", "repro.lint.baseline")
+                     "repro.lint.engine", "repro.lint.cli")
 
 
 def _loaded_after(action: str, prefixes=_LAZY_PREFIXES) -> list:

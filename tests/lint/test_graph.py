@@ -100,13 +100,13 @@ class TestImportResolution:
             "pkg.sub", "a")
         assert graph.resolve_export("pkg.sub", "a") == ("pkg.sub.a", None)
 
-    def test_external_imports_are_external_deps(self, tmp_path):
+    def test_external_imports_are_bound(self, tmp_path):
         graph = _graph(tmp_path, {
             "__init__.py": "",
             "a.py": "import os\nfrom collections import deque\n",
         })
         node = graph.modules["pkg.a"]
-        assert node.external_deps == {"os", "collections"}
+        assert node.bindings["os"] == ImportBinding("os")
         assert node.bindings["deque"] == ImportBinding("collections",
                                                        "deque")
 
@@ -131,11 +131,9 @@ class TestShadowedStdlibNames:
         })
         absolute = graph.modules["pkg.absolute"]
         assert absolute.bindings["json"] == ImportBinding("json")
-        assert absolute.external_deps == {"json"}
         for name in ("pkg.relative", "pkg.explicit"):
             assert graph.modules[name].bindings["json"] == ImportBinding(
                 "pkg", "json")
-            assert not graph.modules[name].external_deps
         assert graph.resolve_export("pkg", "json") == ("pkg.json", None)
 
     def test_shadowed_module_resolves_calls_internally(self, tmp_path):
@@ -247,7 +245,6 @@ class TestModuleImports:
         })
         node = graph.modules["pkg.a"]
         assert node.bindings == {}
-        assert node.external_deps == set()
 
 
 def _edges(graph: ProjectGraph) -> dict:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.sim.params import (
     BROADWELL,
     SKYLAKE,
@@ -147,64 +147,62 @@ class TestMachineHelpers:
 
 
 class TestValidationMessages:
-    """Malformed params raise ``ConfigError`` with actionable messages.
-
-    ``ConfigError`` is the short alias for ``ConfigurationError`` exported
-    alongside the contract layer; both names must catch the same failures.
-    """
-
-    def test_alias_is_configuration_error(self):
-        assert ConfigError is ConfigurationError
+    """Malformed params raise ``ConfigurationError`` with actionable
+    messages."""
 
     def test_cache_zero_assoc(self):
-        with pytest.raises(ConfigError, match="associativity must be >= 1"):
+        with pytest.raises(ConfigurationError,
+                           match="associativity must be >= 1"):
             CacheParams("L1I", size=32 * KB, assoc=0, latency=4)
 
     def test_cache_non_power_of_two_line_size(self):
-        with pytest.raises(ConfigError, match="power of two"):
+        with pytest.raises(ConfigurationError, match="power of two"):
             CacheParams("L1I", size=48 * 48 * 8, assoc=8, latency=4,
                         line_size=48)
 
     def test_cache_negative_latency(self):
-        with pytest.raises(ConfigError, match="latency must be >= 0"):
+        with pytest.raises(ConfigurationError, match="latency must be >= 0"):
             CacheParams("L2", size=1 * MB, assoc=8, latency=-1)
 
     def test_cache_zero_mshrs(self):
-        with pytest.raises(ConfigError, match="MSHR count must be > 0"):
+        with pytest.raises(ConfigurationError, match="MSHR count must be > 0"):
             CacheParams("LLC", size=8 * MB, assoc=16, latency=36, mshrs=0)
 
     def test_cache_message_names_the_level(self):
-        with pytest.raises(ConfigError, match="LLC"):
+        with pytest.raises(ConfigurationError, match="LLC"):
             CacheParams("LLC", size=8 * MB, assoc=16, latency=36, mshrs=0)
 
     def test_tlb_zero_assoc(self):
-        with pytest.raises(ConfigError, match="associativity must be >= 1"):
+        with pytest.raises(ConfigurationError,
+                           match="associativity must be >= 1"):
             TLBParams("ITLB", entries=128, assoc=0)
 
     def test_tlb_negative_walk_latency(self):
-        with pytest.raises(ConfigError, match="page-walk latency"):
+        with pytest.raises(ConfigurationError, match="page-walk latency"):
             TLBParams("DTLB", entries=64, assoc=4, walk_latency=-5)
 
     def test_memory_zero_latency(self):
-        with pytest.raises(ConfigError, match="latencies must be positive"):
+        with pytest.raises(ConfigurationError,
+                           match="latencies must be positive"):
             MemoryParams(latency=0)
 
     def test_memory_row_hit_slower_than_row_miss(self):
-        with pytest.raises(ConfigError, match="cannot exceed"):
+        with pytest.raises(ConfigurationError, match="cannot exceed"):
             MemoryParams(latency=100, row_hit_latency=150)
 
     def test_memory_zero_bandwidth(self):
-        with pytest.raises(ConfigError, match="bandwidth must be positive"):
+        with pytest.raises(ConfigurationError,
+                           match="bandwidth must be positive"):
             MemoryParams(bytes_per_cycle=0.0)
 
     def test_core_zero_issue_width(self):
-        with pytest.raises(ConfigError, match="widths must be >= 1"):
+        with pytest.raises(ConfigurationError, match="widths must be >= 1"):
             CoreParams(issue_width=0)
 
     def test_core_fraction_out_of_range(self):
-        with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
+        with pytest.raises(ConfigurationError, match=r"lie in \[0, 1\]"):
             CoreParams(data_overlap=1.3)
 
     def test_core_negative_fraction(self):
-        with pytest.raises(ConfigError, match="inst_stall_dram"):
+        with pytest.raises(ConfigurationError, match="inst_stall_dram"):
             CoreParams(inst_stall_dram=-0.1)

@@ -16,6 +16,7 @@ call at a time.  These tests pin the two together:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,10 +26,50 @@ import pytest
 from repro.experiments.common import RunConfig, make_model
 from repro.workloads import function
 from repro.workloads.function import FunctionModel, decode_words
-from repro.workloads.serialization import _column_digest, _trace_columns
 from repro.workloads.suite import SUITE, get_profile
+from repro.workloads.trace import InvocationTrace
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "trace_columns.json"
+
+#: Digested column arrays, in digest order: the digest is over
+#: ``name || dtype || raw bytes`` for each entry.
+_COLUMNS = ("kinds", "addrs", "args", "args2", "loop_blocks", "loop_lens",
+            "loop_iters", "loop_insts", "loop_branches")
+
+
+def _column_digest(arrays: dict) -> str:
+    digest = hashlib.sha256()
+    for name in _COLUMNS:
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(name.encode())
+        digest.update(b"\0")
+        digest.update(str(array.dtype).encode())
+        digest.update(b"\0")
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _trace_columns(trace: InvocationTrace) -> dict:
+    """The digested columns of ``trace``: its event arrays and its loop
+    table flattened into parallel arrays."""
+    return {
+        "kinds": trace.kinds,
+        "addrs": trace.addrs,
+        "args": trace.args,
+        "args2": trace.args2,
+        "loop_blocks": np.asarray(
+            [b for spec in trace.loops for b in spec.blocks], dtype=np.int64),
+        "loop_lens": np.asarray([len(spec.blocks) for spec in trace.loops],
+                                dtype=np.int64),
+        "loop_iters": np.asarray([spec.iterations for spec in trace.loops],
+                                 dtype=np.int64),
+        "loop_insts": np.asarray(
+            [spec.insts_per_iteration for spec in trace.loops],
+            dtype=np.int64),
+        "loop_branches": np.asarray(
+            [spec.branches_per_iteration for spec in trace.loops],
+            dtype=np.int64),
+    }
 
 #: The digest matrix: every profile at both scales and three seeds,
 #: invocation 0, plus invocation 1 on seed 1.
