@@ -103,7 +103,7 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig1
 # that keys its cells from the same sources: every cell must be a cache
 # hit, the report byte-equal to the fill's and the cache unchanged, so an
 # unstable key or a config registered only by an eager import fails
-# here.  fleet-region (about 4 s each) runs the full-scale
+# here.  fleet-region (about 3.5 s each) runs the full-scale
 # region serial and uncached on seed 1 and the held-out seed 4242; its
 # digest hashes every region result, config echo included, and every
 # node must conserve arrivals (arrivals == served + dropped).

@@ -29,6 +29,7 @@ event per expired budget so every recovery action is observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -75,9 +76,12 @@ class GuardSpec:
     def __post_init__(self) -> None:
         for name in ("job_timeout_s", "sweep_deadline_s"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            # A NaN or infinite budget never expires.
+            if value is not None and not (math.isfinite(value)
+                                          and value > 0):
                 raise ConfigurationError(
-                    f"{name} must be > 0 seconds, got {value}")
+                    f"{name} must be a finite number > 0 seconds, "
+                    f"got {value}")
 
     def __bool__(self) -> bool:
         return (self.job_timeout_s is not None

@@ -11,6 +11,7 @@ correlate with the perfect-I-cache opportunity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -47,12 +48,15 @@ class Fig10Result:
 
     def correlation(self) -> float:
         """Pearson correlation between Jukebox and perfect-I$ speedups
-        (the paper notes the two track each other)."""
+        (the paper notes the two track each other).  NaN when either
+        series has no spread, since r is undefined there."""
         import numpy as np
         jb = [e.jukebox_speedup for e in self.entries]
         pf = [e.perfect_speedup for e in self.entries]
         if len(jb) < 2:
             return 1.0
+        if min(jb) == max(jb) or min(pf) == max(pf):
+            return math.nan
         return float(np.corrcoef(jb, pf)[0, 1])
 
 
@@ -86,7 +90,9 @@ def render(result: Fig10Result) -> str:
     table = format_table(
         ["Function", "baseline CPI", "Jukebox", "Perfect I-cache"], rows,
         title="Figure 10: speedup over the lukewarm baseline (Skylake-like)")
+    r = result.correlation()
+    r_text = "n/a" if math.isnan(r) else f"{r:.2f}"
     summary = (f"Jukebox geomean {result.jukebox_geomean * 100:+.1f}% "
                f"(paper: +18.7%); perfect I$ {result.perfect_geomean * 100:+.1f}% "
-               f"(paper: +31%); correlation r={result.correlation():.2f}")
+               f"(paper: +31%); correlation r={r_text}")
     return f"{table}\n\n{summary}"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 import time
@@ -144,12 +145,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a float > 0, rejected at parse time."""
+    """argparse type: a finite float > 0, rejected at parse time."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number of seconds, got {text!r}") from None
+    if not math.isfinite(value):
+        # A NaN or infinite budget never expires.
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds, got {value}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {value}")
     return value

@@ -12,6 +12,7 @@ tolerances the metamorphic battery asserts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence
 
@@ -50,8 +51,12 @@ class LatencyHistogram:
         self.total += 1
 
     def observe_many(self, latencies_ms: Iterable[float]) -> None:
-        for latency in latencies_ms:
-            self.observe(latency)
+        """Bin every latency in one pass, then add the bins' counts; a
+        non-finite latency raises before any count changes."""
+        binned = Counter(map(self.bin_index, latencies_ms))
+        for idx, count in binned.items():
+            self.counts[idx] = self.counts.get(idx, 0) + count
+        self.total += sum(binned.values())
 
     def merge(self, other: "LatencyHistogram") -> None:
         for idx, count in other.counts.items():

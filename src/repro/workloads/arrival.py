@@ -12,11 +12,40 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Standard exponential draws an arrival process takes from numpy at a
+#: time: a full-scale fleet instance draws about 120 inter-arrival times.
+IAT_BLOCK = 64
+
+
+class ExponentialBlocks:
+    """Standard exponential draws of one generator, taken in blocks.
+
+    numpy computes ``Generator.exponential(scale)`` as ``scale`` times one
+    standard exponential draw, so ``scale * draw()`` returns, value for
+    value, what one ``exponential(scale)`` call per draw returns.  The
+    rest of a block waits for the next :meth:`draw`, so the generator's
+    stream goes on where it stopped.  Nothing else may draw from ``rng``.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int) -> None:
+        self._rng = rng
+        self._block = block
+        self._units: List[float] = []
+        self._next = 0
+
+    def draw(self) -> float:
+        i = self._next
+        if i == len(self._units):
+            self._units = self._rng.standard_exponential(self._block).tolist()
+            i = 0
+        self._next = i + 1
+        return self._units[i]
 
 
 class ArrivalProcess(ABC):
@@ -64,10 +93,10 @@ class PoissonArrivals(ArrivalProcess):
         if mean_iat_ms <= 0:
             raise ConfigurationError(f"mean IAT must be positive: {mean_iat_ms}")
         self._mean = float(mean_iat_ms)
-        self._rng = np.random.default_rng(seed)
+        self._units = ExponentialBlocks(np.random.default_rng(seed), IAT_BLOCK)
 
     def next_iat(self) -> float:
-        return float(self._rng.exponential(self._mean))
+        return self._mean * self._units.draw()
 
     @property
     def mean_iat(self) -> float:
@@ -167,12 +196,12 @@ class DiurnalArrivals(ArrivalProcess):
         self._period = float(period_ms)
         self._phase = float(phase)
         self._t = 0.0
-        self._rng = np.random.default_rng(seed)
+        self._units = ExponentialBlocks(np.random.default_rng(seed), IAT_BLOCK)
 
     def next_iat(self) -> float:
         modulation = 1.0 + self._amplitude * math.sin(
             2.0 * math.pi * self._t / self._period + self._phase)
-        iat = float(self._rng.exponential(self._mean / modulation))
+        iat = self._mean / modulation * self._units.draw()
         self._t += iat
         return iat
 

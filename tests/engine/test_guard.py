@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 
@@ -45,6 +46,10 @@ class TestGuardSpec:
     @pytest.mark.parametrize("kwargs", [
         {"job_timeout_s": 0}, {"job_timeout_s": -1.0},
         {"sweep_deadline_s": 0}, {"sweep_deadline_s": -0.5},
+        # NaN passes ``<= 0``; no elapsed time exceeds NaN or inf.
+        {"job_timeout_s": math.nan}, {"job_timeout_s": math.inf},
+        {"job_timeout_s": -math.inf}, {"sweep_deadline_s": math.nan},
+        {"sweep_deadline_s": math.inf}, {"sweep_deadline_s": -math.inf},
     ])
     def test_rejects_non_positive_budgets(self, kwargs):
         with pytest.raises(ConfigurationError, match="> 0"):

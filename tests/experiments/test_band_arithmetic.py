@@ -6,6 +6,8 @@ feeds one of them a synthetic input whose answer is known by hand, so a
 slip in the arithmetic shows without running a sweep.
 """
 
+import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +25,7 @@ from repro.experiments.fig02_topdown import Fig2Entry, Fig2Result
 from repro.experiments.fig03_frontend import Fig3Entry, Fig3Result
 from repro.experiments.fig04_cpi_breakdown import Fig4Result
 from repro.experiments.fig09_storage import Fig9Result
-from repro.experiments.fig10_speedup import Fig10Entry, Fig10Result
+from repro.experiments.fig10_speedup import Fig10Entry, Fig10Result, render
 from repro.experiments.fig12_bandwidth import (
     Fig12Entry,
     Fig12Result,
@@ -151,6 +153,20 @@ class TestFig10Correlation:
 
     def test_fewer_than_two_functions_read_as_correlated(self):
         assert self._result([0.1], [0.4]).correlation() == 1.0
+
+    @pytest.mark.parametrize("jukebox,perfect", [
+        ([0.2, 0.2], [0.3, 0.4]),
+        ([0.1, 0.2, 0.3], [0.4, 0.4, 0.4]),
+        ([0.2, 0.2, 0.2], [0.4, 0.4, 0.4]),
+    ])
+    def test_tied_speedups_have_no_correlation(self, jukebox, perfect):
+        """A series with no spread has no Pearson r: NaN without numpy's
+        divide warning, rendered as ``r=n/a``."""
+        result = self._result(jukebox, perfect)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(result.correlation())
+            assert "correlation r=n/a" in render(result)
 
 
 class TestFig2Arithmetic:

@@ -181,6 +181,15 @@ class TestArgumentTypes:
                            match="expected a number of seconds, got 'soon'"):
             _positive_float("soon")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_positive_float_rejects_non_finite_seconds(self, text):
+        """NaN passes ``<= 0``, and a guard armed with NaN or inf seconds
+        never expires."""
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"must be a finite number of seconds, "
+                                 f"got {float(text)}"):
+            _positive_float(text)
+
 
 class TestCacheDir:
     def test_env_override_wins(self, monkeypatch, tmp_path):

@@ -15,10 +15,12 @@ the sharded/SIGKILL differential battery relies on are the integer
 and histogram-derived fields, pinned here.
 """
 
+import math
 import random
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.fleet.result import LatencyHistogram, aggregate_nodes
 
 SEEDS = (3, 17, 2022)
@@ -80,6 +82,30 @@ def test_merge_matches_observing_everything_at_once(seed):
     assert snapshot(parts) == snapshot(whole)
     for q in (0.0, 50.0, 90.0, 99.0, 100.0):
         assert parts.percentile(q) == whole.percentile(q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_observe_many_bins_like_observe(seed):
+    """The one-pass fold lands every latency in ``observe``'s bin,
+    sub-bin-0 clamping and bin edges included."""
+    rng = random.Random(seed * 11 + 3)
+    samples = [rng.lognormvariate(1.0, 2.0) for _ in range(500)]
+    samples += [0.0, 1e-4, 1e-3, 10.0 ** (1 / 128 - 3), 1.0, 1e4]
+    one_by_one = LatencyHistogram()
+    for latency in samples:
+        one_by_one.observe(latency)
+    folded = LatencyHistogram()
+    folded.observe_many(samples)
+    assert folded == one_by_one
+
+
+def test_observe_many_rejects_non_finite_before_counting():
+    hist = LatencyHistogram()
+    hist.observe_many([1.0, 2.0])
+    before = snapshot(hist)
+    with pytest.raises(ConfigurationError, match="finite"):
+        hist.observe_many([3.0, math.nan])
+    assert snapshot(hist) == before
 
 
 def test_pairs_round_trip_is_canonical():

@@ -1,6 +1,7 @@
 """Tests for inter-arrival-time processes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet.config import FleetConfig
+from repro.fleet.plan import arrival_seed_for
 from repro.workloads.arrival import (
     ARRIVAL_KINDS,
+    IAT_BLOCK,
     BurstyArrivals,
     DiurnalArrivals,
     FixedIAT,
@@ -160,6 +164,45 @@ class TestDiurnalArrivals:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             DiurnalArrivals(100.0, **kwargs)
+
+
+class TestBlockDrawWordContract:
+    """Poisson and diurnal processes take standard exponential draws from
+    numpy in blocks of ``IAT_BLOCK`` and scale each one.  Over three
+    blocks and one more draw they must return what one scalar
+    ``Generator.exponential`` call per draw returns, so a numpy release
+    that computes ``exponential(scale)`` otherwise fails here, not only in
+    the fleet-region benchmark's result digest."""
+
+    DRAWS = 3 * IAT_BLOCK + 1
+    #: Arrival seeds of fleet-region instances (the first and last of
+    #: seed 1's 480, one of the held-out seed 4242's) and seed 0.
+    SEEDS = [arrival_seed_for(FleetConfig(seed=1), 0),
+             arrival_seed_for(FleetConfig(seed=1), 479),
+             arrival_seed_for(FleetConfig(seed=4242), 7),
+             0]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_poisson_returns_scalar_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        scalar = [float(rng.exponential(500.0)) for _ in range(self.DRAWS)]
+        proc = PoissonArrivals(500.0, seed=seed)
+        assert [proc.next_iat() for _ in range(self.DRAWS)] == scalar
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_diurnal_returns_scalar_draws(self, seed):
+        mean, amplitude, period_ms, phase = 500.0, 0.6, 30_000.0, 0.4
+        rng = np.random.default_rng(seed)
+        scalar, t = [], 0.0
+        for _ in range(self.DRAWS):
+            modulation = 1.0 + amplitude * math.sin(
+                2.0 * math.pi * t / period_ms + phase)
+            iat = float(rng.exponential(mean / modulation))
+            t += iat
+            scalar.append(iat)
+        proc = DiurnalArrivals(mean, amplitude=amplitude,
+                               period_ms=period_ms, phase=phase, seed=seed)
+        assert [proc.next_iat() for _ in range(self.DRAWS)] == scalar
 
 
 class TestCrossProcessDeterminism:
