@@ -14,7 +14,7 @@ from repro.analysis.report import format_table
 from repro.core.jukebox import Jukebox
 from repro.experiments.common import make_traces, run_config
 from repro.sim.core import Simulator
-from repro.sim.simulate import simulate
+from repro.sim.core import simulate
 from repro.sim.params import skylake
 from repro.workloads.suite import get_profile
 

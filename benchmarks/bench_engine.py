@@ -115,7 +115,7 @@ def _time_lukewarm(traces, backend, reps):
     import time
 
     from repro.sim.core import Simulator
-    from repro.sim.simulate import simulate
+    from repro.sim.core import simulate
 
     sim = Simulator(skylake(), backend=backend)
     for trace in traces:  # untimed: builds the IR

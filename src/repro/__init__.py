@@ -35,66 +35,42 @@ One-shot cold runs need no simulator at all --
 :class:`repro.workloads.TraceBuilder`.
 """
 
-from repro.core import Jukebox, PIF, PIFParams, pif_ideal_params
-from repro.errors import (
-    ConfigurationError,
-    ContractViolationError,
-    MetadataError,
-    ReproError,
-    SimulationError,
-    TraceError,
-)
-from repro.sim import (
-    BACKENDS,
-    BROADWELL,
-    SKYLAKE,
-    InvocationResult,
-    JukeboxParams,
-    MachineParams,
-    MemoryHierarchy,
-    Simulator,
-    TopDownBreakdown,
-    broadwell,
-    simulate,
-    skylake,
-)
-from repro.workloads import (
-    FunctionModel,
-    FunctionProfile,
-    SUITE,
-    TraceBuilder,
-    get_profile,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BACKENDS",
-    "BROADWELL",
-    "ConfigurationError",
-    "ContractViolationError",
-    "FunctionModel",
-    "FunctionProfile",
-    "InvocationResult",
-    "Jukebox",
-    "JukeboxParams",
-    "MachineParams",
-    "MemoryHierarchy",
-    "MetadataError",
-    "PIF",
-    "PIFParams",
-    "ReproError",
-    "SKYLAKE",
-    "SUITE",
-    "SimulationError",
-    "Simulator",
-    "TopDownBreakdown",
-    "TraceBuilder",
-    "TraceError",
-    "broadwell",
-    "get_profile",
-    "pif_ideal_params",
-    "simulate",
-    "skylake",
-    "__version__",
-]
+#: Each public name and the module defining it; resolved on first access,
+#: so ``import repro`` alone loads neither the simulator nor numpy.
+_EXPORTS = {
+    "BACKENDS": "repro.sim.result",
+    "BROADWELL": "repro.sim.params",
+    "ConfigurationError": "repro.errors",
+    "ContractViolationError": "repro.errors",
+    "FunctionModel": "repro.workloads.function",
+    "FunctionProfile": "repro.workloads.profiles",
+    "InvocationResult": "repro.sim.result",
+    "Jukebox": "repro.core.jukebox",
+    "JukeboxParams": "repro.sim.params",
+    "MachineParams": "repro.sim.params",
+    "MemoryHierarchy": "repro.sim.hierarchy",
+    "MetadataError": "repro.errors",
+    "PIF": "repro.core.pif",
+    "PIFParams": "repro.core.pif",
+    "ReproError": "repro.errors",
+    "SKYLAKE": "repro.sim.params",
+    "SUITE": "repro.workloads.suite",
+    "SimulationError": "repro.errors",
+    "Simulator": "repro.sim.core",
+    "TopDownBreakdown": "repro.sim.topdown",
+    "TraceBuilder": "repro.workloads.trace",
+    "TraceError": "repro.errors",
+    "broadwell": "repro.sim.params",
+    "get_profile": "repro.workloads.suite",
+    "pif_ideal_params": "repro.core.pif",
+    "simulate": "repro.sim.core",
+    "skylake": "repro.sim.params",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,40 +1,33 @@
 """Jukebox: the paper's record-and-replay instruction prefetcher (Sec. 3),
-plus the PIF comparison baseline (Sec. 5.5)."""
+plus the PIF comparison baseline (Sec. 5.5).
 
-from repro.core.crrb import CRRB, Entry
-from repro.core.jukebox import Jukebox, JukeboxInvocationReport
-from repro.core.metadata import MetadataBuffer, unbounded_metadata_size_bytes
-from repro.core.pif import PIF, PIFParams, PIFStats, pif_ideal_params
-from repro.core.recorder import (
-    JukeboxRecorder,
-    record_miss_stream,
-    record_miss_stream_merging,
-)
-from repro.core.regions import RegionGeometry
-from repro.core.replayer import (
-    JukeboxReplayer,
-    ReplayStats,
-    collect_outcomes,
-    finalize_overprediction,
-)
+Names resolve lazily from the modules in :data:`_EXPORTS` (see
+:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "CRRB",
-    "Entry",
-    "Jukebox",
-    "JukeboxInvocationReport",
-    "JukeboxRecorder",
-    "JukeboxReplayer",
-    "MetadataBuffer",
-    "PIF",
-    "PIFParams",
-    "PIFStats",
-    "RegionGeometry",
-    "ReplayStats",
-    "collect_outcomes",
-    "finalize_overprediction",
-    "pif_ideal_params",
-    "record_miss_stream",
-    "record_miss_stream_merging",
-    "unbounded_metadata_size_bytes",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "CRRB": "repro.core.crrb",
+    "Entry": "repro.core.crrb",
+    "Jukebox": "repro.core.jukebox",
+    "JukeboxInvocationReport": "repro.core.jukebox",
+    "JukeboxRecorder": "repro.core.recorder",
+    "JukeboxReplayer": "repro.core.replayer",
+    "MetadataBuffer": "repro.core.metadata",
+    "PIF": "repro.core.pif",
+    "PIFParams": "repro.core.pif",
+    "PIFStats": "repro.core.pif",
+    "RegionGeometry": "repro.core.regions",
+    "ReplayStats": "repro.core.replayer",
+    "collect_outcomes": "repro.core.replayer",
+    "finalize_overprediction": "repro.core.replayer",
+    "pif_ideal_params": "repro.core.pif",
+    "record_miss_stream": "repro.core.recorder",
+    "record_miss_stream_merging": "repro.core.recorder",
+    "unbounded_metadata_size_bytes": "repro.core.metadata",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,7 +20,7 @@ Driving pattern (see :mod:`repro.experiments.common`)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.metadata import MetadataBuffer
 from repro.core.recorder import JukeboxRecorder
@@ -32,9 +32,11 @@ from repro.core.replayer import (
     finalize_overprediction,
 )
 from repro.errors import SimulationError
-from repro.sim.core import InvocationResult
-from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.params import JukeboxParams
+
+if TYPE_CHECKING:
+    from repro.sim.hierarchy import MemoryHierarchy
+    from repro.sim.result import InvocationResult
 
 
 @dataclass

@@ -21,10 +21,12 @@ Two configurations, as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim.hierarchy import MemoryHierarchy
 from repro.units import KB, LINE_SHIFT
+
+if TYPE_CHECKING:
+    from repro.sim.hierarchy import MemoryHierarchy
 
 #: Bytes of storage per recorded stream element (a compacted instruction
 #: block address); used to convert the paper's KB budgets into entries.

@@ -19,12 +19,14 @@ lazily as simulated time advances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core.metadata import MetadataBuffer
 from repro.lint import contracts
-from repro.sim.hierarchy import MemoryHierarchy
 from repro.units import LINE_SHIFT, LINE_SIZE, PAGE_SHIFT
+
+if TYPE_CHECKING:
+    from repro.sim.hierarchy import MemoryHierarchy
 
 
 @dataclass

@@ -28,6 +28,7 @@ an injected ``sleep``, and both stay inert when none is configured.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -228,10 +229,11 @@ def sweep_outcomes(jobs: Sequence[Job],
     Never raises on a cell failure: each cell yields a
     :class:`~repro.engine.resilience.JobOutcome` carrying its value or its
     per-attempt error records (remote tracebacks included).  Cache hits
-    are filled in first; the remaining misses go to the context's executor
-    as one batch, retried per the context's policy, and every *successful*
-    result is checkpointed into the cache as soon as it completes -- an
-    aborted run resumes warm.
+    are filled in first; the providers of the remaining misses are
+    imported, then the misses go to the context's executor as one batch,
+    retried per the context's policy, and every *successful* result is
+    checkpointed into the cache as soon as it completes -- an aborted run
+    resumes warm.
     """
     jobs = list(jobs)
     ctx = context if context is not None else current_context()
@@ -277,6 +279,7 @@ def sweep_outcomes(jobs: Sequence[Job],
                     ctx.cache.tear(key)
 
     if pending:
+        _load_providers(pending)
         guard = (GuardState(ctx.guard, ctx.clock, tracer=tracer)
                  if ctx.guard else None)
         started = ctx.clock() if ctx.clock is not None else None
@@ -302,6 +305,22 @@ def sweep_outcomes(jobs: Sequence[Job],
                     misses=delta.misses, stores=delta.stores,
                     failures=delta.failures, retries=delta.retries)
     return outcomes  # type: ignore[return-value]
+
+
+def _load_providers(tasks: Sequence[Task]) -> None:
+    """Import each distinct provider of ``tasks`` before the first dispatch.
+
+    No cell's window then absorbs its provider's import (the simulator,
+    for the default provider), and forked pool workers inherit the loaded
+    modules instead of importing them again.  An unimportable provider is
+    left to :func:`~repro.engine.executors.execute_job`, which fails each
+    of its cells with a typed :class:`~repro.errors.ConfigurationError`.
+    """
+    for provider in dict.fromkeys(task.job.provider for task in tasks):
+        try:
+            importlib.import_module(provider)
+        except ImportError:
+            continue
 
 
 def sweep(jobs: Sequence[Job],

@@ -25,8 +25,7 @@ from repro.experiments.common import (
     register_config,
 )
 from repro.server.stressor import Stressor
-from repro.sim.core import Simulator
-from repro.sim.simulate import simulate
+from repro.sim.core import Simulator, simulate
 from repro.sim.params import MachineParams, broadwell
 from repro.workloads.suite import get_profile
 

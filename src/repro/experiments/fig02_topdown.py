@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_stacked_bars, format_table
 from repro.engine import sweep_configs
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MachineParams, broadwell
 from repro.sim.topdown import TopDownBreakdown
 from repro.workloads.suite import suite_subset

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.experiments import fig02_topdown
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MachineParams
 
 #: Derived from the Fig. 2 sweep (cache hits when Fig. 2 already ran).

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.metrics import geomean_speedup, speedup
 from repro.analysis.report import format_table
 from repro.engine import Job, sweep
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import JukeboxParams, MachineParams, skylake
 from repro.units import KB
 from repro.workloads.suite import REPRESENTATIVES, suite_subset

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import geomean_speedup, speedup
 from repro.analysis.report import format_table
 from repro.engine import sweep_configs
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MachineParams, skylake
 from repro.workloads.suite import suite_subset
 
@@ -49,15 +49,24 @@ class Fig10Result:
     def correlation(self) -> float:
         """Pearson correlation between Jukebox and perfect-I$ speedups
         (the paper notes the two track each other).  NaN when either
-        series has no spread, since r is undefined there."""
-        import numpy as np
+        series has no spread, since r is undefined there.
+
+        Pure Python (:func:`math.fsum`), so rendering a cached result
+        loads no numpy; it agrees with ``numpy.corrcoef`` to 1e-12."""
         jb = [e.jukebox_speedup for e in self.entries]
         pf = [e.perfect_speedup for e in self.entries]
         if len(jb) < 2:
             return 1.0
         if min(jb) == max(jb) or min(pf) == max(pf):
             return math.nan
-        return float(np.corrcoef(jb, pf)[0, 1])
+        jb_mean = math.fsum(jb) / len(jb)
+        pf_mean = math.fsum(pf) / len(pf)
+        dj = [x - jb_mean for x in jb]
+        dp = [y - pf_mean for y in pf]
+        r = math.fsum(a * b for a, b in zip(dj, dp)) / math.sqrt(
+            math.fsum(a * a for a in dj) * math.fsum(b * b for b in dp))
+        # Rounding can carry |r| past 1 by an ulp; numpy clips it too.
+        return max(-1.0, min(1.0, r))
 
 
 def run(cfg: Optional[RunConfig] = None,

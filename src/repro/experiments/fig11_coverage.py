@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.engine import sweep_configs
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MachineParams, skylake
 from repro.workloads.profiles import LANG_GO
 from repro.workloads.suite import suite_subset

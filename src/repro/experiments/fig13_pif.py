@@ -19,7 +19,7 @@ from repro.analysis.metrics import geomean_speedup, speedup
 from repro.analysis.report import format_table
 from repro.core.pif import PIFParams, pif_ideal_params
 from repro.engine import Job, sweep
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MachineParams, skylake
 from repro.workloads.suite import REPRESENTATIVES, suite_subset
 

@@ -40,10 +40,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import engine
 from repro.errors import ConfigurationError
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.faults import parse_fault_plan
-from repro.sim.core import BACKENDS
-from repro.workloads.suite import BY_ABBREV
+from repro.sim.result import BACKENDS
+from repro.workloads.suite import BY_ABBREV, suite_subset
 
 #: Environment variable overriding the default result-cache location.
 CACHE_DIR_ENV = "LUKEWARM_CACHE_DIR"
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduced scale (fewer invocations, scaled traces)")
     parser.add_argument("--functions", nargs="+", default=None,
                         help="restrict to these function abbreviations")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_nonnegative_int, default=1)
     parser.add_argument("--backend", choices=BACKENDS, default="columnar",
                         help="simulation backend; both produce byte-"
                              "identical results, 'scalar' is the slow "
@@ -250,6 +250,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(BY_ABBREV)}", file=sys.stderr)
+        return 2
+    try:
+        suite_subset(args.functions)
+    except ConfigurationError as exc:
+        print(f"--functions: {exc}", file=sys.stderr)
         return 2
     if args.no_cache and args.cache_dir is not None:
         print("--no-cache and --cache-dir contradict each other; "

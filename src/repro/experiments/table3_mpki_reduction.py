@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import geomean_speedup, percent_change, speedup
 from repro.analysis.report import format_table
 from repro.engine import sweep_configs
-from repro.experiments.common import RunConfig
+from repro.experiments.scale import RunConfig
 from repro.sim.params import MODE_EVALUATION, broadwell, skylake
 from repro.workloads.suite import suite_subset
 

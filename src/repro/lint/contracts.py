@@ -12,7 +12,7 @@ access):
 * :func:`check_topdown` -- the five Top-Down components are non-negative
   and sum to the reported total cycles within tolerance;
 * :func:`check_invocation` -- both of the above for one
-  :class:`repro.sim.core.InvocationResult`;
+  :class:`repro.sim.result.InvocationResult`;
 * :func:`check_metadata_buffer` / :func:`check_replay_counts` -- Jukebox
   metadata entries are well-formed and the replayed entry count matches
   what the record phase wrote;

@@ -5,7 +5,7 @@ This module is the ``backend="columnar"`` implementation behind
 :class:`repro.workloads.trace.ColumnarTrace` instead of interpreting one
 event at a time.  The contract (DESIGN.md Sec. 12) is *bit-exact
 equivalence*: for any trace and any starting hierarchy state, the
-:class:`~repro.sim.core.InvocationResult` and every piece of simulator
+:class:`~repro.sim.result.InvocationResult` and every piece of simulator
 state (cache LRU orders, TLB contents, prefetch ledgers, statistics,
 branch-predictor training) must be byte-identical to what the scalar
 reference produces.  The differential battery in
@@ -76,6 +76,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.lint import contracts
+from repro.sim.result import InvocationResult
 from repro.sim.topdown import TopDownBreakdown
 from repro.units import LINE_SHIFT, LINE_SIZE, PAGE_SHIFT
 from repro.workloads.trace import BRANCH, LOAD, LOOP, OP_EVENTS, STORE
@@ -104,8 +105,6 @@ def run_columnar(sim, trace):
     """Execute ``trace`` on ``sim`` (a :class:`repro.sim.core.Simulator`)
     through the columnar IR.  See the module docstring for the exactness
     argument; the public entry point is :func:`repro.sim.simulate`."""
-    from repro.sim.core import InvocationResult
-
     ct = trace.columnar()
     hier = sim.hierarchy
     stats = hier.stats

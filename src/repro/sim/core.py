@@ -26,14 +26,16 @@ Two execution backends share this model (DESIGN.md Sec. 12):
   which consumes the trace's columnar IR and is required to reproduce the
   scalar results *bit for bit* (enforced by the differential battery).
 
-Prefer the :func:`repro.sim.simulate` facade over constructing a
-:class:`Simulator` directly.
+:func:`simulate` is the one call every consumer -- ``experiments/``,
+``server/``, ``engine/`` workers, tests -- goes through to execute a
+trace; prefer it over calling :meth:`Simulator.run` directly.  What an
+invocation measured, :class:`~repro.sim.result.InvocationResult`, lives
+in :mod:`repro.sim.result` so cached results load without this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.lint import contracts
@@ -41,7 +43,7 @@ from repro.sim import batch
 from repro.sim.branch import BTB, SiteBranchModel
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.params import MachineParams
-from repro.sim.stats import HierarchyStats
+from repro.sim.result import BACKENDS, InvocationResult
 from repro.sim.topdown import TopDownBreakdown
 from repro.workloads.trace import (
     BRANCH,
@@ -51,34 +53,6 @@ from repro.workloads.trace import (
     STORE,
     InvocationTrace,
 )
-
-
-@dataclass
-class InvocationResult:
-    """Everything measured while executing one invocation."""
-
-    instructions: int
-    topdown: TopDownBreakdown
-    stats: HierarchyStats
-    #: Demand instruction fetches served per level.
-    fetch_sources: Dict[str, int] = field(default_factory=dict)
-    mispredicts: float = 0.0
-    btb_bubbles: int = 0
-
-    @property
-    def cycles(self) -> float:
-        return self.topdown.total_cycles
-
-    @property
-    def cpi(self) -> float:
-        return self.topdown.cpi(self.instructions)
-
-    def mpki(self, level: str, kind: str = "all") -> float:
-        return self.stats.levels()[level].mpki(self.instructions, kind)
-
-
-#: Valid values of ``Simulator(backend=...)`` / ``RunConfig.backend``.
-BACKENDS = ("columnar", "scalar")
 
 
 class Simulator:
@@ -235,3 +209,45 @@ class Simulator:
                 td.fetch_latency += steady
                 cycle += steady
         return cycle
+
+
+def simulate(trace: InvocationTrace,
+             machine: Optional[MachineParams] = None,
+             *,
+             backend: Optional[str] = None,
+             sim: Optional[Simulator] = None) -> InvocationResult:
+    """Execute one invocation trace; returns its measurements.
+
+    Either pass ``machine`` (a fresh, cold :class:`Simulator` is built,
+    ``backend`` defaulting to ``"columnar"``) or pass an existing ``sim``
+    to reuse its warm state -- the protocol of every experiment that
+    carries microarchitectural state across invocations (warm reference
+    runs, Jukebox record/replay)::
+
+        result = simulate(trace, skylake())
+        sim = Simulator(machine, backend="columnar")
+        for trace in traces:
+            result = simulate(trace, sim=sim)
+
+    Passing both ``sim`` and ``machine`` -- or ``sim`` plus a conflicting
+    ``backend`` -- is a configuration error: the simulator already owns
+    those choices.  Backend choice never changes results, only
+    throughput (DESIGN.md Sec. 12).
+    """
+    if sim is not None:
+        if machine is not None:
+            raise ConfigurationError(
+                "pass either machine= or sim=, not both: the simulator "
+                "already owns its machine parameters"
+            )
+        if backend is not None and backend != sim.backend:
+            raise ConfigurationError(
+                f"backend={backend!r} conflicts with the provided "
+                f"simulator's backend={sim.backend!r}"
+            )
+        return sim.run(trace)
+    if machine is None:
+        raise ConfigurationError("simulate() needs machine= or sim=")
+    built = Simulator(machine,
+                      backend=backend if backend is not None else "columnar")
+    return built.run(trace)

@@ -1,46 +1,34 @@
 """Serverless function workload models (the containerized-function
-substrate, Table 2)."""
+substrate, Table 2).
 
-from repro.workloads.function import FunctionModel
-from repro.workloads.layout import CodeLayout, CodeSegment, build_layout
-from repro.workloads.profiles import (
-    FunctionProfile,
-    LANG_GO,
-    LANG_NODEJS,
-    LANG_PYTHON,
-    LANGUAGES,
-)
-from repro.workloads.suite import (
-    BY_ABBREV,
-    REPRESENTATIVES,
-    SUITE,
-    build_suite,
-    get_profile,
-    suite_subset,
-)
-from repro.workloads.trace import (
-    InvocationTrace,
-    LoopSpec,
-    TraceBuilder,
-)
+Names resolve lazily from the modules in :data:`_EXPORTS`, so the suite
+and profiles (``repro.workloads.suite``) load without the numpy trace
+generator.
+"""
 
-__all__ = [
-    "BY_ABBREV",
-    "CodeLayout",
-    "CodeSegment",
-    "FunctionModel",
-    "FunctionProfile",
-    "InvocationTrace",
-    "LANG_GO",
-    "LANG_NODEJS",
-    "LANG_PYTHON",
-    "LANGUAGES",
-    "LoopSpec",
-    "REPRESENTATIVES",
-    "SUITE",
-    "TraceBuilder",
-    "build_layout",
-    "build_suite",
-    "get_profile",
-    "suite_subset",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BY_ABBREV": "repro.workloads.suite",
+    "CodeLayout": "repro.workloads.layout",
+    "CodeSegment": "repro.workloads.layout",
+    "FunctionModel": "repro.workloads.function",
+    "FunctionProfile": "repro.workloads.profiles",
+    "InvocationTrace": "repro.workloads.trace",
+    "LANG_GO": "repro.workloads.profiles",
+    "LANG_NODEJS": "repro.workloads.profiles",
+    "LANG_PYTHON": "repro.workloads.profiles",
+    "LANGUAGES": "repro.workloads.profiles",
+    "LoopSpec": "repro.workloads.trace",
+    "REPRESENTATIVES": "repro.workloads.suite",
+    "SUITE": "repro.workloads.suite",
+    "TraceBuilder": "repro.workloads.trace",
+    "build_layout": "repro.workloads.layout",
+    "build_suite": "repro.workloads.suite",
+    "get_profile": "repro.workloads.suite",
+    "suite_subset": "repro.workloads.suite",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -148,7 +148,15 @@ def get_profile(abbrev: str) -> FunctionProfile:
 
 
 def suite_subset(abbrevs: Optional[List[str]] = None) -> List[FunctionProfile]:
-    """Return the listed profiles (or the full suite), preserving order."""
+    """Return the listed profiles (or the full suite), preserving order.
+
+    A repeated abbreviation is a configuration error: the function would
+    be swept and weighed in every aggregate once per mention.
+    """
     if abbrevs is None:
         return list(SUITE)
+    repeated = sorted({a for a in abbrevs if abbrevs.count(a) > 1})
+    if repeated:
+        raise ConfigurationError(
+            f"function(s) listed more than once: {', '.join(repeated)}")
     return [get_profile(a) for a in abbrevs]

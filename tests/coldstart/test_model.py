@@ -177,7 +177,7 @@ class TestSnapshotState:
     def test_composes_page_and_jukebox_sides(self, tiny_machine,
                                              tiny_traces):
         from repro.sim.core import Simulator
-        from repro.sim.simulate import simulate
+        from repro.sim.core import simulate
 
         state = InstanceSnapshot(PageReplayState(pages=800))
         params = tiny_machine.jukebox

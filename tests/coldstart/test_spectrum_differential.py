@@ -36,7 +36,7 @@ from repro.coldstart import PageReplayState, working_set_pages
 from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
-from repro.sim.simulate import simulate
+from repro.sim.core import simulate
 from repro.workloads.suite import SUITE, get_profile
 
 from tests.coldstart import capture_prerefactor as cap

@@ -7,9 +7,11 @@ slip in the arithmetic shows without running a sweep.
 """
 
 import math
+import random
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -167,6 +169,26 @@ class TestFig10Correlation:
             warnings.simplefilter("error")
             assert math.isnan(result.correlation())
             assert "correlation r=n/a" in render(result)
+
+
+class TestFig10CorrelationAgainstNumpy:
+    """The pure-Python Pearson r against ``numpy.corrcoef``, the formula
+    it replaced, on seeded random series of 2-20 points."""
+
+    def test_agrees_with_corrcoef(self):
+        for case in range(200):
+            rng = random.Random(case)
+            n = rng.randint(2, 20)
+            jukebox = [rng.uniform(-0.1, 0.6) for _ in range(n)]
+            perfect = [rng.uniform(-0.1, 0.8) for _ in range(n)]
+            result = Fig10Result(entries=[
+                Fig10Entry(abbrev=f"F{i}", baseline_cpi=1.0,
+                           jukebox_speedup=j, perfect_speedup=p)
+                for i, (j, p) in enumerate(zip(jukebox, perfect))])
+            expected = float(np.corrcoef(jukebox, perfect)[0, 1])
+            r = result.correlation()
+            assert abs(r - expected) <= 1e-12, case
+            assert f"{r:.2f}" == f"{expected:.2f}", case
 
 
 class TestFig2Arithmetic:

@@ -19,7 +19,7 @@ from repro.experiments.common import (
 )
 from repro.sim.core import BACKENDS, Simulator
 from repro.sim.params import skylake
-from repro.sim.simulate import simulate
+from repro.sim.core import simulate
 
 CFG = RunConfig(invocations=3, warmup=1)
 
@@ -34,6 +34,14 @@ class TestRunConfig:
             RunConfig(invocations=3, warmup=1, instruction_scale=0.0)
         with pytest.raises(ConfigurationError):
             RunConfig(invocations=3, warmup=1, instruction_scale=-0.5)
+
+    def test_rejects_a_negative_seed(self):
+        """numpy's generators reject it; fail before any cell runs."""
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            RunConfig(invocations=3, warmup=1, seed=-1)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            RunConfig.fast().replace(seed=-1)
+        assert RunConfig(invocations=3, warmup=1, seed=0).seed == 0
 
     def test_fast_preset_is_scaled(self):
         fast = RunConfig.fast()

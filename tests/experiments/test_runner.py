@@ -139,8 +139,8 @@ class TestParser:
 
 
 class TestArgumentTypes:
-    """The argparse types behind --jobs, --retries, --job-timeout and
-    --sweep-deadline, called directly."""
+    """The argparse types behind --seed, --jobs, --retries, --job-timeout
+    and --sweep-deadline, called directly or through ``main``."""
 
     def test_positive_int_accepts_one(self):
         assert _positive_int("1") == 1
@@ -180,6 +180,17 @@ class TestArgumentTypes:
         with pytest.raises(argparse.ArgumentTypeError,
                            match="expected a number of seconds, got 'soon'"):
             _positive_float("soon")
+
+    def test_negative_seed_is_rejected_at_parse_time(self, capsys):
+        """numpy rejects a negative seed; failing in every cell would
+        read as "rerun to resume warm", which cannot help."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig10", "--fast", "--functions", "Fib-G", "--seed", "-1",
+                  "--no-cache"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_positive_float_rejects_non_finite_seconds(self, text):
@@ -230,6 +241,18 @@ class TestMain:
         assert f"unknown functions: {unknown}\n" in captured.err
         assert "known: " in captured.err and "ProdL-G" in captured.err
         assert "experiment(s) failed" not in captured.err
+
+    def test_repeated_function_is_a_usage_error(self, capsys, tmp_path):
+        """A function listed twice would be swept and weighed in every
+        aggregate twice; nothing runs and nothing is cached."""
+        cache = tmp_path / "cache"
+        assert main(["fig10", "--fast", "--functions", "Fib-P", "Fib-P",
+                     "ProdL-G", "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "listed more than once: Fib-P\n" in captured.err
+        assert "experiment(s) failed" not in captured.err
+        assert not cache.exists()
 
     def test_functions_without_names_is_a_usage_error(self, capsys):
         """An empty --functions (say, from an empty shell variable) must
@@ -448,6 +471,41 @@ _ANALYZER_MODULES = ("repro.lint.graph", "repro.lint.rules",
                      "repro.lint.engine", "repro.lint.cli")
 
 
+#: What a re-run served entirely from the cache must not import.
+_SIMULATOR_MODULES = ("numpy", "repro.sim.core", "repro.sim.batch",
+                      "repro.sim.hierarchy", "repro.sim.cache",
+                      "repro.workloads.trace", "repro.workloads.function",
+                      "repro.workloads.layout")
+
+_CAPTURE_SCRIPT = """
+import json, sys
+from repro.engine import executors
+from repro.experiments import runner
+seen = []
+def capture(self, tasks, on_outcome=None, guard=None):
+    seen.append({{"executor": type(self).__name__, "cells": len(tasks),
+                 "simulator_loaded": "repro.sim.core" in sys.modules}})
+    raise RuntimeError("batch captured")
+executors.SerialExecutor.run_tasks = capture
+executors.ProcessExecutor.run_tasks = capture
+assert runner.main({argv!r}) == 3
+print(json.dumps(seen))
+"""
+
+
+def _batch_seen_by_executor(argv: list) -> dict:
+    """What a fresh interpreter running ``argv`` hands its executor: the
+    executor's class, the batch size and whether the simulator was
+    loaded by then (the batch is captured, nothing runs)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _CAPTURE_SCRIPT.format(argv=argv)], env=env,
+        capture_output=True, text=True, check=True).stdout
+    (seen,) = json.loads(out.splitlines()[-1])
+    return seen
+
+
 def _loaded_after(action: str, prefixes=_LAZY_PREFIXES) -> list:
     """The modules named by ``prefixes`` loaded by a fresh interpreter
     that imports the runner and then runs ``action``."""
@@ -489,3 +547,30 @@ class TestLazyImports:
                   "assert len(Job.make('Fib-P', None, {'n': 1},"
                   " 'baseline').key()) == 64")
         assert _loaded_after(action, prefixes=_ANALYZER_MODULES) == []
+
+    def test_importing_the_runner_loads_no_numpy(self):
+        assert _loaded_after("", prefixes=("numpy",)) == []
+
+    @pytest.mark.parametrize("experiment", ["fig10", "fig13", "table3"])
+    def test_a_cached_run_loads_neither_numpy_nor_the_simulator(
+            self, tmp_path, experiment):
+        """Cached cells unpickle into result types that do not import the
+        simulator, so a re-run served from the cache never loads it."""
+        argv = [experiment, "--fast", "--functions", "Fib-P",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        loaded = _loaded_after(f"assert runner.main({argv!r}) == 0",
+                               prefixes=_SIMULATOR_MODULES)
+        assert loaded == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_cold_sweep_loads_the_simulator_before_dispatch(self, jobs):
+        """The sweep imports each provider before the executor receives
+        the batch: no cell's time absorbs the simulator's import, and
+        forked pool workers inherit it."""
+        argv = ["fig10", "--fast", "--functions", "Fib-P", "--no-cache",
+                "--jobs", jobs]
+        assert _batch_seen_by_executor(argv) == {
+            "executor": "SerialExecutor" if jobs == "1"
+            else "ProcessExecutor",
+            "cells": 3, "simulator_loaded": True}

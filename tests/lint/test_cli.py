@@ -36,17 +36,17 @@ class TestRepoGate:
 
 
 class TestPackageRoot:
-    def test_importing_the_package_loads_only_the_contracts(self):
-        """``repro.lint`` imports nothing itself; what loads with it is
-        ``repro.lint.contracts``, which the simulator (imported by the
-        ``repro`` root) uses on every run."""
+    def test_importing_the_package_loads_no_lint_module(self):
+        """``repro.lint`` imports nothing itself, and the ``repro`` root
+        it goes through resolves its names lazily, so not even
+        ``repro.lint.contracts`` (which the simulator uses) loads."""
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         script = ("import sys, repro.lint\n"
                   "print(*sorted(m for m in sys.modules"
                   " if m.startswith('repro.lint.')))\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["repro.lint.contracts"]
+        assert out.stdout.split() == []
 
 
 class TestCliBehaviour:

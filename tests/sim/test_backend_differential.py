@@ -33,7 +33,7 @@ from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.experiments.fig08_metadata import collect_miss_stream
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, skylake
-from repro.sim.simulate import simulate
+from repro.sim.core import simulate
 from repro.workloads import TraceBuilder
 from repro.workloads.suite import SUITE, get_profile
 from repro.workloads.trace import LoopSpec

@@ -108,5 +108,11 @@ class TestLookups:
         subset = suite_subset(["Pay-N", "Fib-P"])
         assert [p.abbrev for p in subset] == ["Pay-N", "Fib-P"]
 
+    def test_suite_subset_rejects_a_repeated_function(self):
+        """A repeat would be swept, and weighed in every aggregate, twice."""
+        with pytest.raises(ConfigurationError,
+                           match="listed more than once: Fib-P$"):
+            suite_subset(["Fib-P", "Pay-N", "Fib-P"])
+
     def test_build_suite_fresh_instances(self):
         assert build_suite() == build_suite()
