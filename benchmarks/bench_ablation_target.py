@@ -12,7 +12,6 @@ from repro.analysis.report import format_table
 from repro.core.jukebox import Jukebox
 from repro.experiments.common import make_traces, run_config
 from repro.sim.core import Simulator
-from repro.sim.core import simulate
 from repro.sim.params import skylake
 
 FUNCTIONS = ["Email-P", "Pay-N", "ProdL-G", "Auth-G"]
@@ -28,7 +27,7 @@ def _run_with_target(profile, machine, cfg, target):
     for i, trace in enumerate(make_traces(profile, cfg)):
         sim.flush_microarch_state()
         jukebox.begin_invocation(sim.hierarchy)
-        result = simulate(trace, sim=sim)
+        result = sim.run(trace)
         jukebox.end_invocation(sim.hierarchy, result)
         if i >= cfg.warmup:
             cycles += result.cycles

@@ -14,7 +14,6 @@ from repro.analysis.report import format_table
 from repro.core.jukebox import Jukebox
 from repro.experiments.common import make_traces, run_config
 from repro.sim.core import Simulator
-from repro.sim.core import simulate
 from repro.sim.params import skylake
 from repro.workloads.suite import get_profile
 
@@ -31,7 +30,7 @@ def _run_with_share(profile, machine, cfg, share):
     for i, trace in enumerate(make_traces(profile, cfg)):
         sim.flush_microarch_state()
         jukebox.begin_invocation(sim.hierarchy)
-        result = simulate(trace, sim=sim)
+        result = sim.run(trace)
         rep = jukebox.end_invocation(sim.hierarchy, result)
         if i >= cfg.warmup:
             cycles += result.cycles

@@ -115,18 +115,17 @@ def _time_lukewarm(traces, backend, reps):
     import time
 
     from repro.sim.core import Simulator
-    from repro.sim.core import simulate
 
     sim = Simulator(skylake(), backend=backend)
     for trace in traces:  # untimed: builds the IR
-        simulate(trace, sim=sim)
+        sim.run(trace)
         sim.hierarchy.finish_invocation()
     best = None
     for _ in range(reps):
         sim.flush_microarch_state()
         begin = time.perf_counter()
         for trace in traces:
-            simulate(trace, sim=sim)
+            sim.run(trace)
             sim.hierarchy.finish_invocation()
         elapsed = time.perf_counter() - begin
         best = elapsed if best is None else min(best, elapsed)

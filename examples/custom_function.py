@@ -16,7 +16,7 @@ compact dense binary (Go-like layout) but compute-heavy (AES-like loops).
 Run:  python examples/custom_function.py
 """
 
-from repro import JukeboxParams, Simulator, simulate, skylake
+from repro import JukeboxParams, Simulator, skylake
 from repro.analysis import format_table, pairwise_jaccard, speedup
 from repro.experiments.common import RunConfig, run_config
 from repro.units import KB
@@ -64,7 +64,7 @@ def predict_lukewarm_behaviour() -> None:
     model = FunctionModel(THUMBNAIL, seed=1)
     warm_cpi = 0.0
     for i in range(3):
-        warm_cpi = simulate(model.invocation_trace(i), sim=reference).cpi
+        warm_cpi = reference.run(model.invocation_trace(i)).cpi
 
     base = run_config(THUMBNAIL, machine, cfg, "baseline")
     jb = run_config(THUMBNAIL, machine, cfg, "jukebox")

@@ -12,7 +12,7 @@ three key configurations on the Skylake-like machine:
 Run:  python examples/quickstart.py
 """
 
-from repro import Jukebox, Simulator, simulate, skylake
+from repro import Jukebox, Simulator, skylake
 from repro.analysis import format_table, speedup
 from repro.workloads import FunctionModel, get_profile
 
@@ -32,7 +32,7 @@ def run_sequence(flush: bool, with_jukebox: bool) -> float:
             sim.flush_microarch_state()       # the lukewarm condition
         if jukebox is not None:
             jukebox.begin_invocation(sim.hierarchy)
-        result = simulate(model.invocation_trace(i), sim=sim)
+        result = sim.run(model.invocation_trace(i))
         if jukebox is not None:
             report = jukebox.end_invocation(sim.hierarchy, result)
             if i == INVOCATIONS - 1:

@@ -15,7 +15,7 @@ Run:  python examples/server_characterization.py
 
 from repro.analysis import format_table
 from repro.server import ServerConfig, ServerSimulator, Stressor
-from repro.sim import Simulator, broadwell, simulate
+from repro.sim import Simulator, broadwell
 from repro.units import MB
 from repro.workloads import FunctionModel, SUITE, get_profile
 from repro.workloads.arrival import LognormalArrivals
@@ -89,7 +89,7 @@ def cpi_vs_iat_study() -> None:
             if iat_ms > 0:
                 stressor.idle_gap(sim, iat_ms)
                 stressor.apply_contention(sim)
-            result = simulate(trace, sim=sim)
+            result = sim.run(trace)
             if i == len(traces) - 1:
                 cpi = result.cpi
         rows.append([int(iat_ms), f"{cpi:.2f}"])

@@ -60,6 +60,14 @@ python -m repro.experiments.runner fleet --fast --no-cache \
 python -m repro.obs summarize "$work_dir/spectrum.jsonl" --slowest 1
 python -m repro.obs summarize "$work_dir/fleet.jsonl" --slowest 1
 
+echo "== fsck of a cache a real run wrote (python -m repro.engine fsck) =="
+# table3's fast Fib-G cells (about 2 s) fill a fresh cache; fsck then
+# audits every entry's frame, digest and placement, and exits 1 on any
+# defect.
+python -m repro.experiments.runner table3 --fast --functions Fib-G \
+    --cache-dir "$work_dir/cache" > /dev/null
+python -m repro.engine fsck "$work_dir/cache"
+
 # The suite runs with HOME and XDG_CACHE_HOME pointed at an empty
 # directory and fails if anything lands there: a test that opens the
 # default result cache must get tests/conftest.py's per-test directory,

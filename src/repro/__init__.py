@@ -17,7 +17,7 @@ Public API layers:
 
 Quickstart::
 
-    from repro import Jukebox, Simulator, simulate, skylake
+    from repro import Jukebox, Simulator, skylake
     from repro.workloads import FunctionModel, get_profile
 
     sim = Simulator(skylake())                # columnar backend by default
@@ -26,13 +26,12 @@ Quickstart::
     for i in range(3):
         sim.flush_microarch_state()           # lukewarm invocation
         jukebox.begin_invocation(sim.hierarchy)
-        result = simulate(model.invocation_trace(i), sim=sim)
+        result = sim.run(model.invocation_trace(i))
         jukebox.end_invocation(sim.hierarchy, result)
         print(f"invocation {i}: CPI={result.cpi:.2f}")
 
-One-shot cold runs need no simulator at all --
-``simulate(trace, skylake())`` builds one; hand-written traces come from
-:class:`repro.workloads.TraceBuilder`.
+A one-shot cold run is ``Simulator(skylake()).run(trace)``; hand-written
+traces come from :class:`repro.workloads.TraceBuilder`.
 """
 
 from repro._lazy import lazy_exports
@@ -53,7 +52,6 @@ _EXPORTS = {
     "JukeboxParams": "repro.sim.params",
     "MachineParams": "repro.sim.params",
     "MemoryHierarchy": "repro.sim.hierarchy",
-    "MetadataError": "repro.errors",
     "PIF": "repro.core.pif",
     "PIFParams": "repro.core.pif",
     "ReproError": "repro.errors",
@@ -67,7 +65,6 @@ _EXPORTS = {
     "broadwell": "repro.sim.params",
     "get_profile": "repro.workloads.suite",
     "pif_ideal_params": "repro.core.pif",
-    "simulate": "repro.sim.core",
     "skylake": "repro.sim.params",
 }
 

@@ -9,7 +9,7 @@ invocation-frequency spectrum:
   restore: the first restore demand-faults the working set and records
   its page trace; later restores bulk-prefetch the recorded stable set.
 * :mod:`repro.coldstart.libinit` -- ColdSpy-style library-initialization
-  cost: a per-runtime import graph with eager-used / eager-unused / lazy
+  cost: a per-runtime import graph with eager-used / eager-unused
   libraries, exposed as an init-trimming knob.
 * :mod:`repro.coldstart.model` -- the :class:`ColdStartModel` protocol
   and :class:`SpectrumColdStart`, which composes pages + init for the
@@ -21,7 +21,7 @@ from repro.coldstart.libinit import (ImportGraph, Library, import_graph_for)
 from repro.coldstart.model import (ColdStartCharge, ColdStartModel,
                                    SnapshotState, SpectrumColdStart)
 from repro.coldstart.pages import (PAGE_BYTES, PageReplayState, RestoreCharge,
-                                   RestoreParams, working_set_pages)
+                                   working_set_pages)
 
 __all__ = [
     "ColdStartCharge",
@@ -31,7 +31,6 @@ __all__ = [
     "PAGE_BYTES",
     "PageReplayState",
     "RestoreCharge",
-    "RestoreParams",
     "SnapshotState",
     "SpectrumColdStart",
     "import_graph_for",

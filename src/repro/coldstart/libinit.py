@@ -2,14 +2,13 @@
 
 ColdSpy instruments serverless runtimes and finds cold-start
 initialization dominated by *eagerly imported but unused* libraries:
-trimming them yields up to a 2.26x cold-start speedup and a 1.51x
-resident-memory reduction.  This module encodes that finding as a
-per-runtime import graph whose libraries are classified:
+trimming them yields up to a 2.26x cold-start speedup.  This module
+encodes that finding as a per-runtime import graph of the libraries
+imported at boot, each classified:
 
-* ``eager-used``   -- imported at boot, needed on the request path;
-* ``eager-unused`` -- imported at boot, never touched by the handler
-  (the trimming opportunity);
-* ``lazy``         -- imported on first use, off the boot path already.
+* ``eager-used``   -- needed on the request path;
+* ``eager-unused`` -- never touched by the handler (the trimming
+  opportunity).
 
 :func:`ImportGraph.init_cost_ms` is what a
 :class:`~repro.coldstart.model.SpectrumColdStart` charges per cold
@@ -28,15 +27,12 @@ from repro.workloads.profiles import LANGUAGES
 
 USAGE_EAGER_USED = "eager-used"
 USAGE_EAGER_UNUSED = "eager-unused"
-USAGE_LAZY = "lazy"
-USAGE_CLASSES = (USAGE_EAGER_USED, USAGE_EAGER_UNUSED, USAGE_LAZY)
+USAGE_CLASSES = (USAGE_EAGER_USED, USAGE_EAGER_UNUSED)
 
-#: ColdSpy's measured ceilings: trimming eager-unused imports speeds
-#: cold boot by at most 2.26x and shrinks the resident image by at most
-#: 1.51x.  The per-language graphs below are calibrated to stay inside
-#: these bounds; a unit test pins them.
+#: ColdSpy's measured ceiling: trimming eager-unused imports speeds cold
+#: boot by at most 2.26x.  The per-language graphs below are calibrated
+#: to stay inside it; a unit test pins them.
 MAX_TRIM_SPEEDUP = 2.26
-MAX_TRIM_MEMORY_REDUCTION = 1.51
 
 
 @dataclass(frozen=True)
@@ -66,20 +62,12 @@ class ImportGraph:
     #: Interpreter / VM bring-up before any library imports.
     base_ms: float
     libraries: Tuple[Library, ...]
-    #: Resident-image shrink factor when eager-unused imports are
-    #: trimmed (ColdSpy's memory-reduction axis; <= 1.51).
-    trim_memory_reduction: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.base_ms) or self.base_ms < 0:
             raise ConfigurationError(
                 f"{self.language}: base_ms must be finite and >= 0, got "
                 f"{self.base_ms}")
-        if not 1.0 <= self.trim_memory_reduction <= MAX_TRIM_MEMORY_REDUCTION:
-            raise ConfigurationError(
-                f"{self.language}: trim_memory_reduction must be in "
-                f"[1.0, {MAX_TRIM_MEMORY_REDUCTION}], got "
-                f"{self.trim_memory_reduction}")
 
     def _usage_ms(self, usage: str) -> float:
         return sum(lib.init_ms for lib in self.libraries
@@ -92,11 +80,6 @@ class ImportGraph:
     @property
     def eager_unused_ms(self) -> float:
         return self._usage_ms(USAGE_EAGER_UNUSED)
-
-    @property
-    def lazy_ms(self) -> float:
-        """Deferred imports: charged on first use, not at boot."""
-        return self._usage_ms(USAGE_LAZY)
 
     def init_cost_ms(self, trim: bool = False) -> float:
         """Boot-path initialization cost; ``trim`` drops eager-unused."""
@@ -128,9 +111,7 @@ _GRAPHS: Dict[str, ImportGraph] = {
             Library("pandas", 92.0, USAGE_EAGER_UNUSED),
             Library("numpy", 86.0, USAGE_EAGER_UNUSED),
             Library("requests", 24.0, USAGE_EAGER_UNUSED),
-            Library("pillow", 41.0, USAGE_LAZY),
         ),
-        trim_memory_reduction=1.51,
     ),
     "nodejs": ImportGraph(
         language="nodejs",
@@ -140,9 +121,7 @@ _GRAPHS: Dict[str, ImportGraph] = {
             Library("express", 26.0, USAGE_EAGER_USED),
             Library("moment", 38.0, USAGE_EAGER_UNUSED),
             Library("lodash", 22.0, USAGE_EAGER_UNUSED),
-            Library("sharp", 48.0, USAGE_LAZY),
         ),
-        trim_memory_reduction=1.24,
     ),
     "go": ImportGraph(
         language="go",
@@ -152,7 +131,6 @@ _GRAPHS: Dict[str, ImportGraph] = {
             Library("protobuf", 3.0, USAGE_EAGER_UNUSED),
             Library("zap", 2.0, USAGE_EAGER_UNUSED),
         ),
-        trim_memory_reduction=1.06,
     ),
 }
 

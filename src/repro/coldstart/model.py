@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.coldstart.libinit import import_graph_for
 from repro.coldstart.pages import (PageReplayState, RestoreCharge,
                                    working_set_pages)
-from repro.errors import ConfigurationError
 from repro.workloads.profiles import FunctionProfile
 
 
@@ -41,18 +39,16 @@ class ColdStartCharge:
 
 
 class ColdStartModel(ABC):
-    """Charges cold-started invocations; one instance per simulator.
+    """Charges the cold starts of one instance; built per simulation.
 
     Implementations are deterministic state machines: the charge for
-    the N-th cold start of a given instance is a pure function of the
-    model's knobs, the profile, and N.  No wall clock, no RNG.
+    the N-th cold start is a pure function of the model's knobs, the
+    profile it was built for, and N.  No wall clock, no RNG.
     """
 
     @abstractmethod
-    def cold_start(self, instance_id: str,
-                   profile: Optional[FunctionProfile] = None
-                   ) -> ColdStartCharge:
-        """Charge one cold start of ``instance_id``."""
+    def cold_start(self) -> ColdStartCharge:
+        """Charge one cold start."""
 
 
 class SnapshotState:
@@ -71,44 +67,26 @@ class SnapshotState:
 
 
 class SpectrumColdStart(ColdStartModel):
-    """Library init + page restore, per two knobs.
+    """Library init + page restore of one function, per two knobs.
 
     ``page_replay`` turns REAP record/replay on restore on (off: every
     restore demand-faults the full working set); ``init_trim`` trims
-    eagerly-imported unused libraries (ColdSpy).  Maintains one
-    :class:`SnapshotState` per instance; requires the instance's
-    :class:`~repro.workloads.profiles.FunctionProfile` to size its
-    working set and select its runtime's import graph.
+    eagerly-imported unused libraries (ColdSpy).  The
+    :class:`~repro.workloads.profiles.FunctionProfile` sizes the
+    snapshot's working set and selects its runtime's import graph.
     """
 
-    def __init__(self, page_replay: bool = True,
+    def __init__(self, profile: FunctionProfile, page_replay: bool = True,
                  init_trim: bool = False) -> None:
-        self.page_replay = page_replay
-        self.init_trim = init_trim
-        self._states: Dict[str, SnapshotState] = {}
+        self.snapshot = SnapshotState(PageReplayState(
+            pages=working_set_pages(profile), replay=page_replay))
+        self.init_ms = import_graph_for(profile.language).init_cost_ms(
+            trim=init_trim)
 
-    def state_for(self, instance_id: str,
-                  profile: FunctionProfile) -> SnapshotState:
-        """The instance's snapshot state, created on first use."""
-        state = self._states.get(instance_id)
-        if state is None:
-            state = SnapshotState(PageReplayState(
-                pages=working_set_pages(profile), replay=self.page_replay))
-            self._states[instance_id] = state
-        return state
-
-    def cold_start(self, instance_id: str,
-                   profile: Optional[FunctionProfile] = None
-                   ) -> ColdStartCharge:
-        if profile is None:
-            raise ConfigurationError(
-                "SpectrumColdStart needs the instance's FunctionProfile "
-                "to size its working set")
-        restore = self.state_for(instance_id, profile).restore_pages()
-        init_ms = import_graph_for(profile.language).init_cost_ms(
-            trim=self.init_trim)
+    def cold_start(self) -> ColdStartCharge:
+        restore = self.snapshot.restore_pages()
         return ColdStartCharge(
-            init_ms=init_ms,
+            init_ms=self.init_ms,
             page_ms=restore.page_ms,
             faulted_pages=restore.faulted_pages,
             prefetched_pages=restore.prefetched_pages,

@@ -16,8 +16,7 @@ RNG -- so charges are safe inside content-addressed engine jobs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.units import MB, PAGE_SIZE
@@ -38,38 +37,18 @@ RUNTIME_RESIDENT_MB = {
 }
 
 
-@dataclass(frozen=True)
-class RestoreParams:
-    """Calibrated costs of the page-restore path (REAP Sec. 5 scale)."""
-
-    #: One demand page fault served from the snapshot file: userfaultfd
-    #: wakeup + read + copy (tens of microseconds per REAP).
-    fault_us: float = 35.0
-    #: Per-page cost when the recorded working set is fetched in bulk
-    #: (sequential reads, batched installs).
-    prefetch_us: float = 3.2
-    #: Fixed cost per replayed restore: loading the recorded trace and
-    #: issuing the prefetch.
-    replay_overhead_us: float = 150.0
-    #: Fraction of the working set stable across invocations (REAP finds
-    #: the record/replay set covers nearly all faults).
-    stable_fraction: float = 0.92
-
-    def __post_init__(self) -> None:
-        for name, value in (("fault_us", self.fault_us),
-                            ("prefetch_us", self.prefetch_us),
-                            ("replay_overhead_us", self.replay_overhead_us)):
-            if not math.isfinite(value) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.stable_fraction <= 1.0:
-            raise ConfigurationError(
-                f"stable_fraction must be in [0, 1], got "
-                f"{self.stable_fraction}")
-        if self.prefetch_us >= self.fault_us > 0:
-            raise ConfigurationError(
-                "prefetch_us must be below fault_us -- bulk prefetch "
-                "exists to beat demand faulting")
+#: One demand page fault served from the snapshot file: userfaultfd
+#: wakeup + read + copy (tens of microseconds, REAP Sec. 5 scale).
+FAULT_US = 35.0
+#: Per-page cost when the recorded working set is fetched in bulk
+#: (sequential reads, batched installs).
+PREFETCH_US = 3.2
+#: Fixed cost per replayed restore: loading the recorded trace and
+#: issuing the prefetch.
+REPLAY_OVERHEAD_US = 150.0
+#: Fraction of the working set stable across invocations (REAP finds
+#: the record/replay set covers nearly all faults).
+STABLE_FRACTION = 0.92
 
 
 @dataclass(frozen=True)
@@ -107,9 +86,7 @@ class PageReplayState:
     """
 
     pages: int
-    params: RestoreParams = field(default_factory=RestoreParams)
     replay: bool = True
-    restores: int = 0
     #: Pages in the recorded stable set (None until first restore).
     recorded_pages: int = None  # type: ignore[assignment]
 
@@ -120,23 +97,21 @@ class PageReplayState:
 
     def restore(self) -> RestoreCharge:
         """Charge one restore and advance the record/replay state."""
-        p = self.params
-        self.restores += 1
         if not self.replay or self.recorded_pages is None:
             if self.replay:
                 # Recording restore: remember the stable working set.
                 self.recorded_pages = int(
-                    round(self.pages * p.stable_fraction))
+                    round(self.pages * STABLE_FRACTION))
             return RestoreCharge(
-                page_ms=self.pages * p.fault_us / 1000.0,
+                page_ms=self.pages * FAULT_US / 1000.0,
                 faulted_pages=self.pages,
                 prefetched_pages=0,
                 recorded=self.replay,
             )
         residue = self.pages - self.recorded_pages
-        page_ms = (p.replay_overhead_us
-                   + self.recorded_pages * p.prefetch_us
-                   + residue * p.fault_us) / 1000.0
+        page_ms = (REPLAY_OVERHEAD_US
+                   + self.recorded_pages * PREFETCH_US
+                   + residue * FAULT_US) / 1000.0
         return RestoreCharge(
             page_ms=page_ms,
             faulted_pages=residue,

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.engine fsck CACHE_DIR [--repair] [--json]``.
+"""CLI: ``python -m repro.engine fsck CACHE_DIR [--repair]``.
 
 Audits (and with ``--repair`` fixes) a result-cache directory: frame and
 digest verification of every entry, fanout-placement checks, orphaned
@@ -12,7 +12,6 @@ defect), 1 when defects were found (or remain), 2 on usage/IO errors,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -36,19 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--repair", action="store_true",
                        help="quarantine damaged entries and re-slot "
                             "misplaced ones instead of only reporting")
-    check.add_argument("--purge-quarantine", action="store_true",
-                       help="with --repair: delete the quarantine area "
-                            "after the scan (destructive)")
-    check.add_argument("--json", action="store_true",
-                       help="emit the report as canonical JSON")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = fsck(args.cache_dir, repair=args.repair,
-                      purge_quarantine=args.purge_quarantine)
+        report = fsck(args.cache_dir, repair=args.repair)
     except CacheBusyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUSY
@@ -58,10 +51,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot fsck {args.cache_dir}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-    else:
-        print(report.describe())
+    print(report.describe())
     return 0 if report.clean else 1
 
 

@@ -38,10 +38,9 @@ import contextlib
 import hashlib
 import os
 import pickle
-import shutil
 import warnings
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.engine.job import SCHEMA_VERSION
 from repro.errors import ConfigurationError, ReproError
@@ -197,17 +196,6 @@ class CacheLock:
         self._fh.close()
         self._fh = None
         self.mode = None
-
-    @contextlib.contextmanager
-    def holding(self, exclusive: bool = False,
-                blocking: bool = True) -> Iterator[bool]:
-        """Context-managed :meth:`acquire`/:meth:`release` pair."""
-        acquired = self.acquire(exclusive=exclusive, blocking=blocking)
-        try:
-            yield acquired
-        finally:
-            if acquired:
-                self.release()
 
 
 def _tmp_pid(path: Path) -> Optional[int]:
@@ -423,13 +411,3 @@ class ResultCache:
         quarantine = self.root / QUARANTINE_DIR
         return sum(1 for path in self.root.rglob("*.pkl")
                    if quarantine not in path.parents)
-
-    def clear(self) -> None:
-        """Remove every entry (the fanout directories included)."""
-        held = self.lock.held
-        if held:
-            self.close()
-        if self.root.exists():
-            shutil.rmtree(self.root)
-        if held:
-            self.open()

@@ -10,17 +10,16 @@ default; ``--repair`` applies the same actions the engine itself would
 take, just eagerly instead of lazily on the next lookup:
 
 * a valid entry in the wrong fanout slot is *moved* where lookups will
-  find it (``fsck.repair``);
+  find it;
 * a damaged entry -- torn write, digest mismatch, foreign schema, no
-  frame -- is *quarantined* so the cell recomputes (``fsck.evict``);
+  frame -- is *quarantined* so the cell recomputes;
 * orphaned temp files are reaped unconditionally (holding the exclusive
   lock proves no writer is mid-flight).
 
 fsck takes the cache root's advisory lock **exclusive** and refuses to
 run while any sweep holds it shared (:class:`CacheBusyError`): offline
-maintenance never mutates entries under a live reader.  The pass emits
-``fsck.begin`` / ``fsck.end`` (and per-action) trace events when given a
-tracer, so chaos tests can assert exactly what a repair did.
+maintenance never mutates entries under a live reader.  The returned
+:class:`FsckReport` records every action the pass took.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import os
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.engine.cache import (
     QUARANTINE_DIR,
@@ -39,7 +38,6 @@ from repro.engine.cache import (
     check_entry,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.obs import records as _obs
 
 #: Expected hex length of a cache key (SHA-256 of the job fingerprint).
 KEY_HEX_CHARS = 64
@@ -55,7 +53,6 @@ class CacheBusyError(ReproError):
 class FsckProblem:
     """One defective entry found by a pass."""
 
-    key: str
     path: str
     defect: str
     #: What the pass did: ``found`` (audit-only), ``moved`` (misplaced
@@ -71,7 +68,6 @@ class FsckReport:
     """The outcome of one fsck pass."""
 
     root: str
-    repair: bool = False
     scanned: int = 0
     ok: int = 0
     repaired: int = 0
@@ -79,7 +75,6 @@ class FsckReport:
     reaped_tmp: int = 0
     #: Entries sitting in the quarantine area when the pass finished.
     quarantine_entries: int = 0
-    purged_quarantine: int = 0
     problems: List[FsckProblem] = field(default_factory=list)
 
     @property
@@ -97,73 +92,39 @@ class FsckReport:
         if self.reaped_tmp:
             lines.append(f"  reaped {self.reaped_tmp} orphaned temp "
                          f"file(s)")
-        if self.purged_quarantine:
-            lines.append(f"  purged {self.purged_quarantine} quarantined "
-                         f"entr{'y' if self.purged_quarantine == 1 else 'ies'}")
-        elif self.quarantine_entries:
+        if self.quarantine_entries:
             lines.append(f"  {self.quarantine_entries} entr"
                          f"{'y' if self.quarantine_entries == 1 else 'ies'} "
-                         f"in quarantine (inspect or --purge-quarantine)")
+                         f"in {QUARANTINE_DIR}/ (set aside for inspection)")
         lines.append("clean" if self.clean else
                      f"{sum(1 for p in self.problems if p.action == 'found')} "
                      f"defect(s) found (re-run with --repair)")
         return "\n".join(lines)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "root": self.root,
-            "repair": self.repair,
-            "clean": self.clean,
-            "scanned": self.scanned,
-            "ok": self.ok,
-            "repaired": self.repaired,
-            "quarantined": self.quarantined,
-            "reaped_tmp": self.reaped_tmp,
-            "quarantine_entries": self.quarantine_entries,
-            "purged_quarantine": self.purged_quarantine,
-            "problems": [
-                {"key": p.key, "path": p.path, "defect": p.defect,
-                 "action": p.action}
-                for p in self.problems
-            ],
-        }
 
 
 def _well_formed_key(name: str) -> bool:
     return len(name) == KEY_HEX_CHARS and all(c in _HEX for c in name)
 
 
-def fsck(root: Union[str, Path], repair: bool = False,
-         purge_quarantine: bool = False,
-         tracer: Optional[Any] = None) -> FsckReport:
+def fsck(root: Union[str, Path], repair: bool = False) -> FsckReport:
     """Run one audit (or repair) pass over a cache root.
 
     Raises :class:`ConfigurationError` when ``root`` is not a directory
     and :class:`CacheBusyError` when a live sweep holds the advisory
-    lock.  ``purge_quarantine`` (only with ``repair=True``) deletes the
-    quarantine area after the scan -- the entries are evidence, so
-    discarding them is an explicit second opt-in.
+    lock.  Quarantined entries are evidence: no pass deletes them.
     """
     root = Path(root)
     if not root.is_dir():
         raise ConfigurationError(
             f"{root} is not a cache directory (nothing to fsck)")
-    if purge_quarantine and not repair:
-        raise ConfigurationError(
-            "--purge-quarantine is destructive and requires --repair")
 
-    def emit(kind: str, **fields: Any) -> None:
-        if tracer is not None and tracer.enabled:
-            tracer.emit(kind, **fields)
-
-    report = FsckReport(root=str(root), repair=repair)
+    report = FsckReport(root=str(root))
     lock = CacheLock(root)
     if not lock.acquire(exclusive=True, blocking=False):
         raise CacheBusyError(
             f"cache root {root} is locked by a live sweep; re-run fsck "
             f"once the sweep finishes")
     try:
-        emit(_obs.FSCK_BEGIN, root=str(root), repair=repair)
         quarantine = root / QUARANTINE_DIR
 
         # Holding the exclusive lock proves no writer is mid-flight, so
@@ -198,13 +159,12 @@ def fsck(root: Union[str, Path], repair: bool = False,
             if defect is None:
                 report.ok += 1
                 continue
-            problem = FsckProblem(key=key, path=str(path), defect=defect)
+            problem = FsckProblem(path=str(path), defect=defect)
             if repair:
                 if damaged:
                     _set_aside(path, quarantine, problem)
                     if problem.action == "quarantined":
                         report.quarantined += 1
-                        emit(_obs.FSCK_EVICT, key=key[:16], defect=defect)
                 else:
                     destination = root / key[:2] / f"{key}.pkl"
                     try:
@@ -212,23 +172,13 @@ def fsck(root: Union[str, Path], repair: bool = False,
                         os.replace(path, destination)
                         problem.action = "moved"
                         report.repaired += 1
-                        emit(_obs.FSCK_REPAIR, key=key[:16], defect=defect)
                     except OSError as exc:
                         problem.defect += f" (repair failed: {exc})"
             report.problems.append(problem)
 
         if quarantine.is_dir():
-            entries = sorted(p for p in quarantine.iterdir() if p.is_file())
-            if purge_quarantine:
-                for path in entries:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                        report.purged_quarantine += 1
-            else:
-                report.quarantine_entries = len(entries)
-        emit(_obs.FSCK_END, scanned=report.scanned, ok=report.ok,
-             repaired=report.repaired, quarantined=report.quarantined,
-             reaped_tmp=report.reaped_tmp, clean=report.clean)
+            report.quarantine_entries = sum(
+                1 for p in quarantine.iterdir() if p.is_file())
     finally:
         lock.release()
     return report

@@ -45,7 +45,7 @@ from typing import (
     Type,
 )
 
-from repro.errors import ConfigurationError, ReproError, SweepFailure, WorkerCrashError
+from repro.errors import ConfigurationError, ReproError, SweepFailure
 from repro.obs import records as _obs
 
 #: Error classes of the retry taxonomy.  A *transient* error is worth
@@ -67,7 +67,6 @@ _ERROR_CLASSES: List[Tuple[Type[BaseException], str]] = [
     (ConnectionError, TRANSIENT),
     (TimeoutError, TRANSIENT),
     (InterruptedError, TRANSIENT),
-    (WorkerCrashError, TRANSIENT),
     (ReproError, PERMANENT),
 ]
 

@@ -15,11 +15,6 @@ class TraceError(ReproError):
     """An invocation trace is malformed or inconsistent."""
 
 
-class MetadataError(ReproError):
-    """Jukebox metadata handling failed (e.g. writes past the buffer limit
-    that should have been clamped, or decoding of a corrupt entry)."""
-
-
 class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
@@ -51,11 +46,3 @@ class SweepFailure(ReproError):
     traceback captured by :class:`repro.engine.resilience.JobError`.
     """
 
-
-class WorkerCrashError(ReproError):
-    """A pool worker died (non-zero exit) while executing a sweep cell.
-
-    Raised only when pool replacement is exhausted; ordinarily the
-    :class:`~repro.engine.executors.ProcessExecutor` re-dispatches the
-    unfinished frontier to a fresh pool and the caller never sees this.
-    """

@@ -36,7 +36,7 @@ from repro.core.jukebox import Jukebox, JukeboxInvocationReport
 from repro.core.pif import PIF, PIFParams
 from repro.errors import ConfigurationError
 from repro.experiments.scale import RunConfig, SequenceResult
-from repro.sim.core import Simulator, simulate
+from repro.sim.core import Simulator
 from repro.sim.params import MachineParams
 from repro.sim.result import InvocationResult
 from repro.workloads.function import FunctionModel
@@ -98,7 +98,7 @@ def _measure(sim: Simulator, traces: List[InvocationTrace], cfg: RunConfig,
                 # stream; end_invocation drops the hook.
                 sim.hierarchy.record_hook = _TeeHook(
                     sim.hierarchy.record_hook, pif)
-        result = simulate(trace, sim=sim)
+        result = sim.run(trace)
         if jukebox is not None:
             report = jukebox.end_invocation(sim.hierarchy, result)
             if i >= cfg.warmup:

@@ -149,9 +149,9 @@ def _build_spectrum_point(profile, machine: MachineParams, cfg: RunConfig,
         return _cell_dict(regime, iat_ms, freq_ghz, n, cycles, instructions)
 
     # Cold regime: every invocation is a snapshot restore.
-    model = SpectrumColdStart(page_replay=page_replay, init_trim=init_trim)
-    charges = [model.cold_start("cell", profile)
-               for _ in range(cfg.invocations)]
+    model = SpectrumColdStart(profile, page_replay=page_replay,
+                              init_trim=init_trim)
+    charges = [model.cold_start() for _ in range(cfg.invocations)]
     measured = charges[cfg.warmup:]
     last = measured[-1]
     return _cell_dict(

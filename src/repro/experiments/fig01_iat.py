@@ -25,7 +25,7 @@ from repro.experiments.common import (
     register_config,
 )
 from repro.server.stressor import Stressor
-from repro.sim.core import Simulator, simulate
+from repro.sim.core import Simulator
 from repro.sim.params import MachineParams, broadwell
 from repro.workloads.suite import get_profile
 
@@ -58,7 +58,7 @@ def _build_contended(profile, machine: MachineParams, cfg: RunConfig,
             stressor.apply_contention(sim)
         else:
             stressor.clear_contention(sim)
-        result = simulate(trace, sim=sim)
+        result = sim.run(trace)
         if i >= cfg.warmup:
             measured.append(result)
     return SequenceResult(results=measured)

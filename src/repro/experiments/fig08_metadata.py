@@ -17,7 +17,7 @@ from repro.analysis.report import format_table
 from repro.core.recorder import record_miss_stream
 from repro.engine import Job, sweep
 from repro.experiments.common import RunConfig, make_traces, register_config
-from repro.sim.core import Simulator, simulate
+from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, MachineParams, skylake
 from repro.units import KB
 from repro.workloads.suite import suite_subset
@@ -59,7 +59,7 @@ def collect_miss_stream(profile, machine: MachineParams,
         sim.flush_microarch_state()
         if i == cfg.warmup:
             sim.hierarchy.record_hook = collector
-        simulate(trace, sim=sim)
+        sim.run(trace)
     sim.hierarchy.record_hook = None
     return collector.misses
 

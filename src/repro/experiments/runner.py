@@ -28,6 +28,7 @@ when any experiment failed (deadline expiries included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import math
@@ -42,6 +43,7 @@ from repro import engine
 from repro.errors import ConfigurationError
 from repro.experiments.scale import RunConfig
 from repro.faults import parse_fault_plan
+from repro.obs.tracer import JsonlSink, Tracer
 from repro.sim.result import BACKENDS
 from repro.workloads.suite import BY_ABBREV, suite_subset
 
@@ -275,12 +277,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     records: List[Dict[str, object]] = []
     failed: List[Tuple[str, BaseException]] = []
-    with engine.configure(jobs=args.jobs, cache_dir=cache_dir,
-                          clock=time.perf_counter, policy=policy,
-                          faults=faults, sleep=time.sleep,
-                          trace_path=args.trace,
-                          job_timeout_s=args.job_timeout,
-                          sweep_deadline_s=args.sweep_deadline) as ctx:
+    with contextlib.ExitStack() as stack:
+        # Open the trace file and the cache root before any experiment
+        # runs, so an unusable path is a usage error naming its flag.
+        try:
+            sinks = [JsonlSink(args.trace)] if args.trace is not None else []
+        except OSError as exc:
+            print(f"--trace: {exc}", file=sys.stderr)
+            return 2
+        tracer = Tracer(clock=time.perf_counter, sinks=sinks)
+        stack.callback(tracer.close)
+        try:
+            ctx = stack.enter_context(engine.configure(
+                jobs=args.jobs, cache_dir=cache_dir,
+                clock=time.perf_counter, policy=policy, faults=faults,
+                sleep=time.sleep, tracer=tracer,
+                job_timeout_s=args.job_timeout,
+                sweep_deadline_s=args.sweep_deadline))
+        except OSError as exc:
+            print(f"--cache-dir: {exc}", file=sys.stderr)
+            return 2
         for name in names:
             before = ctx.stats.snapshot()
             started = ctx.clock()

@@ -28,8 +28,7 @@ in tests and demos.  A :class:`FaultPlan` is a picklable set of
   frame verification, quarantine, and ``fsck``.
 
 Specs select cells by sweep submission index (``#3``), by job field
-(``config=jukebox``), by an arbitrary predicate, or match everything
-(``*``).  ``fail``/``slow`` faults fire while ``attempt < times`` and
+(``config=jukebox``), or match everything (``*``).  ``fail``/``slow`` faults fire while ``attempt < times`` and
 ``kill``/``hang`` faults while ``dispatch < times`` (``times=0`` means
 always), so a default plan injects exactly one failure and a retried or
 re-dispatched cell then succeeds -- every schedule is a pure function of
@@ -58,7 +57,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from typing import Any, Iterable, Optional, Tuple, Union
 
 from repro.engine.resilience import (
     ERROR_CLASSES,
@@ -109,9 +108,6 @@ class FaultSpec:
     index: Optional[int] = None
     field: Optional[str] = None
     value: Optional[str] = None
-    #: Programmatic selector; must be picklable (a module-level function)
-    #: to cross into pool workers.
-    predicate: Optional[Callable[[Any], bool]] = None
     #: Fire while the attempt (``fail``/``slow``) / dispatch
     #: (``kill``/``hang``) counter is below this; 0 means fire every time.
     times: int = 1
@@ -203,8 +199,6 @@ class FaultSpec:
     def matches(self, job: Any, index: int) -> bool:
         if self.index is not None:
             return index == self.index
-        if self.predicate is not None:
-            return bool(self.predicate(job))
         if self.field is not None:
             return str(getattr(job, self.field)) == self.value
         return True
@@ -222,8 +216,6 @@ class FaultSpec:
     def describe(self) -> str:
         if self.index is not None:
             selector = f"#{self.index}"
-        elif self.predicate is not None:
-            selector = f"<{getattr(self.predicate, '__name__', 'predicate')}>"
         elif self.field is not None:
             selector = f"{self.field}={self.value}"
         else:

@@ -412,9 +412,8 @@ class WallClock(Rule):
 
     id = "REPRO006"
     severity = "error"
-    #: ``server/`` and ``experiments/`` joined the scope with the
-    #: simulate() migration: both now sit directly on the simulation path
-    #: (stressors mutate hierarchy state; experiment builders are the
+    #: ``server/`` and ``experiments/`` sit directly on the simulation
+    #: path (stressors mutate hierarchy state; experiment builders are the
     #: engine's memoized cell bodies), so host-clock reads there are just
     #: as result-corrupting as inside ``sim/``.  ``fleet/`` joined with
     #: the region simulator: shard results are content-addressed cache
@@ -562,7 +561,7 @@ class GlobalObservability(Rule):
                    "injected per context, not ambient global state")
 
     _OBS_FACTORIES = frozenset({
-        "Tracer", "NullTracer", "MemorySink", "JsonlSink",
+        "Tracer", "NullTracer", "JsonlSink",
         # Cold-start model state (recorded page traces, snapshot images)
         # is per-simulation; module-level construction shares it.
         "SpectrumColdStart", "PageReplayState", "SnapshotState",

@@ -3,7 +3,7 @@
 Two pieces:
 
 * :class:`Tracer` -- typed event records for sweep, cache, executor,
-  retry, guard and fsck activity, timestamped only by an injectable clock
+  retry and guard activity, timestamped only by an injectable clock
   (:class:`TickClock` / :class:`FrozenClock` for deterministic tests) and
   injected per engine context rather than global;
 * ``python -m repro.obs summarize`` -- the trace aggregation report:
@@ -24,11 +24,9 @@ from repro.obs.summarize import (
     read_trace,
     render_summary,
     summarize,
-    summary_to_json,
 )
 from repro.obs.tracer import (
     JsonlSink,
-    MemorySink,
     NullTracer,
     Tracer,
 )
@@ -37,7 +35,6 @@ __all__ = [
     "FrozenClock",
     "JsonlSink",
     "KINDS",
-    "MemorySink",
     "NullTracer",
     "SCHEMA_VERSION",
     "TickClock",
@@ -47,6 +44,5 @@ __all__ = [
     "read_trace",
     "render_summary",
     "summarize",
-    "summary_to_json",
     "validate_event",
 ]

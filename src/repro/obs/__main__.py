@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.obs summarize trace.jsonl [--json]``.
+"""CLI: ``python -m repro.obs summarize trace.jsonl [--slowest N]``.
 
 Exit codes: 0 on success, 1 when the trace violates the schema or is
 internally inconsistent, 2 on usage/IO errors.
@@ -7,18 +7,12 @@ internally inconsistent, 2 on usage/IO errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from repro.errors import TraceSchemaError
-from repro.obs.summarize import (
-    read_trace,
-    render_summary,
-    summarize,
-    summary_to_json,
-)
+from repro.obs.summarize import read_trace, render_summary, summarize
 
 
 def _nonnegative_int(text: str) -> int:
@@ -42,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize",
         help="aggregate a JSONL trace into a sweep report")
     summ.add_argument("trace", help="trace file written via --trace FILE")
-    summ.add_argument("--json", action="store_true",
-                      help="emit the report as canonical JSON")
     summ.add_argument("--slowest", type=_nonnegative_int, default=5,
                       metavar="N",
                       help="how many slowest cells to list (default 5)")
@@ -62,11 +54,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.json:
-            print(json.dumps(summary_to_json(summary, slowest=args.slowest),
-                             sort_keys=True, indent=2))
-        else:
-            print(render_summary(summary, slowest=args.slowest))
+        print(render_summary(summary, slowest=args.slowest))
     except BrokenPipeError:
         # Downstream consumer (e.g. ``| head``) closed the pipe early;
         # that truncates output by design, it is not a failure.  Point

@@ -32,15 +32,12 @@ kind                      emitted when
                           recompute (``fsck`` can inspect it later)
 ``cache.store_failed``    a cache store hit an I/O error; the sweep
                           degraded to no-store mode
-``fsck.begin/end``        one ``repro.engine fsck`` pass over a cache root
-``fsck.repair``           fsck fixed a repairable defect (misplaced
-                          entry, orphan temp file, empty fanout dir)
-``fsck.evict``            fsck quarantined an unrecoverable entry
 ========================  ==================================================
 
 Result values (a fleet region's counters, a spectrum point's latency
 split) are not traced: the reports print them, and the ``sweep.*`` and
 ``executor.*`` records already bracket the sweeps that computed them.
+Nor is ``repro.engine fsck``: its report lists every action it took.
 
 Determinism rules: ``seq`` and every payload field are pure functions of
 the run's inputs; the *only* nondeterministic field is ``t``, which comes
@@ -82,10 +79,6 @@ WORKER_KILL = "worker.kill"
 CACHE_LOCK = "cache.lock"
 CACHE_QUARANTINE = "cache.quarantine"
 CACHE_STORE_FAILED = "cache.store_failed"
-FSCK_BEGIN = "fsck.begin"
-FSCK_REPAIR = "fsck.repair"
-FSCK_EVICT = "fsck.evict"
-FSCK_END = "fsck.end"
 
 KINDS = frozenset({
     SWEEP_BEGIN, SWEEP_END,
@@ -94,7 +87,6 @@ KINDS = frozenset({
     DISPATCH, HARVEST, POOL_DEATH, POOL_DEGRADE,
     RETRY,
     JOB_DEADLINE, WORKER_KILL,
-    FSCK_BEGIN, FSCK_REPAIR, FSCK_EVICT, FSCK_END,
 })
 
 #: Top-level JSON keys that payload fields may not shadow.

@@ -121,26 +121,43 @@ def _timing(summary: TraceSummary, fields: Dict[str, object]) -> JobTiming:
 def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
     """Reduce an event sequence to a :class:`TraceSummary`.
 
-    Cross-checks the stream against itself: counted ``cache.hit`` and
-    ``retry.backoff`` events must match the deltas the ``sweep.end``
-    records report; reported misses (simulated cells) must match the
-    first-attempt ``executor.dispatch`` count, and -- whenever a result
-    cache was in play -- the ``cache.miss`` count too.  A mismatch means
-    the trace was truncated or the emitters disagree, and raises
-    :class:`TraceSchemaError` rather than reporting wrong numbers.
+    Cross-checks the stream against itself: each ``sweep.end`` closes
+    the latest open ``sweep.begin`` and reports the cells it announced;
+    counted ``cache.hit`` and ``retry.backoff`` events must match the
+    deltas the ``sweep.end`` records report; reported misses (simulated
+    cells) must match the first-attempt ``executor.dispatch`` count,
+    and -- whenever a result cache was in play -- the ``cache.miss``
+    count too.  A mismatch means the trace was truncated or the
+    emitters disagree, and raises :class:`TraceSchemaError` rather than
+    reporting wrong numbers.  A ``sweep.begin`` left open (a crashed
+    run, or a sweep that raised) is not a mismatch.
     """
     summary = TraceSummary()
     counts = summary.counts
     reported_hits = reported_misses = reported_retries = 0
     first_dispatches = 0
     saw_sweep_end = False
+    # Cells announced by each sweep.begin not yet ended, latest last.
+    open_jobs: List[int] = []
     for event in events:
         kind = event.kind
         counts[kind] = counts.get(kind, 0) + 1
         fields = event.fields_dict()
         if kind == records.SWEEP_BEGIN:
-            summary.jobs += int(fields.get("jobs", 0))
+            open_jobs.append(int(fields.get("jobs", 0)))
+            summary.jobs += open_jobs[-1]
         elif kind == records.SWEEP_END:
+            jobs = int(fields.get("jobs", 0))
+            if not open_jobs:
+                raise TraceSchemaError(
+                    f"trace is inconsistent: the sweep.end at seq "
+                    f"{event.seq} closes no open sweep.begin")
+            announced = open_jobs.pop()
+            if jobs != announced:
+                raise TraceSchemaError(
+                    f"trace is inconsistent: the sweep.end at seq "
+                    f"{event.seq} reports {jobs} jobs but its sweep.begin "
+                    f"announced {announced}")
             saw_sweep_end = True
             reported_hits += int(fields.get("hits", 0))
             reported_misses += int(fields.get("misses", 0))
@@ -208,24 +225,3 @@ def render_summary(summary: TraceSummary, slowest: int = 5) -> str:
                 f"({timing.dispatches} dispatch, {timing.harvests} harvest)")
     return "\n".join(lines)
 
-
-def summary_to_json(summary: TraceSummary,
-                    slowest: int = 5) -> Dict[str, object]:
-    """Canonical JSON form of a summary (for ``summarize --json``)."""
-    return {
-        "events": summary.events,
-        "sweeps": summary.sweeps,
-        "jobs": summary.jobs,
-        "hit_rate": summary.hit_rate,
-        "failures": summary.failures,
-        "counts": dict(summary.counts),
-        "slowest": [
-            {
-                "job": timing.job,
-                "wall_time": timing.wall_time,
-                "dispatches": timing.dispatches,
-                "harvests": timing.harvests,
-            }
-            for timing in summary.slowest(slowest)
-        ],
-    }

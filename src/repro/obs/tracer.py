@@ -8,12 +8,11 @@ keeps the observability layer out of :meth:`repro.engine.job.Job.key`:
 jobs never reference a tracer, so tracing can never perturb the
 content-addressed result cache.
 
-Every tracer keeps a bounded in-memory window of recent events plus
-per-kind counters (the always-on collector the runner's footer reads);
-optional sinks fan records out, e.g. a :class:`JsonlSink` behind the
-CLI's ``--trace FILE``.  Timestamps come only from the injected clock
-(see :mod:`repro.obs.clock`); with no clock, ``t`` is ``None`` and the
-trace is a pure event sequence.
+Every tracer keeps per-kind counters (the always-on collector the
+runner's footer reads); optional sinks fan records out, e.g. a
+:class:`JsonlSink` behind the CLI's ``--trace FILE``.  Timestamps come
+only from the injected clock (see :mod:`repro.obs.clock`); with no
+clock, ``t`` is ``None`` and the trace is a pure event sequence.
 
 :class:`NullTracer` is the explicit no-op for hot paths that want zero
 observability overhead (e.g. microbenchmarks).
@@ -21,34 +20,12 @@ observability overhead (e.g. microbenchmarks).
 
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.lint import contracts
 from repro.obs.records import TraceEvent
-
-#: Recent events kept in memory per tracer (older ones age out; counters
-#: keep counting).  Bounded so month-long sweeps cannot exhaust RAM.
-DEFAULT_MEMORY_LIMIT = 65536
-
-
-class MemorySink:
-    """Collect the last :data:`DEFAULT_MEMORY_LIMIT` events in memory."""
-
-    def __init__(self) -> None:
-        self._events: deque = deque(maxlen=DEFAULT_MEMORY_LIMIT)
-
-    def write(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        return tuple(self._events)
-
-    def close(self) -> None:
-        """Nothing to release; kept for sink-protocol symmetry."""
 
 
 class JsonlSink:
@@ -73,7 +50,7 @@ class JsonlSink:
 
 
 class Tracer:
-    """Emit typed :class:`TraceEvent` records to sinks + in-memory window.
+    """Emit typed :class:`TraceEvent` records to sinks, counting each kind.
 
     ``clock`` is the *only* source of timestamps; leave it ``None`` for
     timestamp-free deterministic traces.  ``seq`` increases by exactly one
@@ -85,7 +62,6 @@ class Tracer:
                  sinks: Sequence[Any] = ()) -> None:
         self._clock = clock
         self._sinks = tuple(sinks)
-        self._memory = MemorySink()
         self._counts: Dict[str, int] = {}
         self._seq = 0
 
@@ -100,15 +76,9 @@ class Tracer:
         contracts.check_trace_event(event)
         self._seq += 1
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        self._memory.write(event)
         for sink in self._sinks:
             sink.write(event)
         return event
-
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """The in-memory window of recent events (oldest first)."""
-        return self._memory.events
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -128,7 +98,7 @@ class Tracer:
         return f"obs: {self._seq} events ({top})"
 
     def close(self) -> None:
-        """Flush and close every sink (the in-memory window survives)."""
+        """Flush and close every sink (the counters survive)."""
         for sink in self._sinks:
             sink.close()
 
@@ -137,7 +107,6 @@ class NullTracer:
     """The explicit no-op tracer: every emit is a constant-time discard."""
 
     enabled = False
-    events: Tuple[TraceEvent, ...] = ()
     events_emitted = 0
 
     def emit(self, kind: str, **fields: Any) -> None:

@@ -138,6 +138,7 @@ class ServerSimulator:
         self._instances: Dict[str, WarmInstance] = {}
         self._arrivals: Dict[str, ArrivalProcess] = {}
         self._counter = itertools.count()
+        self._ran = False
         self.stats = ServerStats()
 
     # ------------------------------------------------------------------
@@ -190,9 +191,18 @@ class ServerSimulator:
         Service times come from the simulator's blocks of standard
         exponential draws, so no numpy call runs per arrival.  A warm
         instance has one TTL-heap entry, pushed when it is admitted.
+
+        A simulator runs once: its instances, arrival processes and
+        stats would carry into a second run, so that raises
+        :class:`ConfigurationError`.
         """
+        if self._ran:
+            raise ConfigurationError(
+                "this ServerSimulator has already run; build a new one "
+                "for another run")
         if duration_ms <= 0:
             raise ConfigurationError(f"duration must be positive: {duration_ms}")
+        self._ran = True
         cfg = self.config
         stats = self.stats
         instances = self._instances

@@ -31,7 +31,6 @@ _EXPORTS = {
     "TopDownBreakdown": "repro.sim.topdown",
     "broadwell": "repro.sim.params",
     "mean_breakdown": "repro.sim.topdown",
-    "simulate": "repro.sim.core",
     "skylake": "repro.sim.params",
 }
 

@@ -104,7 +104,7 @@ def _seq_sum(acc: float, values: np.ndarray) -> float:
 def run_columnar(sim, trace):
     """Execute ``trace`` on ``sim`` (a :class:`repro.sim.core.Simulator`)
     through the columnar IR.  See the module docstring for the exactness
-    argument; the public entry point is :func:`repro.sim.simulate`."""
+    argument; callers go through :meth:`~repro.sim.core.Simulator.run`."""
     ct = trace.columnar()
     hier = sim.hierarchy
     stats = hier.stats

@@ -26,16 +26,16 @@ Two execution backends share this model (DESIGN.md Sec. 12):
   which consumes the trace's columnar IR and is required to reproduce the
   scalar results *bit for bit* (enforced by the differential battery).
 
-:func:`simulate` is the one call every consumer -- ``experiments/``,
-``server/``, ``engine/`` workers, tests -- goes through to execute a
-trace; prefer it over calling :meth:`Simulator.run` directly.  What an
-invocation measured, :class:`~repro.sim.result.InvocationResult`, lives
-in :mod:`repro.sim.result` so cached results load without this module.
+:meth:`Simulator.run` executes one trace; a simulator keeps its
+microarchitectural state across runs, so a one-shot cold run is
+``Simulator(machine).run(trace)``.  What an invocation measured,
+:class:`~repro.sim.result.InvocationResult`, lives in
+:mod:`repro.sim.result` so cached results load without this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.lint import contracts
@@ -210,44 +210,3 @@ class Simulator:
                 cycle += steady
         return cycle
 
-
-def simulate(trace: InvocationTrace,
-             machine: Optional[MachineParams] = None,
-             *,
-             backend: Optional[str] = None,
-             sim: Optional[Simulator] = None) -> InvocationResult:
-    """Execute one invocation trace; returns its measurements.
-
-    Either pass ``machine`` (a fresh, cold :class:`Simulator` is built,
-    ``backend`` defaulting to ``"columnar"``) or pass an existing ``sim``
-    to reuse its warm state -- the protocol of every experiment that
-    carries microarchitectural state across invocations (warm reference
-    runs, Jukebox record/replay)::
-
-        result = simulate(trace, skylake())
-        sim = Simulator(machine, backend="columnar")
-        for trace in traces:
-            result = simulate(trace, sim=sim)
-
-    Passing both ``sim`` and ``machine`` -- or ``sim`` plus a conflicting
-    ``backend`` -- is a configuration error: the simulator already owns
-    those choices.  Backend choice never changes results, only
-    throughput (DESIGN.md Sec. 12).
-    """
-    if sim is not None:
-        if machine is not None:
-            raise ConfigurationError(
-                "pass either machine= or sim=, not both: the simulator "
-                "already owns its machine parameters"
-            )
-        if backend is not None and backend != sim.backend:
-            raise ConfigurationError(
-                f"backend={backend!r} conflicts with the provided "
-                f"simulator's backend={sim.backend!r}"
-            )
-        return sim.run(trace)
-    if machine is None:
-        raise ConfigurationError("simulate() needs machine= or sim=")
-    built = Simulator(machine,
-                      backend=backend if backend is not None else "columnar")
-    return built.run(trace)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -216,26 +216,19 @@ ARRIVAL_KINDS = ("fixed", "poisson", "lognormal", "bursty", "diurnal")
 
 
 def make_arrival_process(kind: str, mean_iat_ms: float,
-                         seed: int = 0,
-                         sigma: Optional[float] = None,
-                         burst_factor: float = 8.0,
-                         switch_prob: float = 0.05,
-                         amplitude: float = 0.6,
-                         period_ms: float = 86_400_000.0,
-                         phase: float = 0.0) -> ArrivalProcess:
-    """Factory used by the server experiments, the fleet, and the CLI."""
+                         seed: int = 0) -> ArrivalProcess:
+    """The ``kind`` process at its class's default shape (the fleet's
+    arrival setting); build a class directly for another shape."""
     if kind == "fixed":
         return FixedIAT(mean_iat_ms)
     if kind == "poisson":
         return PoissonArrivals(mean_iat_ms, seed=seed)
     if kind == "lognormal":
-        return LognormalArrivals(mean_iat_ms, sigma=sigma or 1.0, seed=seed)
+        return LognormalArrivals(mean_iat_ms, seed=seed)
     if kind == "bursty":
-        return BurstyArrivals(mean_iat_ms, burst_factor=burst_factor,
-                              switch_prob=switch_prob, seed=seed)
+        return BurstyArrivals(mean_iat_ms, seed=seed)
     if kind == "diurnal":
-        return DiurnalArrivals(mean_iat_ms, amplitude=amplitude,
-                               period_ms=period_ms, phase=phase, seed=seed)
+        return DiurnalArrivals(mean_iat_ms, seed=seed)
     raise ConfigurationError(
         f"unknown arrival kind {kind!r}; expected "
         f"{'|'.join(ARRIVAL_KINDS)}"

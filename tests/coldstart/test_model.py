@@ -4,14 +4,12 @@ import pytest
 
 from repro.coldstart import (
     PageReplayState,
-    RestoreParams,
     SnapshotState,
     SpectrumColdStart,
     import_graph_for,
     working_set_pages,
 )
-from repro.coldstart.libinit import (MAX_TRIM_MEMORY_REDUCTION,
-                                     MAX_TRIM_SPEEDUP)
+from repro.coldstart.libinit import MAX_TRIM_SPEEDUP
 from repro.coldstart.model import ColdStartModel
 from repro.core.jukebox import Jukebox
 from repro.errors import ConfigurationError
@@ -60,13 +58,39 @@ class TestPages:
         assert again.page_ms == first.page_ms
         assert fresh.restore().page_ms == used.restore().page_ms
 
-    def test_restore_params_validated(self):
-        with pytest.raises(ConfigurationError):
-            RestoreParams(stable_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            RestoreParams(prefetch_us=50.0, fault_us=35.0)
+    def test_empty_working_set_rejected(self):
         with pytest.raises(ConfigurationError):
             PageReplayState(pages=0)
+
+    # The charges below are worked by hand from REAP's calibration: a
+    # 35 us demand fault, a 3.2 us bulk-prefetched page, a 150 us replay
+    # overhead and a 92% stable working set.
+
+    def test_recording_restore_charge(self):
+        state = PageReplayState(pages=1001)
+        charge = state.restore()
+        assert charge.page_ms == 1001 * 35.0 / 1000.0
+        assert (charge.faulted_pages, charge.prefetched_pages) == (1001, 0)
+        assert charge.recorded
+        assert state.recorded_pages == 921  # round(920.92)
+
+    def test_replayed_restore_charge(self):
+        state = PageReplayState(pages=1001)
+        state.restore()
+        for _ in range(2):
+            charge = state.restore()
+            assert charge.page_ms == (150.0 + 921 * 3.2 + 80 * 35.0) / 1000.0
+            assert (charge.faulted_pages, charge.prefetched_pages) == (80, 921)
+            assert not charge.recorded
+
+    def test_restore_charge_without_replay(self):
+        state = PageReplayState(pages=1001, replay=False)
+        for _ in range(3):
+            charge = state.restore()
+            assert charge.page_ms == 1001 * 35.0 / 1000.0
+            assert (charge.faulted_pages, charge.prefetched_pages) == (1001, 0)
+            assert not charge.recorded
+        assert state.recorded_pages is None
 
 
 class TestLibInit:
@@ -74,7 +98,6 @@ class TestLibInit:
     def test_calibrated_inside_coldspy_bounds(self, language):
         graph = import_graph_for(language)
         assert 1.0 < graph.trim_speedup() <= MAX_TRIM_SPEEDUP
-        assert 1.0 <= graph.trim_memory_reduction <= MAX_TRIM_MEMORY_REDUCTION
 
     def test_python_dominated_by_eager_unused(self):
         # ColdSpy's headline pattern: the trimming opportunity exceeds
@@ -87,14 +110,8 @@ class TestLibInit:
             graph = import_graph_for(language)
             assert graph.init_cost_ms(trim=False) - graph.init_cost_ms(
                 trim=True) == graph.eager_unused_ms
-
-    def test_lazy_libraries_never_charged_at_boot(self):
-        graph = import_graph_for("python")
-        assert graph.lazy_ms > 0
-        assert graph.lazy_ms not in (graph.init_cost_ms(False),)
-        assert graph.init_cost_ms(False) == (graph.base_ms
-                                             + graph.eager_used_ms
-                                             + graph.eager_unused_ms)
+            assert graph.init_cost_ms(trim=False) == (
+                graph.base_ms + graph.eager_used_ms + graph.eager_unused_ms)
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -102,25 +119,17 @@ class TestLibInit:
 
 
 class TestModels:
-    def test_spectrum_needs_a_profile(self):
-        model = SpectrumColdStart()
-        with pytest.raises(ConfigurationError):
-            model.cold_start("cell")
-
     def test_spectrum_decomposition_per_language(self):
-        model = SpectrumColdStart()
         for profile in SUITE[:3]:
-            charge = model.cold_start(profile.abbrev, profile)
+            charge = SpectrumColdStart(profile).cold_start()
             graph = import_graph_for(profile.language)
             assert charge.init_ms == graph.init_cost_ms(trim=False)
             assert charge.page_ms > 0
 
     def test_init_trim_reduces_only_init(self):
         profile = SUITE[0]
-        full = SpectrumColdStart()
-        trim = SpectrumColdStart(init_trim=True)
-        a = full.cold_start("x", profile)
-        b = trim.cold_start("x", profile)
+        a = SpectrumColdStart(profile).cold_start()
+        b = SpectrumColdStart(profile, init_trim=True).cold_start()
         assert b.init_ms < a.init_ms
         assert b.page_ms == a.page_ms
 
@@ -128,11 +137,11 @@ class TestModels:
         """A cold cell builds its own model, so its charges never depend
         on what an earlier cell's model recorded."""
         profile = SUITE[0]
-        used = SpectrumColdStart(page_replay=True)
-        first = [used.cold_start("x", profile) for _ in range(3)]
+        used = SpectrumColdStart(profile, page_replay=True)
+        first = [used.cold_start() for _ in range(3)]
         assert first[1].page_ms < first[0].page_ms
-        fresh = SpectrumColdStart(page_replay=True)
-        assert [fresh.cold_start("x", profile) for _ in range(3)] == first
+        fresh = SpectrumColdStart(profile, page_replay=True)
+        assert [fresh.cold_start() for _ in range(3)] == first
 
     @pytest.mark.parametrize("language", LANGUAGES)
     @pytest.mark.parametrize("init_trim", [False, True])
@@ -143,10 +152,10 @@ class TestModels:
         cost on every cold start; ``page_replay`` records the page trace
         on the first restore and prefetches it on later ones."""
         profile = next(p for p in SUITE if p.language == language)
-        model = SpectrumColdStart(page_replay=page_replay,
+        model = SpectrumColdStart(profile, page_replay=page_replay,
                                   init_trim=init_trim)
-        first = model.cold_start("x", profile)
-        second = model.cold_start("x", profile)
+        first = model.cold_start()
+        second = model.cold_start()
         init_ms = import_graph_for(language).init_cost_ms(trim=init_trim)
         assert first.init_ms == second.init_ms == init_ms
         assert first.faulted_pages == working_set_pages(profile)
@@ -177,7 +186,6 @@ class TestSnapshotState:
     def test_composes_page_and_jukebox_sides(self, tiny_machine,
                                              tiny_traces):
         from repro.sim.core import Simulator
-        from repro.sim.core import simulate
 
         state = InstanceSnapshot(PageReplayState(pages=800))
         params = tiny_machine.jukebox
@@ -188,7 +196,7 @@ class TestSnapshotState:
         sim = Simulator(tiny_machine)
         jb = Jukebox(params)
         jb.begin_invocation(sim.hierarchy)
-        result = simulate(tiny_traces[0], sim=sim)
+        result = sim.run(tiny_traces[0])
         jb.end_invocation(sim.hierarchy, result)
         state.capture_metadata(jb)
         assert state.metadata is not None

@@ -36,7 +36,6 @@ from repro.coldstart import PageReplayState, working_set_pages
 from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
-from repro.sim.core import simulate
 from repro.workloads.suite import SUITE, get_profile
 
 from tests.coldstart import capture_prerefactor as cap
@@ -148,7 +147,7 @@ def cold_boot_sequence(profile, machine, cfg, jukebox):
         jb = state.restore_jukebox(machine.jukebox) if jukebox else None
         if jb is not None:
             jb.begin_invocation(sim.hierarchy)
-        result = simulate(trace, sim=sim)
+        result = sim.run(trace)
         if jb is not None:
             jb.end_invocation(sim.hierarchy, result)
             state.capture_metadata(jb)

@@ -84,10 +84,3 @@ class TestHygiene:
         cache.put(KEY, 1)
         cache.put(OTHER, 2)
         assert len(cache) == 2
-
-    def test_clear_removes_everything(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.put(KEY, 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(KEY) == (False, None)

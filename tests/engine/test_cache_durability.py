@@ -22,6 +22,7 @@ from repro.engine.cache import _tmp_pid
 from repro.engine.job import SCHEMA_VERSION
 from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
+from tests.obs.capture import CaptureSink
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -126,12 +127,6 @@ class TestCacheLock:
         lock.release()  # never acquired: no-op
         assert not lock.held
 
-    def test_holding_context(self, tmp_path):
-        lock = CacheLock(tmp_path)
-        with lock.holding() as acquired:
-            assert acquired and lock.held
-        assert not lock.held
-
 
 class TestStoreDegradation:
     def test_induced_enospc_degrades_to_no_store(self, tmp_path):
@@ -164,12 +159,12 @@ class TestStoreDegradation:
         assert cache.get(KEY) == (True, "kept")
 
     def test_store_failure_emits_trace_event(self, tmp_path):
-        tracer = Tracer()
-        cache = ResultCache(tmp_path / "c", tracer=tracer)
+        sink = CaptureSink()
+        cache = ResultCache(tmp_path / "c", tracer=Tracer(sinks=[sink]))
         cache.induce_store_error(errno.ENOSPC)
         with pytest.warns(RuntimeWarning):
             cache.put(KEY, 1)
-        [event] = [e for e in tracer.events
+        [event] = [e for e in sink.events
                    if e.kind == "cache.store_failed"]
         assert event.fields_dict()["error"] == "OSError"
 
@@ -254,12 +249,12 @@ class TestQuarantine:
         assert cache.get(KEY) == (True, "v2")
 
     def test_quarantine_emits_trace_event(self, tmp_path):
-        tracer = Tracer()
-        cache = ResultCache(tmp_path / "c", tracer=tracer)
+        sink = CaptureSink()
+        cache = ResultCache(tmp_path / "c", tracer=Tracer(sinks=[sink]))
         cache.put(KEY, 1)
         cache.tear(KEY)
         cache.get(KEY)
-        kinds = [e.kind for e in tracer.events]
+        kinds = [e.kind for e in sink.events]
         assert "cache.quarantine" in kinds
 
     def test_tear_and_corrupt_ignore_absent_entries(self, tmp_path):
@@ -270,13 +265,13 @@ class TestQuarantine:
 
 class TestLifecycle:
     def test_open_takes_and_close_releases_the_shared_lock(self, tmp_path):
-        tracer = Tracer()
-        cache = ResultCache(tmp_path / "c", tracer=tracer)
+        sink = CaptureSink()
+        cache = ResultCache(tmp_path / "c", tracer=Tracer(sinks=[sink]))
         cache.open()
         assert cache.lock.held and cache.lock.mode == "shared"
         cache.close()
         assert not cache.lock.held
-        actions = [e.fields_dict()["action"] for e in tracer.events
+        actions = [e.fields_dict()["action"] for e in sink.events
                    if e.kind == "cache.lock"]
         assert actions == ["acquire", "release"]
 
@@ -285,13 +280,4 @@ class TestLifecycle:
         cache.open()
         cache.open()  # second open: no double-acquire error
         assert cache.lock.held
-        cache.close()
-
-    def test_clear_reacquires_a_held_lock(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.open()
-        cache.put(KEY, 1)
-        cache.clear()
-        assert cache.lock.held  # still usable for the rest of the sweep
-        assert len(cache) == 0
         cache.close()

@@ -113,12 +113,6 @@ class TestMatching:
         assert spec.matches(job_for(function="Auth-G"), 0)
         assert not spec.matches(job_for(function="Email-P"), 0)
 
-    def test_predicate_selector(self):
-        spec = FaultSpec(action="fail",
-                         predicate=lambda job: job.config == "jukebox")
-        assert spec.matches(job_for(config="jukebox"), 0)
-        assert not spec.matches(job_for(config="baseline"), 0)
-
     def test_wildcard_matches_everything(self):
         spec = FaultSpec.parse("fail:*")
         assert spec.matches(job_for(), 0)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.engine import ResultCache, encode_entry
 from repro.engine.__main__ import main as engine_main
 from repro.engine.fsck import CacheBusyError, fsck
 from repro.errors import ConfigurationError
-from repro.obs.tracer import Tracer
+from repro.experiments.runner import main as runner_main
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -103,31 +101,73 @@ class TestRepair:
         assert report.reaped_tmp == 1
         assert not tmp.exists()
 
-    def test_purge_quarantine_requires_repair(self, tmp_path):
-        seeded_cache(tmp_path / "c")
-        with pytest.raises(ConfigurationError, match="--repair"):
-            fsck(tmp_path / "c", purge_quarantine=True)
-
-    def test_purge_quarantine_empties_the_evidence_area(self, tmp_path):
+    def test_quarantine_is_kept_across_passes(self, tmp_path):
         cache = seeded_cache(tmp_path / "c")
         cache.path_for(KEY).write_bytes(b"junk")
-        first = fsck(tmp_path / "c", repair=True)
-        assert first.quarantine_entries == 1
-        second = fsck(tmp_path / "c", repair=True, purge_quarantine=True)
-        assert second.purged_quarantine == 1
-        assert fsck(tmp_path / "c").quarantine_entries == 0
+        assert fsck(tmp_path / "c", repair=True).quarantine_entries == 1
+        again = fsck(tmp_path / "c", repair=True)
+        assert again.quarantine_entries == 1 and again.quarantined == 0
+        assert (cache.root / "quarantine" / f"{KEY}.quarantined").is_file()
 
-    def test_events_name_each_action(self, tmp_path):
+
+class TestDescribe:
+    """The report's text is the CLI's only output: one line per action."""
+
+    def test_quarantined_entry_line(self, tmp_path):
         cache = seeded_cache(tmp_path / "c")
-        cache.path_for(KEY).write_bytes(b"junk")
+        path = cache.path_for(KEY)
+        path.write_bytes(b"junk")
+        report = fsck(tmp_path / "c", repair=True)
+        [problem] = report.problems
+        assert report.describe().splitlines() == [
+            f"fsck {tmp_path / 'c'}: 3 entries scanned, 2 ok",
+            f"  {path}: {problem.defect} [quarantined]",
+            "  1 entry in quarantine/ (set aside for inspection)",
+            "clean",
+        ]
+
+    def test_found_defect_lines(self, tmp_path):
+        cache = seeded_cache(tmp_path / "c")
+        stray = cache.root / "ab" / "not-a-key.pkl"
+        stray.write_bytes(encode_entry(1))
+        assert fsck(tmp_path / "c").describe().splitlines() == [
+            f"fsck {tmp_path / 'c'}: 4 entries scanned, 3 ok",
+            f"  {stray}: filename is not a 64-hex cache key [found]",
+            "1 defect(s) found (re-run with --repair)",
+        ]
+
+    def test_moved_entry_line(self, tmp_path):
+        cache = seeded_cache(tmp_path / "c")
         misplaced = cache.root / "zz" / f"{THIRD}.pkl"
         misplaced.parent.mkdir()
         cache.path_for(THIRD).rename(misplaced)
-        tracer = Tracer()
-        fsck(tmp_path / "c", repair=True, tracer=tracer)
-        kinds = [e.kind for e in tracer.events]
-        assert kinds[0] == "fsck.begin" and kinds[-1] == "fsck.end"
-        assert "fsck.evict" in kinds and "fsck.repair" in kinds
+        report = fsck(tmp_path / "c", repair=True)
+        assert report.describe().splitlines() == [
+            f"fsck {tmp_path / 'c'}: 3 entries scanned, 2 ok",
+            f"  {misplaced}: valid entry misplaced outside fanout slot "
+            f"ef/ [moved]",
+            "clean",
+        ]
+
+    def test_reaped_temp_files_line(self, tmp_path):
+        cache = seeded_cache(tmp_path / "c")
+        for pid in (1, 2):
+            (cache.root / "ab" / f".{KEY}.pkl.{pid}.tmp").write_bytes(b"x")
+        assert fsck(tmp_path / "c").describe().splitlines() == [
+            f"fsck {tmp_path / 'c'}: 3 entries scanned, 3 ok",
+            "  reaped 2 orphaned temp file(s)",
+            "clean",
+        ]
+
+    def test_quarantine_area_line(self, tmp_path):
+        cache = seeded_cache(tmp_path / "c")
+        cache.path_for(KEY).write_bytes(b"junk")
+        fsck(tmp_path / "c", repair=True)
+        assert fsck(tmp_path / "c").describe().splitlines() == [
+            f"fsck {tmp_path / 'c'}: 2 entries scanned, 2 ok",
+            "  1 entry in quarantine/ (set aside for inspection)",
+            "clean",
+        ]
 
 
 class TestLockDiscipline:
@@ -180,12 +220,19 @@ class TestCli:
             cache.close()
         assert "live sweep" in capsys.readouterr().err
 
-    def test_json_report_is_machine_readable(self, tmp_path, capsys):
-        cache = seeded_cache(tmp_path / "c")
-        cache.path_for(KEY).write_bytes(b"junk")
-        engine_main(["fsck", str(tmp_path / "c"), "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["clean"] is False
-        assert doc["scanned"] == 3
-        [problem] = doc["problems"]
-        assert problem["key"] == KEY and problem["action"] == "found"
+    @pytest.mark.parametrize("flag", ["--json", "--purge-quarantine"])
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        seeded_cache(tmp_path / "c")
+        with pytest.raises(SystemExit) as exc:
+            engine_main(["fsck", str(tmp_path / "c"), flag, "--repair"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_audits_the_cache_a_real_run_wrote(self, tmp_path, capsys):
+        root = tmp_path / "cache"
+        assert runner_main(["table3", "--fast", "--functions", "Fib-G",
+                            "--cache-dir", str(root)]) == 0
+        capsys.readouterr()
+        assert engine_main(["fsck", str(root)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"fsck {root}: 4 entries scanned, 4 ok", "clean"]

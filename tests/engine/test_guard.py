@@ -25,6 +25,7 @@ from repro.obs.clock import FrozenClock, TickClock
 from repro.obs.tracer import Tracer
 from repro.sim.params import skylake
 from repro.workloads.suite import get_profile
+from tests.obs.capture import CaptureSink
 
 CFG = RunConfig(invocations=2, warmup=1, instruction_scale=0.1)
 
@@ -116,16 +117,16 @@ class TestGuardState:
         assert guard.sweep_deadline_hit
 
     def test_deadline_events_are_emitted(self):
-        tracer = Tracer()
+        sink = CaptureSink()
         guard = GuardState(GuardSpec(job_timeout_s=1.0,
                                      sweep_deadline_s=1.0),
-                           FrozenClock(), tracer=tracer)
+                           FrozenClock(), tracer=Tracer(sinks=[sink]))
         task = Task(job=echo_jobs(1)[0], index=0)
         guard.timeout_outcome(task, elapsed_s=2.0)
         guard.sweep_deadline_outcome(task)
-        kinds = [e.kind for e in tracer.events]
+        kinds = [e.kind for e in sink.events]
         assert kinds == ["job.deadline", "job.deadline"]
-        scopes = [e.fields_dict()["scope"] for e in tracer.events]
+        scopes = [e.fields_dict()["scope"] for e in sink.events]
         assert scopes == ["job", "sweep"]
 
     def test_error_taxonomy_registration(self):
@@ -217,13 +218,13 @@ class TestPoolHungWorkerReaping:
         assert ctx.executor.pool_restarts >= 1
 
     def test_worker_kill_events_reach_the_trace(self):
-        tracer = Tracer()
+        sink = CaptureSink()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with configure(jobs=2, clock=time.monotonic, job_timeout_s=0.5,
-                           faults="hang:#0", tracer=tracer):
+                           faults="hang:#0", tracer=Tracer(sinks=[sink])):
                 sweep_outcomes(echo_jobs(3))
-        kinds = [e.kind for e in tracer.events]
+        kinds = [e.kind for e in sink.events]
         assert "worker.kill" in kinds
         assert "job.deadline" in kinds
 

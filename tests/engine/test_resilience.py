@@ -42,7 +42,6 @@ from repro.errors import (
     ConfigurationError,
     ContractViolationError,
     SweepFailure,
-    WorkerCrashError,
 )
 from repro.faults import (
     FaultPlan,
@@ -211,7 +210,6 @@ class TestErrorTaxonomy:
     def test_default_classifications(self):
         assert classify_error(ConnectionError("x")) == TRANSIENT
         assert classify_error(TimeoutError("x")) == TRANSIENT
-        assert classify_error(WorkerCrashError("x")) == TRANSIENT
         assert classify_error(ConfigurationError("x")) == PERMANENT
         assert classify_error(ValueError("x")) == PERMANENT
 

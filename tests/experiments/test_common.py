@@ -19,7 +19,6 @@ from repro.experiments.common import (
 )
 from repro.sim.core import BACKENDS, Simulator
 from repro.sim.params import skylake
-from repro.sim.core import simulate
 
 CFG = RunConfig(invocations=3, warmup=1)
 
@@ -159,7 +158,7 @@ class TestDrivers:
             jukebox.begin_invocation(sim.hierarchy)
             jb_recorder = sim.hierarchy.record_hook
             sim.hierarchy.record_hook = _TeeHook(jb_recorder, pif)
-            result = simulate(trace, sim=sim)
+            result = sim.run(trace)
             sim.hierarchy.record_hook = jb_recorder
             report = jukebox.end_invocation(sim.hierarchy, result)
             if i >= cfg.warmup:

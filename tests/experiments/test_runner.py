@@ -282,6 +282,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert "--no-cache" in err and "--cache-dir" in err
 
+    def test_unusable_cache_dir_is_a_usage_error(self, capsys, tmp_path):
+        """A --cache-dir that names a regular file cannot hold a cache:
+        exit 2 with the reason, before any experiment runs."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        assert main(["table1", "--cache-dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"--cache-dir: [Errno 17] File exists: "
+                                f"'{blocker}'\n")
+
+    def test_unusable_trace_path_is_a_usage_error(self, capsys, tmp_path):
+        """A --trace file under a regular file cannot be created: exit 2
+        with the reason, before any experiment runs."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        argv = ["table1", "--no-cache", "--trace", str(blocker / "x.jsonl")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"--trace: [Errno 17] File exists: "
+                                f"'{blocker}'\n")
+
+    def test_unusable_default_cache_is_a_usage_error(
+            self, capsys, tmp_path, monkeypatch):
+        """The default cache root (``LUKEWARM_CACHE_DIR`` here) is what
+        --cache-dir overrides, so the message names that flag."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        monkeypatch.setenv("LUKEWARM_CACHE_DIR", str(blocker))
+        assert main(["table1"]) == 2
+        assert capsys.readouterr().err.startswith("--cache-dir: ")
+
+    def test_trace_path_is_checked_before_the_cache_opens(self, capsys,
+                                                           tmp_path):
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        cache = tmp_path / "cache"
+        assert main(["table1", "--cache-dir", str(cache),
+                     "--trace", str(blocker / "x.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("--trace: ")
+        assert not cache.exists()
+
     def test_runs_cheap_experiment(self, capsys):
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
@@ -423,6 +466,21 @@ class TestMain:
         assert "boom FAILED" in err
         assert "injected experiment failure" in err
         assert "1 experiment(s) failed: boom" in err
+
+    def test_trace_of_a_failed_run_ends_with_the_lock_release(
+            self, capsys, tmp_path, boom_experiment):
+        """The trace file outlives the engine context: the cache lock's
+        release, emitted as the context closes, is its last record, and
+        the file summarizes."""
+        from repro.obs.summarize import read_trace, summarize
+
+        trace = tmp_path / "trace.jsonl"
+        assert main(["boom", "--cache-dir", str(tmp_path / "cache"),
+                     "--trace", str(trace)]) == 3
+        events = read_trace(trace)
+        assert [(e.kind, e.fields_dict()["action"]) for e in events] == [
+            ("cache.lock", "acquire"), ("cache.lock", "release")]
+        assert summarize(events).count("cache.lock") == 2
 
     def test_failure_stops_the_run_by_default(self, capsys, boom_experiment):
         assert main(["boom", "table2"]) == 3

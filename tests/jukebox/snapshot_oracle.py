@@ -30,8 +30,12 @@ from repro.coldstart.pages import PageReplayState
 from repro.core.jukebox import Jukebox
 from repro.core.metadata import MetadataBuffer
 from repro.core.regions import RegionGeometry
-from repro.errors import MetadataError
+from repro.errors import ReproError
 from repro.sim.params import JukeboxParams
+
+class MetadataError(ReproError):
+    """A snapshot image is truncated, foreign, or of an unknown version."""
+
 
 #: Serialization header: magic, version, region size, entry count.
 _HEADER = struct.Struct("<4sHII")

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.jukebox import Jukebox
-from repro.errors import MetadataError
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, skylake
 from repro.units import KB
 from tests.jukebox.snapshot_oracle import (
+    MetadataError,
     MetadataSnapshot,
     restore_jukebox,
     snapshot_jukebox,

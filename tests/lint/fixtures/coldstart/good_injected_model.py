@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 from repro.coldstart import PageReplayState, SnapshotState, SpectrumColdStart
+from repro.workloads.suite import SUITE
 
 
 def make_snapshot(pages: int) -> SnapshotState:
@@ -12,7 +13,7 @@ def make_snapshot(pages: int) -> SnapshotState:
 @dataclass
 class Simulation:
     model: SpectrumColdStart = field(
-        default_factory=lambda: SpectrumColdStart(page_replay=True))
+        default_factory=lambda: SpectrumColdStart(SUITE[0], page_replay=True))
 
     def fresh_pages(self, pages: int) -> PageReplayState:
         return PageReplayState(pages=pages)

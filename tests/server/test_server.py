@@ -1,5 +1,7 @@
 """Tests for the server-level interleaving model (Sec. 2.2)."""
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -89,6 +91,26 @@ class TestServerSimulator:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigurationError):
             self.make_server().run(0.0)
+
+    def test_a_second_run_raises_and_leaves_the_stats(self):
+        """One instance every 1000 ms, run for 5000 ms and then 3000 ms:
+        the second run would restart time at 0 under the first run's
+        warm set and counters (a negative IAT), so it is refused."""
+        server = ServerSimulator()
+        server.add_instance(get_profile("Auth-G"), FixedIAT(1000.0))
+        stats = server.run(5_000.0)
+        before = copy.deepcopy(stats)
+        assert (stats.invocations, stats.cold_starts) == (5, 1)
+        with pytest.raises(ConfigurationError, match="already run"):
+            server.run(3_000.0)
+        assert server.stats == before
+        assert all(iat > 0 for iat in server.stats.iats_ms)
+
+    def test_a_rejected_duration_does_not_use_up_the_run(self):
+        server = self.make_server()
+        with pytest.raises(ConfigurationError, match="positive"):
+            server.run(0.0)
+        assert server.run(1_000.0).invocations > 0
 
     def test_interleaving_scales_with_instance_count(self):
         """Sec. 2.2: more co-resident warm instances -> more invocations

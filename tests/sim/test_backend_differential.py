@@ -33,7 +33,6 @@ from repro.experiments.common import RunConfig, make_traces, run_config
 from repro.experiments.fig08_metadata import collect_miss_stream
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, skylake
-from repro.sim.core import simulate
 from repro.workloads import TraceBuilder
 from repro.workloads.suite import SUITE, get_profile
 from repro.workloads.trace import LoopSpec
@@ -87,7 +86,7 @@ def run_sequence(traces, backend, flush, prepare=None):
     for trace in traces:
         if flush:
             sim.flush_microarch_state()
-        results.append(simulate(trace, sim=sim))
+        results.append(sim.run(trace))
         sim.hierarchy.finish_invocation()
     return canonical_json(results), full_state(sim)
 

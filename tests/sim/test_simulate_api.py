@@ -1,7 +1,7 @@
-"""The stable ``repro.sim.simulate()`` facade and the backend plumbing.
+"""``Simulator.run`` and the backend plumbing.
 
-The API contract: ``simulate()`` is the single public entry point for
-executing a trace, and ``Simulator(backend=...)`` carries warm state.
+The API contract: ``Simulator(machine, backend=...).run(trace)`` executes
+a trace, and the simulator carries warm state from one run to the next.
 """
 
 import pytest
@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig
-from repro.sim import BACKENDS, simulate
+from repro.sim import BACKENDS
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
 from repro.workloads import TraceBuilder
@@ -24,47 +24,29 @@ def small_trace():
     return b.build()
 
 
-class TestSimulateFacade:
+class TestSimulatorRun:
     def test_machine_only_builds_cold_simulator(self):
-        result = simulate(small_trace(), skylake())
+        result = Simulator(skylake()).run(small_trace())
         assert result.instructions > 0
         assert result.cycles > 0
 
     def test_explicit_backend_accepted(self):
         trace = small_trace()
-        cols = simulate(trace, skylake(), backend="columnar")
-        scal = simulate(trace, skylake(), backend="scalar")
+        cols = Simulator(skylake(), backend="columnar").run(trace)
+        scal = Simulator(skylake(), backend="scalar").run(trace)
         assert cols.cycles == scal.cycles
 
     def test_sim_reuse_keeps_warm_state(self):
         trace = small_trace()
         sim = Simulator(skylake())
-        first = simulate(trace, sim=sim)
-        second = simulate(trace, sim=sim)
+        first = sim.run(trace)
+        second = sim.run(trace)
         assert second.cycles < first.cycles  # warm caches
 
-    def test_sim_plus_machine_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            simulate(small_trace(), skylake(), sim=Simulator(skylake()))
-
-    def test_sim_plus_conflicting_backend_rejected(self):
-        sim = Simulator(skylake(), backend="columnar")
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            simulate(small_trace(), sim=sim, backend="scalar")
-
-    def test_sim_plus_matching_backend_accepted(self):
-        sim = Simulator(skylake(), backend="scalar")
-        result = simulate(small_trace(), sim=sim, backend="scalar")
-        assert result.instructions > 0
-
-    def test_neither_machine_nor_sim_rejected(self):
-        with pytest.raises(ConfigurationError, match="machine= or sim="):
-            simulate(small_trace())
-
     def test_exported_from_package_root(self):
-        assert repro.simulate is simulate
         assert repro.Simulator is Simulator
         assert repro.TraceBuilder is TraceBuilder
+        assert not hasattr(repro, "simulate")
 
 
 class TestBackendSelection:

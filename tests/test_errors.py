@@ -5,7 +5,6 @@ import pytest
 import repro
 from repro.errors import (
     ConfigurationError,
-    MetadataError,
     ReproError,
     SimulationError,
     TraceError,
@@ -13,8 +12,8 @@ from repro.errors import (
 
 
 class TestHierarchy:
-    @pytest.mark.parametrize("exc", [ConfigurationError, MetadataError,
-                                     SimulationError, TraceError])
+    @pytest.mark.parametrize("exc", [ConfigurationError, SimulationError,
+                                     TraceError])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
         assert issubclass(exc, Exception)

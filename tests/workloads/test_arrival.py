@@ -242,6 +242,19 @@ class TestFactory:
     def test_kinds(self, kind, cls):
         assert isinstance(make_arrival_process(kind, 10.0), cls)
 
+    def test_each_kind_at_its_class_default_shape(self):
+        """The factory's stream is the class's own with default shape
+        parameters, draw for draw."""
+        for kind, cls in [("fixed", FixedIAT),
+                          ("poisson", PoissonArrivals),
+                          ("lognormal", LognormalArrivals),
+                          ("bursty", BurstyArrivals),
+                          ("diurnal", DiurnalArrivals)]:
+            made = make_arrival_process(kind, 250.0, seed=7)
+            own = cls(250.0) if cls is FixedIAT else cls(250.0, seed=7)
+            assert ([made.next_iat() for _ in range(200)]
+                    == [own.next_iat() for _ in range(200)]), kind
+
     def test_kinds_tuple_is_exhaustive(self):
         assert set(ARRIVAL_KINDS) == {"fixed", "poisson", "lognormal",
                                       "bursty", "diurnal"}
