@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 #: so ``import repro`` alone loads neither the simulator nor numpy.
 _EXPORTS = {
     "BACKENDS": "repro.sim.result",
-    "BROADWELL": "repro.sim.params",
     "ConfigurationError": "repro.errors",
     "ContractViolationError": "repro.errors",
     "FunctionModel": "repro.workloads.function",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "PIF": "repro.core.pif",
     "PIFParams": "repro.core.pif",
     "ReproError": "repro.errors",
-    "SKYLAKE": "repro.sim.params",
     "SUITE": "repro.workloads.suite",
     "SimulationError": "repro.errors",
     "Simulator": "repro.sim.core",

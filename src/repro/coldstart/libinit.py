@@ -29,11 +29,6 @@ USAGE_EAGER_USED = "eager-used"
 USAGE_EAGER_UNUSED = "eager-unused"
 USAGE_CLASSES = (USAGE_EAGER_USED, USAGE_EAGER_UNUSED)
 
-#: ColdSpy's measured ceiling: trimming eager-unused imports speeds cold
-#: boot by at most 2.26x.  The per-language graphs below are calibrated
-#: to stay inside it; a unit test pins them.
-MAX_TRIM_SPEEDUP = 2.26
-
 
 @dataclass(frozen=True)
 class Library:
@@ -88,19 +83,12 @@ class ImportGraph:
             cost += self.eager_unused_ms
         return cost
 
-    def trim_speedup(self) -> float:
-        """Cold-boot init speedup from trimming (ColdSpy headline)."""
-        trimmed = self.init_cost_ms(trim=True)
-        if trimmed == 0.0:
-            return 1.0
-        return self.init_cost_ms(trim=False) / trimmed
-
 
 #: Calibrated per-runtime graphs.  Library names are representative of
 #: the deployments ColdSpy profiles; costs are scaled so each
 #: language's trim speedup lands inside the measured range, with Python
-#: near the 2.26x ceiling and Go (static binaries, thin runtime) near
-#: parity.
+#: near ColdSpy's 2.26x ceiling and Go (static binaries, thin runtime)
+#: near parity; a unit test pins them inside it.
 _GRAPHS: Dict[str, ImportGraph] = {
     "python": ImportGraph(
         language="python",

@@ -25,7 +25,6 @@ _EXPORTS = {
     "pif_ideal_params": "repro.core.pif",
     "record_miss_stream": "repro.core.recorder",
     "record_miss_stream_merging": "repro.core.recorder",
-    "unbounded_metadata_size_bytes": "repro.core.metadata",
 }
 
 __all__ = list(_EXPORTS)

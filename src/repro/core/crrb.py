@@ -34,7 +34,6 @@ class CRRB:
         #: region -> access vector, insertion-ordered (FIFO).
         self._entries: "OrderedDict[int, int]" = OrderedDict()
         self.hits = 0
-        self.allocations = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -58,7 +57,6 @@ class CRRB:
             evicted = self._entries.popitem(last=False)
             self.evictions += 1
         self._entries[region] = bit
-        self.allocations += 1
         return evicted
 
     def drain(self) -> List[Entry]:
@@ -71,7 +69,3 @@ class CRRB:
     def flush(self) -> None:
         """Discard contents without draining (context obliteration)."""
         self._entries.clear()
-
-    def occupancy_vector(self, region: int) -> Optional[int]:
-        """The current access vector for ``region`` (None if absent)."""
-        return self._entries.get(region)

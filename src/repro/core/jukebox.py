@@ -111,11 +111,3 @@ class Jukebox:
         self._recorder = None
         self.invocations += 1
         return report
-
-    @property
-    def has_replay_metadata(self) -> bool:
-        return self._replay_buffer is not None and len(self._replay_buffer) > 0
-
-    @property
-    def replay_metadata_bytes(self) -> int:
-        return self._replay_buffer.size_bytes if self._replay_buffer else 0

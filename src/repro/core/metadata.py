@@ -62,13 +62,6 @@ class MetadataBuffer:
         """Bytes of metadata actually stored (rounded up)."""
         return -(-len(self._entries) * self.entry_bits // 8)
 
-    @property
-    def is_truncated(self) -> bool:
-        return self.dropped_entries > 0
-
-    def unique_regions(self) -> int:
-        return len({region for region, _vector in self._entries})
-
     def encoded_blocks(self) -> "set[int]":
         """All block byte addresses encoded across entries (deduplicated)."""
         blocks: "set[int]" = set()
@@ -79,8 +72,3 @@ class MetadataBuffer:
     def clear(self) -> None:
         self._entries.clear()
         self.dropped_entries = 0
-
-
-def unbounded_metadata_size_bytes(entries: int, geometry: RegionGeometry) -> int:
-    """Size an *unbounded* recording would need (the Fig. 8 metric)."""
-    return -(-entries * geometry.entry_bits // 8)

@@ -123,9 +123,6 @@ class ProcessExecutor:
         #: the parent side only (workers never see it), so the executor
         #: stays picklable-free of sinks.
         self.tracer = tracer
-        #: Pools abandoned after a worker crash (observable by tests and
-        #: the runner's failure footer).
-        self.pool_restarts = 0
 
     def _emit(self, kind: str, **fields: Any) -> None:
         if self.tracer is not None and self.tracer.enabled:
@@ -144,7 +141,6 @@ class ProcessExecutor:
             abandon = self._drain_pool(pending, outcomes, on_outcome, guard)
             if abandon is None:
                 break
-            self.pool_restarts += 1
             pending = {index: task.redispatch()
                        for index, task in pending.items()}
             if abandon == "deadline":

@@ -39,6 +39,7 @@ from repro.engine.resilience import (
     JobError,
     JobOutcome,
     Task,
+    job_label,
     register_error_class,
 )
 from repro.errors import ConfigurationError, ReproError
@@ -108,9 +109,6 @@ class GuardState:
         self.clock = clock
         self.tracer = tracer
         self.started = clock()
-        #: Budgets that expired, for stats and the runner footer.
-        self.job_deadline_hits = 0
-        self.sweep_deadline_hit = False
 
     def now(self) -> float:
         return self.clock()
@@ -130,10 +128,9 @@ class GuardState:
 
     def sweep_deadline_outcome(self, task: Task) -> JobOutcome:
         """Fail one not-yet-finished cell against the expired sweep budget."""
-        self.sweep_deadline_hit = True
         message = (f"sweep deadline of {self.spec.sweep_deadline_s}s expired "
-                   f"before cell #{task.index} ({_label(task)}) finished")
-        self._emit(_obs.JOB_DEADLINE, scope="sweep", job=_label(task),
+                   f"before cell #{task.index} ({job_label(task)}) finished")
+        self._emit(_obs.JOB_DEADLINE, scope="sweep", job=job_label(task),
                    index=task.index, attempt=task.attempt,
                    deadline_s=self.spec.sweep_deadline_s)
         return _deadline_outcome(task, SweepDeadlineError(message), PERMANENT)
@@ -153,22 +150,14 @@ class GuardState:
     def timeout_outcome(self, task: Task, elapsed_s: float) -> JobOutcome:
         """Fail one hung dispatch; its worker is being killed by the
         caller (the executor terminates the whole pool)."""
-        self.job_deadline_hits += 1
-        message = (f"cell #{task.index} ({_label(task)}) exceeded its job "
+        message = (f"cell #{task.index} ({job_label(task)}) exceeded its job "
                    f"deadline of {self.spec.job_timeout_s}s "
                    f"(ran {elapsed_s:.3f}s); worker killed")
-        self._emit(_obs.JOB_DEADLINE, scope="job", job=_label(task),
+        self._emit(_obs.JOB_DEADLINE, scope="job", job=job_label(task),
                    index=task.index, attempt=task.attempt,
                    deadline_s=self.spec.job_timeout_s,
                    elapsed_s=elapsed_s)
         return _deadline_outcome(task, JobTimeoutError(message), TRANSIENT)
-
-
-def _label(task: Task) -> str:
-    describe = getattr(task.job, "describe", None)
-    if callable(describe):
-        return str(describe())
-    return f"cell-{task.index}"
 
 
 def _deadline_outcome(task: Task, exc: ReproError,

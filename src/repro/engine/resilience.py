@@ -276,7 +276,7 @@ def execute_task(task: Task) -> JobOutcome:
                       attempts=task.attempt + 1)
 
 
-def _job_label(task: Task) -> str:
+def job_label(task: Task) -> str:
     """A stable human identity for a task's cell on trace events."""
     describe = getattr(task.job, "describe", None)
     if callable(describe):
@@ -322,7 +322,7 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
     harvest = on_outcome
     if tracing:
         def harvest(task: Task, outcome: JobOutcome) -> None:
-            tracer.emit(_obs.HARVEST, job=_job_label(task),
+            tracer.emit(_obs.HARVEST, job=job_label(task),
                         index=task.index, attempt=task.attempt,
                         ok=outcome.ok)
             if on_outcome is not None:
@@ -330,7 +330,7 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
     while round_tasks:
         if tracing:
             for task in round_tasks:
-                tracer.emit(_obs.DISPATCH, job=_job_label(task),
+                tracer.emit(_obs.DISPATCH, job=job_label(task),
                             index=task.index, attempt=task.attempt,
                             dispatch=task.dispatch)
         if guard is not None:
@@ -356,7 +356,7 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
                 if stats is not None:
                     stats.retries += 1
                 if tracing:
-                    tracer.emit(_obs.RETRY, job=_job_label(task),
+                    tracer.emit(_obs.RETRY, job=job_label(task),
                                 index=task.index, attempt=task.attempt,
                                 delay_s=delay,
                                 error=errors[-1].type_name)

@@ -29,7 +29,7 @@ an injected ``sleep``, and both stay inert when none is configured.
 from __future__ import annotations
 
 import importlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -184,7 +184,10 @@ def configure(jobs: int = 1,
 
     A ``cache_dir`` cache is *opened* for the block -- orphaned temp
     files reaped, the shared cross-process advisory lock taken -- and its
-    lock released on exit.
+    lock released on exit.  The cache root is made before a
+    ``trace_path`` file is opened, which empties it, so an unusable root
+    leaves an existing trace as it was; whatever the call opened is closed
+    again when a later step fails.
     """
     if tracer is not None and trace_path is not None:
         raise ConfigurationError(
@@ -196,29 +199,25 @@ def configure(jobs: int = 1,
         raise ConfigurationError(
             "job_timeout_s/sweep_deadline_s need an injected clock; pass "
             "clock= (e.g. time.monotonic, or TickClock in tests)")
-    owns_tracer = tracer is None
-    if tracer is None:
-        sinks = (JsonlSink(trace_path),) if trace_path is not None else ()
-        tracer = Tracer(clock=clock, sinks=sinks)
-    cache = (ResultCache(cache_dir, tracer=tracer)
-             if cache_dir is not None else None)
-    if cache is not None:
-        cache.open()
-    ctx = EngineContext(
-        executor=get_executor(jobs, tracer=tracer),
-        cache=cache, clock=clock,
-        policy=policy if policy is not None else FailurePolicy(),
-        faults=FaultPlan.coerce(faults), sleep=sleep,
-        tracer=tracer, guard=guard_spec if guard_spec else None)
-    token = _CONTEXT.set(ctx)
-    try:
+    with ExitStack() as opened:
+        if cache_dir is not None:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        if tracer is None:
+            sinks = (JsonlSink(trace_path),) if trace_path is not None else ()
+            tracer = Tracer(clock=clock, sinks=sinks)
+            opened.callback(tracer.close)
+        cache = None
+        if cache_dir is not None:
+            cache = ResultCache(cache_dir, tracer=tracer).open()
+            opened.callback(cache.close)
+        ctx = EngineContext(
+            executor=get_executor(jobs, tracer=tracer),
+            cache=cache, clock=clock,
+            policy=policy if policy is not None else FailurePolicy(),
+            faults=FaultPlan.coerce(faults), sleep=sleep,
+            tracer=tracer, guard=guard_spec if guard_spec else None)
+        opened.callback(_CONTEXT.reset, _CONTEXT.set(ctx))
         yield ctx
-    finally:
-        _CONTEXT.reset(token)
-        if cache is not None:
-            cache.close()
-        if owns_tracer:
-            tracer.close()
 
 
 def sweep_outcomes(jobs: Sequence[Job],

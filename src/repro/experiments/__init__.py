@@ -18,7 +18,6 @@ _EXPORTS = {
     "SequenceResult": "repro.experiments.scale",
     "config_names": "repro.experiments.common",
     "register_config": "repro.experiments.common",
-    "run_all_configs": "repro.experiments.common",
     "run_config": "repro.experiments.common",
 }
 

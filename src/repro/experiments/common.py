@@ -221,10 +221,3 @@ class _TeeHook:
     def on_l2_inst_miss(self, vaddr: int, cycle: float) -> None:
         for hook in self._hooks:
             hook.on_l2_inst_miss(vaddr, cycle)
-
-
-def run_all_configs(profile: FunctionProfile, machine: MachineParams,
-                    cfg: RunConfig) -> Dict[str, SequenceResult]:
-    """Reference, baseline, Jukebox and perfect-I$ for one function."""
-    return {name: run_config(profile, machine, cfg, name)
-            for name in ("reference", "baseline", "jukebox", "perfect")}

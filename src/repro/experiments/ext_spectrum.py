@@ -176,9 +176,6 @@ class SpectrumResult:
     variants: List[str]
     points: Dict[str, Dict[str, List[Dict]]] = field(default_factory=dict)
 
-    def point(self, function: str, variant: str, iat_ms: float) -> Dict:
-        return self.points[function][variant][self.iats_ms.index(iat_ms)]
-
 
 def run(cfg: Optional[RunConfig] = None,
         machine: Optional[MachineParams] = None,

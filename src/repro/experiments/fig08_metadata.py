@@ -76,10 +76,6 @@ class Fig8Result:
         return min(self.region_sizes,
                    key=lambda rs: self.metadata_bytes[(abbrev, crrb, rs)])
 
-    def series(self, abbrev: str, crrb: int = 16) -> List[int]:
-        return [self.metadata_bytes[(abbrev, crrb, rs)]
-                for rs in self.region_sizes]
-
 
 def run(cfg: Optional[RunConfig] = None,
         machine: Optional[MachineParams] = None,

@@ -278,8 +278,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     records: List[Dict[str, object]] = []
     failed: List[Tuple[str, BaseException]] = []
     with contextlib.ExitStack() as stack:
-        # Open the trace file and the cache root before any experiment
-        # runs, so an unusable path is a usage error naming its flag.
+        # An unusable path is a usage error naming its flag, found before
+        # any experiment runs: first the trace's directory, then the cache
+        # root, and only then the trace file itself, whose opening empties
+        # it -- so a bad --cache-dir leaves an existing trace as it was.
+        for flag, directory in (
+                ("--trace", args.trace.parent if args.trace else None),
+                ("--cache-dir", cache_dir)):
+            if directory is None:
+                continue
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                print(f"{flag}: {exc}", file=sys.stderr)
+                return 2
         try:
             sinks = [JsonlSink(args.trace)] if args.trace is not None else []
         except OSError as exc:

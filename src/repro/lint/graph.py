@@ -53,6 +53,20 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def canonical_dotted(module: ModuleNode, dotted: str) -> str:
+    """Rewrite a call's head through import bindings to an absolute
+    dotted name (``t.time`` -> ``time.time`` under ``import time as
+    t``; bare ``time`` -> ``time.time`` under ``from time import
+    time``)."""
+    parts = dotted.split(".")
+    binding = module.bindings.get(parts[0])
+    if binding is None:
+        return dotted
+    if binding.attr is None:
+        return ".".join([binding.module] + parts[1:])
+    return ".".join([binding.module, binding.attr] + parts[1:])
+
+
 @dataclass(frozen=True)
 class ImportBinding:
     """One local name bound by an import statement.
@@ -251,7 +265,7 @@ class ProjectGraph:
         if self._functions is None:
             table: Dict[str, FunctionInfo] = {}
             for name in sorted(self.modules):
-                _CallGraphBuilder(self, self.modules[name], table).build()
+                _CallGraphBuilder(self.modules[name], table).build()
             self._link_calls(table)
             self._functions = table
         return self._functions
@@ -267,7 +281,7 @@ class ProjectGraph:
                 if target is not None:
                     resolved.add(target)
                 else:
-                    remaining.append((self._canonical_dotted(module, dotted),
+                    remaining.append((canonical_dotted(module, dotted),
                                       lineno, sanitized))
             info.calls |= resolved
             info.raw_calls = remaining
@@ -329,19 +343,6 @@ class ProjectGraph:
         target = f"{resolved[0]}:{resolved[1]}"
         return target if target in table else None
 
-    def _canonical_dotted(self, module: ModuleNode, dotted: str) -> str:
-        """Rewrite a call's head through import bindings to an absolute
-        dotted name (``t.time`` -> ``time.time`` under ``import time as
-        t``; bare ``time`` -> ``time.time`` under ``from time import
-        time``)."""
-        parts = dotted.split(".")
-        binding = module.bindings.get(parts[0])
-        if binding is None:
-            return dotted
-        if binding.attr is None:
-            return ".".join([binding.module] + parts[1:])
-        return ".".join([binding.module, binding.attr] + parts[1:])
-
 
 def _defined_names(stmt: ast.stmt) -> Iterator[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -367,9 +368,8 @@ def _defined_names(stmt: ast.stmt) -> Iterator[str]:
 class _CallGraphBuilder:
     """Extract :class:`FunctionInfo` nodes for one module."""
 
-    def __init__(self, graph: ProjectGraph, module: ModuleNode,
+    def __init__(self, module: ModuleNode,
                  table: Dict[str, FunctionInfo]) -> None:
-        self.graph = graph
         self.module = module
         self.table = table
 
@@ -437,8 +437,7 @@ class _CallGraphBuilder:
             target = dec.func if isinstance(dec, ast.Call) else dec
             dotted = dotted_name(target)
             if dotted is not None:
-                names.append(self.graph._canonical_dotted(self.module,
-                                                          dotted))
+                names.append(canonical_dotted(self.module, dotted))
         return tuple(names)
 
 

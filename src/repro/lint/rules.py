@@ -37,28 +37,14 @@ import ast
 from typing import List, Optional, Set, Tuple
 
 from repro.lint.engine import Violation
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+from repro.lint.graph import dotted_name
+from repro.units import is_power_of_two
 
 
 def _is_float_literal(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
-
-
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and (value & (value - 1)) == 0
 
 
 class Rule:
@@ -163,7 +149,7 @@ class UnseededRandomness(Rule):
                     f"explicit seed for reproducible runs",
                 )]
             return []
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return []
         parts = dotted.split(".")
@@ -259,7 +245,7 @@ class MagicNumber(Rule):
             value = node.value
             if value < self._THRESHOLD:
                 continue
-            if value % 1024 == 0 or _is_power_of_two(value):
+            if value % 1024 == 0 or is_power_of_two(value):
                 violations.append(self.violation(
                     node, path,
                     f"magic size/latency literal {value}; express it via "
@@ -445,7 +431,7 @@ class WallClock(Rule):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             if dotted in self._CLOCK_CALLS:
@@ -529,7 +515,7 @@ class BroadExceptInEngine(Rule):
                  else [type_node])
         names: List[str] = []
         for node in nodes:
-            dotted = _dotted_name(node)
+            dotted = dotted_name(node)
             if dotted is not None and dotted in self._BROAD_NAMES:
                 names.append(dotted)
         return names
@@ -596,7 +582,7 @@ class GlobalObservability(Rule):
         return violations
 
     def _factory_name(self, func: ast.expr) -> Optional[str]:
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         leaf = dotted.rsplit(".", 1)[-1]

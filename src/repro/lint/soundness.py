@@ -20,6 +20,7 @@ from repro.lint.graph import (
     MUTABLE_CALLS,
     ModuleNode,
     ProjectGraph,
+    canonical_dotted,
     dotted_name,
 )
 
@@ -134,23 +135,13 @@ def _unpicklable_reason(module: ModuleNode,
         # that is itself unpicklable does.
         dotted = dotted_name(value.func)
         if dotted is not None:
-            canonical = _canonical(module, dotted)
+            canonical = canonical_dotted(module, dotted)
             if canonical in _UNPICKLABLE_CALLS:
                 return f"a {canonical}() value (unpicklable)"
         for kw in value.keywords:
             if kw.arg == "default" and isinstance(kw.value, ast.Lambda):
                 return "a lambda default (unpicklable)"
     return None
-
-
-def _canonical(module: ModuleNode, dotted: str) -> str:
-    parts = dotted.split(".")
-    binding = module.bindings.get(parts[0])
-    if binding is None:
-        return dotted
-    if binding.attr is None:
-        return ".".join([binding.module] + parts[1:])
-    return ".".join([binding.module, binding.attr] + parts[1:])
 
 
 def _module_mutables(node: ModuleNode) -> Set[str]:

@@ -107,15 +107,6 @@ class ServerStats:
             return 0.0
         return 1.0 - self.cold_starts / self.invocations
 
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(self.latencies_ms, q))
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency_percentile(99.0)
-
     def mean_interleaving(self) -> float:
         if not self.interleave_degrees:
             return 0.0

@@ -2,9 +2,10 @@
 
 Two regimes from the paper:
 
-* :meth:`Stressor.full_thrash` -- the stress-ng setup of Sec. 2.3 and the
-  simulated baseline of Sec. 5.2: *all* on-chip state is obliterated
-  between invocations of the function under test;
+* the stress-ng setup of Sec. 2.3 and the simulated baseline of Sec. 5.2,
+  where *all* on-chip state is obliterated between invocations of the
+  function under test, is :meth:`Simulator.flush_microarch_state
+  <repro.sim.core.Simulator.flush_microarch_state>` and needs no stressor;
 * :meth:`Stressor.idle_gap` -- the graded regime of Fig. 1: during an
   inter-arrival gap of ``gap_ms`` on a server at fractional CPU ``load``,
   other instances run on the same core and evict the FUT's state
@@ -45,10 +46,6 @@ class Stressor:
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
-
-    def full_thrash(self, sim: Simulator) -> None:
-        """Obliterate all microarchitectural state (stress-ng regime)."""
-        sim.flush_microarch_state()
 
     def idle_gap(self, sim: Simulator, gap_ms: float) -> None:
         """Apply the interference accumulated over an idle gap of

@@ -11,7 +11,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "AccessStats": "repro.sim.stats",
     "BACKENDS": "repro.sim.result",
-    "BROADWELL": "repro.sim.params",
     "CacheParams": "repro.sim.params",
     "CoreParams": "repro.sim.params",
     "FillQueue": "repro.sim.hierarchy",
@@ -24,13 +23,11 @@ _EXPORTS = {
     "MemoryHierarchy": "repro.sim.hierarchy",
     "MODE_CHARACTERIZATION": "repro.sim.params",
     "MODE_EVALUATION": "repro.sim.params",
-    "SKYLAKE": "repro.sim.params",
     "SetAssocCache": "repro.sim.cache",
     "Simulator": "repro.sim.core",
     "TLBParams": "repro.sim.params",
     "TopDownBreakdown": "repro.sim.topdown",
     "broadwell": "repro.sim.params",
-    "mean_breakdown": "repro.sim.topdown",
     "skylake": "repro.sim.params",
 }
 

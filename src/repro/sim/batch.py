@@ -203,7 +203,6 @@ def run_columnar(sim, trace):
     llc_assoc = llc.assoc
     llc_pf = llc._pf_pending
     llc_res = llc._resident
-    next_line = hier.l1d_next_line
     line_shift = LINE_SHIFT
     page_shift = PAGE_SHIFT
     # Page/block of the most recent data access.  When the next access
@@ -360,18 +359,17 @@ def run_columnar(sim, trace):
                         l1d_pf.discard(victim)
                 l1d_lru.append(block)
                 l1d_res.add(block)
-                if next_line:
-                    nb = block + 1
-                    if nb not in l1d_res and (nb in l2_res or nb in llc_res):
-                        lru = l1d_sets[nb & l1d_mask]
-                        if len(lru) >= l1d_assoc:
-                            victim = lru.pop(0)
-                            l1d_res.discard(victim)
-                            if victim in l1d_pf:
-                                l1d_pf.discard(victim)
-                        lru.append(nb)
-                        l1d_res.add(nb)
-                        l1d_pf.add(nb)
+                nb = block + 1
+                if nb not in l1d_res and (nb in l2_res or nb in llc_res):
+                    lru = l1d_sets[nb & l1d_mask]
+                    if len(lru) >= l1d_assoc:
+                        victim = lru.pop(0)
+                        l1d_res.discard(victim)
+                        if victim in l1d_pf:
+                            l1d_pf.discard(victim)
+                    lru.append(nb)
+                    l1d_res.add(nb)
+                    l1d_pf.add(nb)
                 if st:
                     td_bb += st
                     cycle += st

@@ -80,15 +80,6 @@ class SiteBranchModel:
         self._trained.clear()
         self.btb.flush()
 
-    def reset_stats(self) -> None:
-        self.mispredicts = 0.0
-        self.cold_mispredicts = 0
-        self.executions = 0
-
-    @property
-    def trained_sites(self) -> int:
-        return len(self._trained)
-
 
 class BTB:
     """Set-associative branch target buffer with LRU replacement."""
@@ -121,7 +112,3 @@ class BTB:
     def flush(self) -> None:
         for lru in filter(None, self._sets):
             del lru[:]
-
-    def reset_stats(self) -> None:
-        self.lookups = 0
-        self.misses = 0

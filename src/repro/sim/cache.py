@@ -151,16 +151,6 @@ class SetAssocCache:
             return True
         return False
 
-    def invalidate(self, block: int) -> bool:
-        """Remove ``block`` if resident.  Returns True if it was resident."""
-        lru = self._sets[block & self._set_mask]
-        if block in lru:
-            lru.remove(block)
-            self._resident.discard(block)
-            self._pf_pending.discard(block)
-            return True
-        return False
-
     def flush(self) -> int:
         """Invalidate every line.  Returns the number of lines dropped."""
         self.check_invariants()
@@ -295,15 +285,6 @@ class SetAssocCache:
     def occupancy(self) -> int:
         """Number of resident lines."""
         return sum(len(lru) for lru in self._sets)
-
-    @property
-    def pending_prefetches(self) -> int:
-        """Resident prefetched lines not yet demand-referenced."""
-        return len(self._pf_pending)
-
-    def resident_blocks(self) -> Set[int]:
-        """The set of resident block tags (synthetic pollution included)."""
-        return set(self._resident)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -121,8 +121,6 @@ class MemoryHierarchy:
         #: (Sec. 5.2, configuration (3)).
         self.perfect_icache = False
         self._perfect_blocks: set = set()
-        #: Next-line prefetch for the L1-D (Table 1).
-        self.l1d_next_line = True
         #: Whether completed L1-I prefetch fills also allocate in L2/LLC
         #: (the normal fill path).  The prefetch-into-L1-I ablation sets
         #: this False to model non-allocating L1-only prefetch requests.
@@ -363,12 +361,12 @@ class MemoryHierarchy:
                 self.llc.insert(block)
             self.l2.insert(block)
         self.l1d.insert(block)
-        if self.l1d_next_line:
-            self._next_line_fill(block + 1)
+        self._next_line_fill(block + 1)
         return stall, level
 
     def _next_line_fill(self, block: int) -> None:
-        """L1-D next-line prefetch: fill from L2/LLC if present on-chip."""
+        """L1-D next-line prefetch (Table 1): fill from L2/LLC if present
+        on-chip."""
         if self.l1d.contains(block):
             return
         if self.l2.contains(block) or self.llc.contains(block):
@@ -432,7 +430,3 @@ class MemoryHierarchy:
         self.dtlb.flush()
         self.l2_fills.clear()
         self.l1i_fills.clear()
-
-    def unused_prefetches_resident(self) -> int:
-        """Prefetched lines sitting in the L2 never demand-referenced."""
-        return self.l2.pending_prefetches

@@ -74,11 +74,3 @@ class MainMemory:
     def metadata_read(self, nbytes: int) -> None:
         """Jukebox replay-phase metadata streamed from DRAM."""
         self.traffic.metadata_replay += nbytes
-
-    # -- bandwidth/timeliness helpers -------------------------------------
-
-    def stream_completion_cycles(self, n_lines: int) -> float:
-        """Cycles for a bandwidth-bound stream of ``n_lines`` line fills."""
-        if n_lines <= 0:
-            return 0.0
-        return self.params.row_hit_latency + n_lines * self.cycles_per_line

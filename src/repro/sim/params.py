@@ -235,18 +235,6 @@ class MachineParams:
         """Return a copy of this machine with a different Jukebox config."""
         return replace(self, jukebox=jukebox)
 
-    def miss_latency_to(self, level: str) -> int:
-        """Total load-to-use latency of a fetch served by ``level``."""
-        if level == "l1":
-            return 0
-        if level == "l2":
-            return self.l2.latency
-        if level == "llc":
-            return self.l2.latency + self.llc.latency
-        if level == "memory":
-            return self.l2.latency + self.llc.latency + self.memory.latency
-        raise ConfigurationError(f"unknown hierarchy level {level!r}")
-
 
 #: Calibration modes for the analytic core's stall factors.
 #:
@@ -322,8 +310,3 @@ def broadwell(jukebox: Optional[JukeboxParams] = None,
         memory=MemoryParams(),
         jukebox=jukebox,
     )
-
-
-#: Canonical instances used throughout tests and experiments.
-SKYLAKE = skylake()
-BROADWELL = broadwell()

@@ -7,7 +7,7 @@ latency* and *fetch bandwidth* as in Figs. 3 and 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -29,27 +29,10 @@ class TopDownBreakdown:
         return (self.retiring + self.fetch_latency + self.fetch_bandwidth
                 + self.bad_speculation + self.backend_bound)
 
-    @property
-    def stall_cycles(self) -> float:
-        """All non-retiring cycles."""
-        return self.total_cycles - self.retiring
-
     def cpi(self, instructions: int) -> float:
         if instructions <= 0:
             return 0.0
         return self.total_cycles / instructions
-
-    def fraction(self, category: str) -> float:
-        total = self.total_cycles
-        if total == 0:
-            return 0.0
-        return getattr(self, category) / total
-
-    def cpi_stack(self, instructions: int) -> "dict[str, float]":
-        """Per-category CPI contributions (the bars of Fig. 2)."""
-        if instructions <= 0:
-            return {f.name: 0.0 for f in fields(self)}
-        return {f.name: getattr(self, f.name) / instructions for f in fields(self)}
 
     def __add__(self, other: "TopDownBreakdown") -> "TopDownBreakdown":
         return TopDownBreakdown(
@@ -68,22 +51,3 @@ class TopDownBreakdown:
             bad_speculation=self.bad_speculation - other.bad_speculation,
             backend_bound=self.backend_bound - other.backend_bound,
         )
-
-    def scaled(self, factor: float) -> "TopDownBreakdown":
-        return TopDownBreakdown(
-            retiring=self.retiring * factor,
-            fetch_latency=self.fetch_latency * factor,
-            fetch_bandwidth=self.fetch_bandwidth * factor,
-            bad_speculation=self.bad_speculation * factor,
-            backend_bound=self.backend_bound * factor,
-        )
-
-
-def mean_breakdown(breakdowns: "list[TopDownBreakdown]") -> TopDownBreakdown:
-    """Arithmetic mean of several breakdowns."""
-    if not breakdowns:
-        return TopDownBreakdown()
-    acc = TopDownBreakdown()
-    for bd in breakdowns:
-        acc = acc + bd
-    return acc.scaled(1.0 / len(breakdowns))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 KB = 1024
 MB = 1024 * KB
-GB = 1024 * MB
 
 #: Cache-line (block) size in bytes, fixed across the whole hierarchy (Table 1).
 LINE_SIZE = 64
@@ -24,26 +23,9 @@ PAGE_SHIFT = 12
 VA_BITS = 48
 
 
-def block_of(addr: int) -> int:
-    """Return the cache-block *number* containing byte address ``addr``."""
-    return addr >> LINE_SHIFT
-
-
 def block_addr(addr: int) -> int:
     """Return the byte address of the cache block containing ``addr``."""
     return addr & ~(LINE_SIZE - 1)
-
-
-def page_of(addr: int) -> int:
-    """Return the page number containing byte address ``addr``."""
-    return addr >> PAGE_SHIFT
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to the next multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return -(-value // alignment) * alignment
 
 
 def is_power_of_two(value: int) -> bool:

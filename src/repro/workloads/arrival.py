@@ -55,11 +55,6 @@ class ArrivalProcess(ABC):
     def next_iat(self) -> float:
         """Return the next inter-arrival time in milliseconds."""
 
-    @property
-    @abstractmethod
-    def mean_iat(self) -> float:
-        """The process's mean IAT in milliseconds."""
-
     def arrivals(self, until_ms: float, start_ms: float = 0.0) -> Iterator[float]:
         """Yield absolute arrival times up to ``until_ms``."""
         t = start_ms
@@ -81,10 +76,6 @@ class FixedIAT(ArrivalProcess):
     def next_iat(self) -> float:
         return self._iat
 
-    @property
-    def mean_iat(self) -> float:
-        return self._iat
-
 
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals with the given rate."""
@@ -98,10 +89,6 @@ class PoissonArrivals(ArrivalProcess):
     def next_iat(self) -> float:
         return self._mean * self._units.draw()
 
-    @property
-    def mean_iat(self) -> float:
-        return self._mean
-
 
 class LognormalArrivals(ArrivalProcess):
     """Heavy-tailed arrivals; production IAT distributions are closer to
@@ -113,7 +100,6 @@ class LognormalArrivals(ArrivalProcess):
             raise ConfigurationError(f"mean IAT must be positive: {mean_iat_ms}")
         if sigma <= 0:
             raise ConfigurationError(f"sigma must be positive: {sigma}")
-        self._mean = float(mean_iat_ms)
         self._sigma = float(sigma)
         # Choose mu so the distribution mean equals mean_iat_ms.
         self._mu = math.log(mean_iat_ms) - sigma * sigma / 2.0
@@ -121,10 +107,6 @@ class LognormalArrivals(ArrivalProcess):
 
     def next_iat(self) -> float:
         return float(self._rng.lognormal(self._mu, self._sigma))
-
-    @property
-    def mean_iat(self) -> float:
-        return self._mean
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -150,9 +132,9 @@ class BurstyArrivals(ArrivalProcess):
         if not 0.0 < switch_prob <= 1.0:
             raise ConfigurationError(
                 f"switch_prob must be in (0, 1], got {switch_prob}")
-        self._mean = float(mean_iat_ms)
-        self._burst_mean = self._mean / float(burst_factor)
-        self._idle_mean = 2.0 * self._mean - self._burst_mean
+        mean = float(mean_iat_ms)
+        self._burst_mean = mean / float(burst_factor)
+        self._idle_mean = 2.0 * mean - self._burst_mean
         self._switch_prob = float(switch_prob)
         self._in_burst = True
         self._rng = np.random.default_rng(seed)
@@ -163,10 +145,6 @@ class BurstyArrivals(ArrivalProcess):
         mean = self._burst_mean if self._in_burst else self._idle_mean
         return float(self._rng.exponential(mean))
 
-    @property
-    def mean_iat(self) -> float:
-        return self._mean
-
 
 class DiurnalArrivals(ArrivalProcess):
     """Nonhomogeneous arrivals tracking a day/night load cycle.
@@ -175,9 +153,9 @@ class DiurnalArrivals(ArrivalProcess):
     rate: at internal time ``t`` the mean IAT is ``mean_iat_ms / (1 +
     amplitude * sin(2*pi*t/period_ms + phase))``.  The process tracks
     its own cumulative simulated time, so the stream is a pure function
-    of (seed, parameters).  ``mean_iat`` reports the base (cycle-
-    average) mean; the realized sample mean is slightly below it because
-    high-rate phases contribute more draws.
+    of (seed, parameters).  ``mean_iat_ms`` is the base (cycle-average)
+    mean; the realized sample mean is slightly below it because high-rate
+    phases contribute more draws.
     """
 
     def __init__(self, mean_iat_ms: float, amplitude: float = 0.6,
@@ -204,10 +182,6 @@ class DiurnalArrivals(ArrivalProcess):
         iat = self._mean / modulation * self._units.draw()
         self._t += iat
         return iat
-
-    @property
-    def mean_iat(self) -> float:
-        return self._mean
 
 
 #: Arrival kinds accepted by :func:`make_arrival_process` (and by the

@@ -68,39 +68,12 @@ class CodeSegment:
     def size_bytes(self) -> int:
         return self.n_blocks * LINE_SIZE
 
-    @property
-    def span_bytes(self) -> int:
-        return self.blocks[-1] - self.blocks[0] + LINE_SIZE
-
 
 @dataclass(frozen=True)
 class CodeLayout:
     """The full code layout of one function instance."""
 
     segments: Tuple[CodeSegment, ...]
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(seg.n_blocks for seg in self.segments)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_blocks * LINE_SIZE
-
-    def by_role(self, role: str) -> List[CodeSegment]:
-        return [seg for seg in self.segments if seg.role == role]
-
-    def mandatory(self) -> List[CodeSegment]:
-        return [seg for seg in self.segments if not seg.optional]
-
-    def optional(self) -> List[CodeSegment]:
-        return [seg for seg in self.segments if seg.optional]
-
-    def all_blocks(self) -> "set[int]":
-        blocks: "set[int]" = set()
-        for seg in self.segments:
-            blocks.update(seg.blocks)
-        return blocks
 
 
 def _segment_blocks(base: int, n_blocks: int, density: float,

@@ -27,9 +27,6 @@ LANG_NODEJS = "nodejs"
 LANG_GO = "go"
 LANGUAGES = (LANG_PYTHON, LANG_NODEJS, LANG_GO)
 
-#: Suffix convention of the paper's abbreviations (Table 2 legend).
-LANG_SUFFIX = {LANG_PYTHON: "P", LANG_NODEJS: "N", LANG_GO: "G"}
-
 
 @dataclass(frozen=True)
 class FunctionProfile:

@@ -32,7 +32,7 @@ the paper's results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,9 +44,6 @@ LOAD = 1
 STORE = 2
 BRANCH = 3
 LOOP = 4
-
-KIND_NAMES = {IFETCH: "IFETCH", LOAD: "LOAD", STORE: "STORE",
-              BRANCH: "BRANCH", LOOP: "LOOP"}
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -138,21 +135,6 @@ class InvocationTrace:
         for idx in np.nonzero(self.kinds == LOOP)[0]:
             blocks.update(self.loops[int(self.args[idx])].blocks)
         return blocks
-
-    def instruction_footprint_bytes(self) -> int:
-        """Instruction footprint in bytes at cache-block granularity."""
-        return len(self.instruction_blocks()) * LINE_SIZE
-
-    def data_blocks(self) -> "set[int]":
-        """Unique data block addresses touched."""
-        mask = (self.kinds == LOAD) | (self.kinds == STORE)
-        return {int(a) for a in self.addrs[mask]}
-
-    def events(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Iterate ``(kind, addr, arg, arg2)`` tuples (test/debug helper)."""
-        for i in range(len(self.kinds)):
-            yield (int(self.kinds[i]), int(self.addrs[i]),
-                   int(self.args[i]), int(self.args2[i]))
 
 
 #: Op tags of the columnar program (first element of each ``ops`` entry).
@@ -341,7 +323,7 @@ def _find_period(addrs: np.ndarray, max_candidates: int = 4) -> int:
 class ColumnarTrace:
     """Columnar IR of one :class:`InvocationTrace`.
 
-    Parallel columns (event kind / block / page / region id / arg / arg2)
+    Parallel columns (event kind / block / page / arg / arg2)
     plus a decoded *op program* that run-length-encodes repeated block
     walks: the batch interpreter in :mod:`repro.sim.batch` consumes ops,
     not events, and charges whole walks at a time.  Everything here is a
@@ -360,8 +342,6 @@ class ColumnarTrace:
     #: Cache-block and page number per event (valid for memory events).
     blocks: np.ndarray
     pages: np.ndarray
-    #: Region id per event: the index of the op covering the event.
-    regions: np.ndarray
     #: Decoded op program (``OP_WALKS`` / ``OP_EVENTS`` tuples).
     ops: List[tuple]
     loops: List[LoopSpec]
@@ -405,7 +385,6 @@ class ColumnarTrace:
         n = len(kinds)
         blocks = addrs >> LINE_SHIFT
         pages = addrs >> PAGE_SHIFT
-        regions = np.empty(n, dtype=np.int32)
         ops: List[tuple] = []
         is_fetch = kinds == IFETCH
         # Boundaries of maximal IFETCH runs.
@@ -422,13 +401,12 @@ class ColumnarTrace:
                 ops.append((OP_WALKS, start, end, period, pattern))
             else:
                 ops.append((OP_EVENTS, start, end))
-            regions[start:end] = len(ops) - 1
         ifetch_idx = np.nonzero(is_fetch)[0]
         loop_idx = np.nonzero(kinds == LOOP)[0]
-        _freeze(blocks, pages, regions, ifetch_idx, loop_idx)
+        _freeze(blocks, pages, ifetch_idx, loop_idx)
         return cls(
             kinds=kinds, addrs=addrs, args=trace.args, args2=trace.args2,
-            blocks=blocks, pages=pages, regions=regions, ops=ops,
+            blocks=blocks, pages=pages, ops=ops,
             loops=trace.loops,
             kinds_list=kinds.tolist(), addrs_list=addrs.tolist(),
             args_list=trace.args.tolist(), args2_list=trace.args2.tolist(),
@@ -504,12 +482,6 @@ class TraceBuilder:
         self._args.append(len(self._loops))
         self._args2.append(0)
         self._loops.append(spec)
-
-    def extend_walk(self, blocks: Sequence[int], insts_per_block: int,
-                    taken_branches_per_block: int = 1) -> None:
-        """Visit ``blocks`` in order, a common straight-line-code idiom."""
-        for addr in blocks:
-            self.fetch(addr, insts_per_block, taken_branches_per_block)
 
     def build(self) -> InvocationTrace:
         """Freeze the builder into an immutable trace."""

@@ -9,7 +9,6 @@ from repro.coldstart import (
     import_graph_for,
     working_set_pages,
 )
-from repro.coldstart.libinit import MAX_TRIM_SPEEDUP
 from repro.coldstart.model import ColdStartModel
 from repro.core.jukebox import Jukebox
 from repro.errors import ConfigurationError
@@ -96,8 +95,12 @@ class TestPages:
 class TestLibInit:
     @pytest.mark.parametrize("language", LANGUAGES)
     def test_calibrated_inside_coldspy_bounds(self, language):
+        # ColdSpy's measured ceiling: trimming eager-unused imports
+        # speeds cold boot by at most 2.26x.
         graph = import_graph_for(language)
-        assert 1.0 < graph.trim_speedup() <= MAX_TRIM_SPEEDUP
+        speedup = graph.init_cost_ms(trim=False) / graph.init_cost_ms(
+            trim=True)
+        assert 1.0 < speedup <= 2.26
 
     def test_python_dominated_by_eager_unused(self):
         # ColdSpy's headline pattern: the trimming opportunity exceeds

@@ -22,6 +22,7 @@ from repro.engine.resilience import PERMANENT, TRANSIENT, Task, classify_error
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig
 from repro.obs.clock import FrozenClock, TickClock
+from repro.obs.records import JOB_DEADLINE, POOL_DEGRADE, WORKER_KILL
 from repro.obs.tracer import Tracer
 from repro.sim.params import skylake
 from repro.workloads.suite import get_profile
@@ -103,8 +104,10 @@ class TestGuardState:
         assert guard.expired_jobs({0: 0.0}, [0]) == []
 
     def test_outcomes_carry_taxonomy_and_counters(self):
+        tracer = Tracer()
         guard = GuardState(
-            GuardSpec(job_timeout_s=1.0, sweep_deadline_s=2.0), FrozenClock())
+            GuardSpec(job_timeout_s=1.0, sweep_deadline_s=2.0), FrozenClock(),
+            tracer=tracer)
         task = Task(job=echo_jobs(1)[0], index=0, attempt=1)
         hung = guard.timeout_outcome(task, elapsed_s=3.5)
         assert not hung.ok and hung.attempts == 2
@@ -113,8 +116,7 @@ class TestGuardState:
         expired = guard.sweep_deadline_outcome(task)
         assert isinstance(expired.last_error.exception, SweepDeadlineError)
         assert expired.last_error.error_class == PERMANENT
-        assert guard.job_deadline_hits == 1
-        assert guard.sweep_deadline_hit
+        assert tracer.counts == {JOB_DEADLINE: 2}
 
     def test_deadline_events_are_emitted(self):
         sink = CaptureSink()
@@ -196,7 +198,7 @@ class TestPoolHungWorkerReaping:
             # First dispatch hung and was killed; the retry succeeded.
             assert outcomes[1].attempts >= 2
             assert ctx.stats.retries == 1
-        assert ctx.executor.pool_restarts >= 1
+        assert ctx.tracer.counts[WORKER_KILL] >= 1
 
     def test_deadline_kills_do_not_degrade_to_serial(self):
         # Three always-on hangs, MAX_POOL_FAILURES=2: if deadline kills
@@ -215,7 +217,8 @@ class TestPoolHungWorkerReaping:
                                   JobTimeoutError)
             else:
                 assert outcome.ok
-        assert ctx.executor.pool_restarts >= 1
+        assert ctx.tracer.counts[WORKER_KILL] >= 1
+        assert POOL_DEGRADE not in ctx.tracer.counts
 
     def test_worker_kill_events_reach_the_trace(self):
         sink = CaptureSink()

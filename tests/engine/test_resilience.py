@@ -50,6 +50,7 @@ from repro.faults import (
     InjectedTransientError,
 )
 from repro.lint.contracts import check_sweep_stats
+from repro.obs.records import POOL_DEATH, WORKER_KILL
 from repro.obs.tracer import Tracer
 
 PROVIDER = "tests.engine.fake_provider"
@@ -244,7 +245,7 @@ class TestPoolResilience:
             with configure(jobs=4, faults="kill:#2") as ctx:
                 pooled = sweep(jobs)
         assert pooled == serial
-        assert ctx.executor.pool_restarts >= 1
+        assert ctx.tracer.counts[POOL_DEATH] >= 1
 
     def test_persistent_kills_degrade_to_serial(self):
         jobs = echo_jobs(6)
@@ -253,7 +254,7 @@ class TestPoolResilience:
             with configure(jobs=4, faults="kill:*:always") as ctx:
                 pooled = sweep(jobs)
         assert pooled == sweep(jobs)
-        assert ctx.executor.pool_restarts == MAX_POOL_FAILURES
+        assert ctx.tracer.counts[POOL_DEATH] == MAX_POOL_FAILURES
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert any("degrading to serial" in m for m in messages)
@@ -267,7 +268,8 @@ class TestPoolResilience:
         with configure(jobs=2) as ctx:
             results = sweep(jobs)
         assert len({result["pid"] for result in results}) == 2
-        assert ctx.executor.pool_restarts == 0
+        assert POOL_DEATH not in ctx.tracer.counts
+        assert WORKER_KILL not in ctx.tracer.counts
 
     def test_a_worker_exiting_zero_is_a_crash(self, tmp_path):
         """Workers are never retired, so a worker that exits with status
@@ -286,7 +288,8 @@ class TestPoolResilience:
                 results = sweep(jobs)
         assert marker.exists()
         assert [r["opts"]["cell"] for r in results] == [0, 1, 2, 3]
-        assert ctx.executor.pool_restarts == 1
+        assert ctx.tracer.counts[POOL_DEATH] == 1
+        assert WORKER_KILL not in ctx.tracer.counts
 
     def test_executor_validation(self):
         with pytest.raises(ConfigurationError, match="jobs"):

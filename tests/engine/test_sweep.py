@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+import warnings
 
 import pytest
 
@@ -156,6 +158,34 @@ class TestContextNesting:
         # own ambient root.
         assert seen["ambient"] is not outer
         assert seen["after"] is seen["ambient"]
+
+    @pytest.mark.parametrize("flaw, error", [
+        ("unusable-cache-root", FileExistsError),
+        ("no-workers", ConfigurationError),
+    ])
+    def test_a_failed_configure_closes_what_it_opened(self, tmp_path, flaw,
+                                                     error):
+        """A configure call that fails leaves no trace file open for the
+        collector (whose ResourceWarning, raised in a finalizer, is
+        recorded here: as an error it would only be printed), and an
+        unusable cache root leaves an existing trace as it was."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        bad = ({"cache_dir": blocker} if flaw == "unusable-cache-root"
+               else {"jobs": 0})
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b"0123456789")
+        root = current_context()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(error):
+                with configure(trace_path=trace, **bad):
+                    pass
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        assert current_context() is root
+        if flaw == "unusable-cache-root":
+            assert trace.read_bytes() == b"0123456789"
 
     def test_stats_describe(self):
         with configure() as ctx:

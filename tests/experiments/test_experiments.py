@@ -148,7 +148,8 @@ class TestFig08:
 
     def test_midsize_region_not_worst(self, result):
         for fn in result.functions:
-            series = result.series(fn, crrb=16)
+            series = [result.metadata_bytes[(fn, 16, rs)]
+                      for rs in result.region_sizes]
             assert series[1] <= max(series[0], series[2])
 
     def test_render(self, result):

@@ -325,6 +325,31 @@ class TestMain:
         assert capsys.readouterr().err.startswith("--trace: ")
         assert not cache.exists()
 
+    def test_unusable_cache_dir_leaves_an_existing_trace(self, capsys,
+                                                         tmp_path):
+        """The trace file is opened for writing, which empties it, only
+        once the cache root is open."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b"0123456789")
+        assert main(["table1", "--cache-dir", str(blocker),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith("--cache-dir: ")
+        assert trace.read_bytes() == b"0123456789"
+
+    def test_unwritable_trace_file_is_a_usage_error(self, capsys, tmp_path):
+        """A --trace path that cannot be opened for writing (here a
+        directory) is still a usage error naming its flag."""
+        trace = tmp_path / "t.jsonl"
+        trace.mkdir()
+        assert main(["table1", "--cache-dir", str(tmp_path / "cache"),
+                     "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"--trace: [Errno 21] Is a directory: "
+                                f"'{trace}'\n")
+
     def test_runs_cheap_experiment(self, capsys):
         assert main(["table2"]) == 0
         out = capsys.readouterr().out

@@ -12,7 +12,6 @@ from repro.core.jukebox import Jukebox
 from repro.experiments.common import (
     RunConfig,
     make_traces,
-    run_all_configs,
     run_config,
 )
 from repro.sim.core import Simulator
@@ -27,7 +26,8 @@ CFG = RunConfig(invocations=4, warmup=2, instruction_scale=0.35)
 def auth_g_runs():
     profile = get_profile("Auth-G")
     m = skylake()
-    return run_all_configs(profile, m, CFG)
+    return {name: run_config(profile, m, CFG, name)
+            for name in ("reference", "baseline", "jukebox", "perfect")}
 
 
 class TestLukewarmPhenomenon:

@@ -20,7 +20,7 @@ class TestRecording:
         crrb = CRRB(4, GEO)
         assert crrb.record(region_addr(1)) is None
         assert len(crrb) == 1
-        assert crrb.allocations == 1
+        assert crrb.drain() == [(1, 1)]
 
     def test_same_region_coalesces(self):
         crrb = CRRB(4, GEO)
@@ -29,7 +29,7 @@ class TestRecording:
         crrb.record(region_addr(1, 15))
         assert len(crrb) == 1
         assert crrb.hits == 2
-        assert crrb.occupancy_vector(1) == (1 << 0) | (1 << 3) | (1 << 15)
+        assert crrb.drain() == [(1, (1 << 0) | (1 << 3) | (1 << 15))]
 
     def test_fifo_eviction_order(self):
         crrb = CRRB(2, GEO)
@@ -54,12 +54,12 @@ class TestRecording:
         crrb.record(region_addr(2))      # evicts region 1
         evicted = crrb.record(region_addr(1, 7))  # region 1 again
         assert evicted == (2, 1)
-        assert crrb.occupancy_vector(1) == 1 << 7  # fresh vector
+        assert crrb.drain() == [(1, 1 << 7)]  # fresh vector
 
     def test_vector_bit_positions(self):
         crrb = CRRB(4, GEO)
         crrb.record(region_addr(9, 12))
-        assert crrb.occupancy_vector(9) == 1 << 12
+        assert crrb.drain() == [(9, 1 << 12)]
 
 
 class TestDrain:

@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.core import Simulator
 from repro.sim.params import JukeboxParams, skylake
 from repro.units import KB
+from tests.jukebox.snapshot_oracle import snapshot_jukebox
 
 
 def run_lukewarm_sequence(core, jukebox, traces):
@@ -25,7 +26,7 @@ class TestLifecycle:
         jb = Jukebox(JukeboxParams())
         stats = jb.begin_invocation(core.hierarchy)
         assert stats.lines_prefetched == 0
-        assert not jb.has_replay_metadata
+        assert snapshot_jukebox(jb) is None
 
     def test_second_invocation_replays_first_recording(self, tiny_traces):
         core = Simulator(skylake())
@@ -117,9 +118,10 @@ class TestEffectiveness:
 
         assert coverage(1 * KB) < coverage(16 * KB)
 
-    def test_replay_metadata_bytes_accessor(self, tiny_traces):
+    def test_recording_becomes_replay_metadata(self, tiny_traces):
         core = Simulator(skylake())
         jb = Jukebox(JukeboxParams())
-        assert jb.replay_metadata_bytes == 0
-        run_lukewarm_sequence(core, jb, tiny_traces[:1])
-        assert jb.replay_metadata_bytes > 0
+        assert snapshot_jukebox(jb) is None
+        [(_, report)] = run_lukewarm_sequence(core, jb, tiny_traces[:1])
+        assert report.recorded_bytes > 0
+        assert snapshot_jukebox(jb).architectural_bytes == report.recorded_bytes

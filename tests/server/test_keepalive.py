@@ -26,10 +26,6 @@ class ScriptedArrivals(ArrivalProcess):
         self._next += 1
         return gap
 
-    @property
-    def mean_iat(self) -> float:
-        return sum(self._gaps) / len(self._gaps)
-
 
 @pytest.mark.parametrize("factor,arrivals,cold_starts,evictions", [
     (0.9, 18, 1, 0),

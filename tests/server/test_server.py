@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -249,7 +250,7 @@ class TestEnforceMemory:
         # Every instance cold-starts once, so the max latency carries
         # the penalty and the p99 sits at or above it.
         assert max(stats.latencies_ms) >= 250.0
-        assert stats.p99_latency_ms >= 250.0
+        assert np.percentile(stats.latencies_ms, 99.0) >= 250.0
         assert stats.busy_ms > 0
 
 

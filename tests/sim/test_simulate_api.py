@@ -17,7 +17,8 @@ from repro.workloads import TraceBuilder
 
 def small_trace():
     b = TraceBuilder()
-    b.extend_walk(range(0, 64 * 40, 64), insts_per_block=10)
+    for addr in range(0, 64 * 40, 64):
+        b.fetch(addr, insts=10, taken_branches=1)
     b.load(1 << 20, count=4)
     b.store((1 << 20) + 64)
     b.branch_site(0x400100, executions=30, taken_prob=0.7)

@@ -31,7 +31,7 @@ class TestTraceGeneration:
 
     def test_footprint_near_target(self, tiny_profile):
         model = FunctionModel(tiny_profile, seed=1)
-        fp = model.invocation_trace(0).instruction_footprint_bytes()
+        fp = len(model.invocation_trace(0).instruction_blocks()) * LINE_SIZE
         target = tiny_profile.footprint_bytes
         assert 0.75 * target < fp < 1.25 * target
 
@@ -64,17 +64,20 @@ class TestTraceGeneration:
         assert not trace.loops
 
     def test_data_accesses_within_arena(self, tiny_model, tiny_traces):
-        data = tiny_traces[0].data_blocks()
+        trace = tiny_traces[0]
+        data = {int(a) for a in trace.addrs[(trace.kinds == LOAD)
+                                            | (trace.kinds == STORE)]}
         arena = set(int(a) for a in tiny_model._data_blocks)
         assert data <= arena
 
     def test_footprint_blocks_within_layout(self, tiny_model):
-        layout_blocks = tiny_model.layout.all_blocks()
+        layout_blocks = {b for seg in tiny_model.layout.segments
+                         for b in seg.blocks}
         assert tiny_model.footprint_blocks(0) <= layout_blocks
 
     def test_branch_sites_stable_across_invocations(self, tiny_model):
         def sites(trace):
-            return {int(a) for k, a, *_ in trace.events() if k == BRANCH}
+            return {int(a) for a in trace.addrs[trace.kinds == BRANCH]}
         s0 = sites(tiny_model.invocation_trace(0))
         s1 = sites(tiny_model.invocation_trace(1))
         common = len(s0 & s1) / len(s0 | s1)
