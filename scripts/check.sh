@@ -83,7 +83,10 @@ else
     echo "== pytest (full tier-1 suite, incl. golden-trace comparator) =="
     # Also the examples smoke: tests/integration/test_examples.py runs
     # every examples/*.py script and fails on a non-zero exit.
-    HOME="$home_dir" XDG_CACHE_HOME="$home_dir" python -m pytest -q
+    # --full-trace-matrix runs the walk-plan differential over both
+    # scales of the 160-trace digest matrix (about 15 s instead of 6 s).
+    HOME="$home_dir" XDG_CACHE_HOME="$home_dir" python -m pytest -q \
+        --full-trace-matrix
 fi
 leftovers="$(find "$home_dir" -mindepth 1 | head -n 20)"
 if [[ -n "$leftovers" ]]; then
@@ -101,12 +104,15 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig1
 # One real command per workload on seed 1 (about 3 s, 3.5 s and 3.5 s): each
 # exits 1 when its result digest differs from the one committed in
 # perfbench/digests.json or a seeded-random cell's scalar re-simulation
-# disagrees with the cached columnar result.  fig10-cold runs baseline,
-# jukebox and perfect cells over a Python, a Node and a Go function, and
-# runs again on the held-out seed 4242, whose traces are drawn from
-# other random words.  The seed picks the re-simulated cell: Fib-P/perfect
-# on seed 1, ProdL-G/baseline on 4242 and Fib-N/jukebox on 5, so each
-# config's bulk walk classes meet the scalar oracle on real traces.
+# disagrees with the cached columnar result.  spectrum-pool runs again on
+# the held-out seed 4242 (about 3 s): its pool workers build their IR
+# from each trace's walk plan, as fig10-cold's single process does.
+# fig10-cold runs baseline, jukebox and perfect cells over a Python, a
+# Node and a Go function, and runs again on the held-out seed 4242, whose
+# traces are drawn from other random words.  The seed picks the
+# re-simulated cell: Fib-P/perfect on seed 1, ProdL-G/baseline on 4242
+# and Fib-N/jukebox on 5, so each config's bulk walk classes meet the
+# scalar oracle on real traces.
 # fig10-warm fills a cache, then re-runs the command in a fresh process
 # that keys its cells from the same sources: every cell must be a cache
 # hit, the report byte-equal to the fill's and the cache unchanged, so an
@@ -118,6 +124,7 @@ echo "== benchmark correctness (perfbench/run.py spectrum-pool, fig10-cold, fig1
 # included, and every node must conserve arrivals (arrivals == served +
 # dropped).
 python3 perfbench/run.py --workload spectrum-pool --seconds 0
+python3 perfbench/run.py --workload spectrum-pool --seed 4242 --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 4242 --seconds 0
 python3 perfbench/run.py --workload fig10-cold --seed 5 --seconds 0

@@ -15,10 +15,11 @@ Table-2 profiles.
 How the speed is won, without changing a single float:
 
 * **Run-length-encoded walks.**  ``FunctionModel`` emits each code segment
-  as ``visits`` identical block walks back-to-back.  The columnar IR
-  detects the period, and this interpreter *classifies the whole pattern
-  once* against current cache state instead of looking up every block of
-  every walk.
+  as ``visits`` identical block walks back-to-back.  The columnar IR takes
+  the period and the segment's shared pattern from the generator's walk
+  plan (or finds the period in a trace without one), and this interpreter
+  *classifies the whole pattern once* against current cache state
+  instead of looking up every block of every walk.
 * **Bulk walk classes.**  A walk whose pattern is (a) fully L1-I-resident,
   (b) fully L2-resident, or (c) resident nowhere is charged with a closed
   form: constant per-event stalls (plus exact I-TLB page-run adjustments)
@@ -79,7 +80,7 @@ from repro.lint import contracts
 from repro.sim.result import InvocationResult
 from repro.sim.topdown import TopDownBreakdown
 from repro.units import LINE_SHIFT, LINE_SIZE, PAGE_SHIFT
-from repro.workloads.trace import BRANCH, LOAD, LOOP, OP_EVENTS, STORE
+from repro.workloads.trace import BRANCH, LOAD, OP_EVENTS, STORE
 
 #: Chunks below this many events are folded with a Python loop; above it,
 #: ``np.add.accumulate`` wins despite its fixed call overhead.
@@ -124,7 +125,6 @@ def run_columnar(sim, trace):
     kinds_l = ct.kinds_list
     addrs_l = ct.addrs_list
     args_l = ct.args_list
-    args2_l = ct.args2_list
     blocks_l = ct.blocks_list
     pages_l = ct.pages_list
     mc = ct.machine_columns(sim._width, sim._taken_penalty)
@@ -414,7 +414,7 @@ def run_columnar(sim, trace):
                         cycle += spec + btb_penalty
                     else:
                         cycle += spec
-            elif kind == LOOP:
+            else:  # LOOP
                 loop_spec = loops[arg]
                 # _run_loop adds to the shared TopDownBreakdown: only its
                 # fetch-latency adds are state-dependent, so that field
@@ -427,8 +427,6 @@ def run_columnar(sim, trace):
                 mispredicts += 1
                 td_bs += mis_penalty
                 cycle += mis_penalty
-            else:  # pragma: no cover - trace construction prevents this
-                raise ValueError(f"unknown trace event kind {kind}")
 
     def walk_scalar(lo: int, hi: int) -> None:
         """Per-event fallback for IFETCH walks whose bulk preconditions

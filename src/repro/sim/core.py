@@ -49,7 +49,6 @@ from repro.workloads.trace import (
     BRANCH,
     IFETCH,
     LOAD,
-    LOOP,
     STORE,
     InvocationTrace,
 )
@@ -153,7 +152,7 @@ class Simulator:
                 td.bad_speculation += spec
                 td.fetch_latency += fetch
                 cycle += spec + fetch
-            elif kind == LOOP:
+            else:  # LOOP
                 spec = loops[int(args[i])]
                 cycle = self._run_loop(spec, td, sources, cycle)
                 instructions += spec.total_insts
@@ -161,8 +160,6 @@ class Simulator:
                 mispredicts += 1
                 td.bad_speculation += self._mispredict_penalty
                 cycle += self._mispredict_penalty
-            else:  # pragma: no cover - trace construction prevents this
-                raise ValueError(f"unknown trace event kind {kind}")
 
         result = InvocationResult(
             instructions=instructions,

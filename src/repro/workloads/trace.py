@@ -32,7 +32,7 @@ the paper's results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,13 @@ def _freeze(*arrays: np.ndarray) -> None:
     cells."""
     for array in arrays:
         array.flags.writeable = False
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over ``zip(starts, lengths)``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,9 @@ class InvocationTrace:
     args: np.ndarray
     args2: np.ndarray
     loops: List[LoopSpec] = field(default_factory=list)
+    #: Where the generator laid out its block walks (see :class:`WalkPlan`);
+    #: None for traces built event by event, whose IR finds the walks.
+    walk_plan: "Optional[WalkPlan]" = field(default=None, repr=False)
     #: Lazily built columnar IR (see :meth:`columnar`); not part of the
     #: constructor so existing call sites are unaffected.
     _columnar: "Optional[ColumnarTrace]" = field(default=None, init=False,
@@ -104,6 +114,14 @@ class InvocationTrace:
         n = len(self.kinds)
         if not (len(self.addrs) == len(self.args) == len(self.args2) == n):
             raise TraceError("trace arrays must have equal length")
+        if n and (self.kinds.min() < IFETCH or self.kinds.max() > LOOP):
+            raise TraceError(
+                f"trace event kinds must lie in [{IFETCH}, {LOOP}]")
+        loop_ids = self.args[self.kinds == LOOP]
+        if len(loop_ids) and (loop_ids.min() < 0
+                              or loop_ids.max() >= len(self.loops)):
+            raise TraceError(f"a LOOP event names no entry of the "
+                             f"{len(self.loops)}-loop table")
         _freeze(self.kinds, self.addrs, self.args, self.args2)
 
     def columnar(self) -> "ColumnarTrace":
@@ -151,7 +169,9 @@ class WalkPattern:
     machine-independent derived data the batch interpreter needs to
     classify and bulk-execute a walk: block numbers, the deduplicated
     last-access order (the LRU order a full pass leaves behind), and the
-    page-level run-length encoding driving I-TLB accounting.
+    page-level run-length encoding driving I-TLB accounting.  It holds
+    only tuples and a frozenset, plus the :meth:`itlb_fits` memo, so one
+    pattern may serve every walk of a segment in every trace.
     """
 
     __slots__ = ("addrs", "blocks", "block_set", "unique_last",
@@ -207,6 +227,49 @@ class WalkPattern:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+class SegmentPatterns:
+    """The :class:`WalkPattern` of each code segment, built on first use.
+
+    ``addrs`` holds every segment's block addresses, one segment after
+    another: segment ``s`` is ``addrs[starts[s]:starts[s] + lengths[s]]``.
+    A ``FunctionModel`` owns one table, and every trace it generates
+    shares its patterns read-only through the trace's :class:`WalkPlan`.
+    """
+
+    __slots__ = ("addrs", "starts", "lengths", "_patterns")
+
+    def __init__(self, addrs: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> None:
+        self.addrs = addrs
+        self.starts = starts
+        self.lengths = lengths
+        self._patterns: List[Optional[WalkPattern]] = [None] * len(starts)
+
+    def __getitem__(self, segment: int) -> WalkPattern:
+        pattern = self._patterns[segment]
+        if pattern is None:
+            start = int(self.starts[segment])
+            pattern = WalkPattern(
+                self.addrs[start:start + int(self.lengths[segment])].tolist())
+            self._patterns[segment] = pattern
+        return pattern
+
+
+class WalkPlan(NamedTuple):
+    """The block walks of a generated trace, one entry per segment visit:
+    from event ``starts[k]``, segment ``segments[k]`` of ``patterns`` is
+    walked ``visits[k]`` times back-to-back.
+
+    :meth:`ColumnarTrace.from_trace` checks the plan against the trace's
+    events and builds the op program from it instead of scanning for
+    each walk's period."""
+
+    starts: np.ndarray
+    visits: np.ndarray
+    segments: np.ndarray
+    patterns: SegmentPatterns
 
 
 class MachineColumns:
@@ -319,6 +382,59 @@ def _find_period(addrs: np.ndarray, max_candidates: int = 4) -> int:
     return n
 
 
+def _scanned_ops(addrs: np.ndarray, is_fetch: np.ndarray) -> List[tuple]:
+    """The op program of a trace without a walk plan: each maximal IFETCH
+    run gets its period from :func:`_find_period` and its own pattern."""
+    n = len(addrs)
+    ops: List[tuple] = []
+    flips = np.nonzero(np.diff(is_fetch.astype(np.int8)))[0] + 1
+    bounds = [0, *flips.tolist(), n]
+    for idx in range(len(bounds) - 1):
+        start, end = bounds[idx], bounds[idx + 1]
+        if start == end:
+            continue
+        if is_fetch[start]:
+            run = addrs[start:end]
+            period = _find_period(run)
+            pattern = WalkPattern(run[:period].tolist())
+            ops.append((OP_WALKS, start, end, period, pattern))
+        else:
+            ops.append((OP_EVENTS, start, end))
+    return ops
+
+
+def _planned_ops(plan: WalkPlan, addrs: np.ndarray,
+                 is_fetch: np.ndarray) -> List[tuple]:
+    """The op program of a trace with a walk plan.  The plan must name
+    exactly the trace's maximal IFETCH runs, each ``visits`` periods
+    long, and their addresses must be the named segments' addresses
+    repeated; otherwise this raises :class:`TraceError`."""
+    table = plan.patterns
+    periods = table.lengths[plan.segments]
+    ends = plan.starts + plan.visits * periods
+    edges = np.diff(is_fetch.astype(np.int8), prepend=np.int8(0),
+                    append=np.int8(0))
+    if not (np.array_equal(np.flatnonzero(edges > 0), plan.starts)
+            and np.array_equal(np.flatnonzero(edges < 0), ends)):
+        raise TraceError("walk plan does not match the trace's IFETCH runs")
+    walked = _ranges(np.repeat(table.starts[plan.segments], plan.visits),
+                     np.repeat(periods, plan.visits))
+    if not np.array_equal(addrs[is_fetch], table.addrs[walked]):
+        raise TraceError("walk plan addresses differ from the trace's")
+    ops: List[tuple] = []
+    prev = 0
+    for start, end, period, segment in zip(
+            plan.starts.tolist(), ends.tolist(), periods.tolist(),
+            plan.segments.tolist()):
+        if prev < start:
+            ops.append((OP_EVENTS, prev, start))
+        ops.append((OP_WALKS, start, end, period, table[segment]))
+        prev = end
+    if prev < len(addrs):
+        ops.append((OP_EVENTS, prev, len(addrs)))
+    return ops
+
+
 @dataclass(eq=False)
 class ColumnarTrace:
     """Columnar IR of one :class:`InvocationTrace`.
@@ -326,10 +442,12 @@ class ColumnarTrace:
     Parallel columns (event kind / block / page / arg / arg2)
     plus a decoded *op program* that run-length-encodes repeated block
     walks: the batch interpreter in :mod:`repro.sim.batch` consumes ops,
-    not events, and charges whole walks at a time.  Everything here is a
-    pure function of the trace, and every array is read-only --
-    machine-dependent float columns are cached per ``(issue width,
-    taken-branch penalty)`` on first use.
+    not events, and charges whole walks at a time.  A generated trace's
+    ops come from its checked :class:`WalkPlan` and share its segments'
+    patterns; a trace without a plan is scanned for its walks.
+    Everything here is a pure function of the trace, and every array is
+    read-only -- machine-dependent float columns are cached per ``(issue
+    width, taken-branch penalty)`` on first use.
 
     Built once per trace via :meth:`InvocationTrace.columnar`.
     """
@@ -350,7 +468,6 @@ class ColumnarTrace:
     kinds_list: List[int]
     addrs_list: List[int]
     args_list: List[int]
-    args2_list: List[int]
     blocks_list: List[int]
     pages_list: List[int]
     #: Event indices of IFETCH / LOOP events (machine-total splicing).
@@ -382,25 +499,13 @@ class ColumnarTrace:
     def from_trace(cls, trace: "InvocationTrace") -> "ColumnarTrace":
         kinds = trace.kinds
         addrs = trace.addrs
-        n = len(kinds)
         blocks = addrs >> LINE_SHIFT
         pages = addrs >> PAGE_SHIFT
-        ops: List[tuple] = []
         is_fetch = kinds == IFETCH
-        # Boundaries of maximal IFETCH runs.
-        flips = np.nonzero(np.diff(is_fetch.astype(np.int8)))[0] + 1
-        bounds = [0, *flips.tolist(), n]
-        for idx in range(len(bounds) - 1):
-            start, end = bounds[idx], bounds[idx + 1]
-            if start == end:
-                continue
-            if is_fetch[start]:
-                run = addrs[start:end]
-                period = _find_period(run)
-                pattern = WalkPattern(run[:period].tolist())
-                ops.append((OP_WALKS, start, end, period, pattern))
-            else:
-                ops.append((OP_EVENTS, start, end))
+        if trace.walk_plan is None:
+            ops = _scanned_ops(addrs, is_fetch)
+        else:
+            ops = _planned_ops(trace.walk_plan, addrs, is_fetch)
         ifetch_idx = np.nonzero(is_fetch)[0]
         loop_idx = np.nonzero(kinds == LOOP)[0]
         _freeze(blocks, pages, ifetch_idx, loop_idx)
@@ -409,7 +514,7 @@ class ColumnarTrace:
             blocks=blocks, pages=pages, ops=ops,
             loops=trace.loops,
             kinds_list=kinds.tolist(), addrs_list=addrs.tolist(),
-            args_list=trace.args.tolist(), args2_list=trace.args2.tolist(),
+            args_list=trace.args.tolist(),
             blocks_list=blocks.tolist(), pages_list=pages.tolist(),
             ifetch_idx=ifetch_idx, loop_idx=loop_idx,
             instr_total=trace.total_instructions,

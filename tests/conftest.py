@@ -11,12 +11,22 @@ def pytest_addoption(parser):
         help="regenerate the golden figure snapshots under tests/golden/ "
              "instead of comparing against them (commit the diff and "
              "explain the model change in the PR)")
+    parser.addoption(
+        "--full-trace-matrix", action="store_true", default=False,
+        help="run the walk-plan differential over the whole trace digest "
+             "matrix, both instruction scales (default: the 0.35 half)")
 
 
 @pytest.fixture
 def update_golden(request) -> bool:
     """Whether this run should rewrite golden snapshots, not compare."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def full_trace_matrix(request) -> bool:
+    """Whether matrix differentials cover both instruction scales."""
+    return request.config.getoption("--full-trace-matrix")
 
 
 @pytest.fixture(autouse=True)

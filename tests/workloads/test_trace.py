@@ -11,10 +11,15 @@ from repro.workloads.trace import (
     IFETCH,
     LOAD,
     LOOP,
+    OP_EVENTS,
+    OP_WALKS,
     STORE,
+    ColumnarTrace,
     InvocationTrace,
     LoopSpec,
+    SegmentPatterns,
     TraceBuilder,
+    WalkPlan,
 )
 
 CODE = 0x5555_0000_0000
@@ -93,6 +98,31 @@ class TestInvocationTrace:
                 args2=np.zeros(2, dtype=np.int64),
             )
 
+    @staticmethod
+    def columns(kinds, args):
+        n = len(kinds)
+        return dict(kinds=np.asarray(kinds, dtype=np.uint8),
+                    addrs=np.full(n, CODE, dtype=np.int64),
+                    args=np.asarray(args, dtype=np.int64),
+                    args2=np.zeros(n, dtype=np.int64))
+
+    def test_rejects_unknown_event_kind(self):
+        with pytest.raises(TraceError, match="kinds"):
+            InvocationTrace(**self.columns([IFETCH, 9], [1, 1]))
+
+    @pytest.mark.parametrize("loop_id", [1, -1])
+    def test_rejects_loop_id_outside_the_table(self, loop_id):
+        spec = LoopSpec(blocks=(CODE,), iterations=2, insts_per_iteration=4)
+        InvocationTrace(**self.columns([IFETCH, LOOP], [1, 0]), loops=[spec])
+        with pytest.raises(TraceError, match="LOOP"):
+            InvocationTrace(**self.columns([IFETCH, LOOP], [1, loop_id]),
+                            loops=[spec])
+
+    def test_empty_trace_is_valid(self):
+        trace = InvocationTrace(**self.columns([], []))
+        assert len(trace) == 0
+        assert trace.total_instructions == 0
+
     def test_total_instructions_includes_loops(self):
         b = TraceBuilder()
         b.fetch(CODE, 10)
@@ -137,3 +167,53 @@ class TestInvocationTrace:
             b.fetch(CODE + block_idx * LINE_SIZE, insts)
             total += insts
         assert b.build().total_instructions == total
+
+
+# Two segments of two blocks each, as FunctionModel lays them out.
+A, B, C, D = (CODE + i * LINE_SIZE for i in range(4))
+DATA = 0x2000_0000
+
+
+def planned_trace(fetch_runs, starts, visits, segments):
+    """Fetch runs separated by one load each, with a walk plan over the
+    segments ``[A, B]`` and ``[C, D]``."""
+    builder = TraceBuilder()
+    for run in fetch_runs:
+        for addr in run:
+            builder.fetch(addr, 4)
+        builder.load(DATA)
+    trace = builder.build()
+    table = SegmentPatterns(np.array([A, B, C, D], dtype=np.int64),
+                            np.array([0, 2]), np.array([2, 2]))
+    plan = WalkPlan(starts=np.array(starts), visits=np.array(visits),
+                    segments=np.array(segments), patterns=table)
+    return InvocationTrace(trace.kinds, trace.addrs, trace.args,
+                           trace.args2, walk_plan=plan)
+
+
+class TestWalkPlan:
+    def test_plan_names_each_walk_and_its_segment_pattern(self):
+        trace = planned_trace([(A, B, A, B), (C, D)], [0, 5], [2, 1], [0, 1])
+        table = trace.walk_plan.patterns
+        assert ColumnarTrace.from_trace(trace).ops == [
+            (OP_WALKS, 0, 4, 2, table[0]), (OP_EVENTS, 4, 5),
+            (OP_WALKS, 5, 7, 2, table[1]), (OP_EVENTS, 7, 8)]
+        assert table[0] is table[0]
+        assert table[0].addrs == (A, B)
+
+    def test_rejects_a_walk_end_off_by_one(self):
+        trace = planned_trace([(A, B, A, B, A), (C, D)], [0, 6], [2, 1],
+                              [0, 1])
+        with pytest.raises(TraceError, match="IFETCH runs"):
+            ColumnarTrace.from_trace(trace)
+
+    def test_rejects_adjacent_visits(self):
+        # Segment 0 then segment 1 with no event between: one IFETCH run.
+        trace = planned_trace([(A, B, C, D)], [0, 2], [1, 1], [0, 1])
+        with pytest.raises(TraceError, match="IFETCH runs"):
+            ColumnarTrace.from_trace(trace)
+
+    def test_rejects_addresses_other_than_the_segments(self):
+        trace = planned_trace([(A, B, A, C)], [0], [2], [0])
+        with pytest.raises(TraceError, match="addresses"):
+            ColumnarTrace.from_trace(trace)

@@ -11,11 +11,15 @@ call at a time.  These tests pin the two together:
 * committed column digests of a 160-trace matrix, recorded by the
   per-event generator (``--update-golden`` rewrites them from it), plus an
   assert that none of those invocations needed the fallback;
-* the Lemire rejections that send an invocation to the fallback.
+* the Lemire rejections that send an invocation to the fallback;
+* the walk plan each generated trace carries: its columnar IR equals the
+  one scanned from the same arrays without a plan, and a model's traces
+  share one pattern per segment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -24,10 +28,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import RunConfig, make_model
-from repro.workloads import function
+from repro.workloads import function, trace as trace_module
 from repro.workloads.function import FunctionModel, decode_words
 from repro.workloads.suite import SUITE, get_profile
-from repro.workloads.trace import InvocationTrace
+from repro.workloads.trace import (
+    OP_WALKS,
+    ColumnarTrace,
+    InvocationTrace,
+    TraceBuilder,
+)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "trace_columns.json"
 
@@ -77,10 +86,10 @@ SCALES = (0.35, 1.0)
 SEEDS = (0, 1, 4242)
 
 
-def matrix():
+def matrix(scales=SCALES):
     """``(key, model, invocation)`` for each trace of the digest matrix."""
     for profile in SUITE:
-        for scale in SCALES:
+        for scale in scales:
             for seed in SEEDS:
                 model = make_model(profile, RunConfig(
                     seed=seed, instruction_scale=scale))
@@ -242,3 +251,91 @@ class TestRejection:
         monkeypatch.setattr(function, "decode_words", lambda *args: None)
         assert tiny_model._vectorized_trace(2) is None
         assert_same_trace(tiny_model.invocation_trace(2), expected)
+
+
+# ----------------------------------------------------------------------
+# Walk plans
+# ----------------------------------------------------------------------
+
+PATTERN_FIELDS = ("addrs", "blocks", "block_set", "unique_last",
+                  "all_distinct", "page_runs")
+
+
+def plan_free(trace: InvocationTrace) -> InvocationTrace:
+    """The same arrays without the walk plan: the IR scans for walks."""
+    return InvocationTrace(trace.kinds, trace.addrs, trace.args,
+                           trace.args2, trace.loops)
+
+
+def walk_ops(ct: ColumnarTrace) -> list:
+    return [op for op in ct.ops if op[0] == OP_WALKS]
+
+
+def assert_same_ir(actual: ColumnarTrace, expected: ColumnarTrace):
+    """Every op, pattern field, array, list column and total."""
+    assert [op[:4] for op in actual.ops] == [op[:4] for op in expected.ops]
+    assert all(type(value) is int for op in actual.ops for value in op[1:4])
+    for a, e in zip(walk_ops(actual), walk_ops(expected)):
+        for name in PATTERN_FIELDS:
+            assert getattr(a[4], name) == getattr(e[4], name), name
+    for f in dataclasses.fields(ColumnarTrace):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == e.dtype, f.name
+            np.testing.assert_array_equal(a, e, err_msg=f.name)
+        elif f.name.endswith("_list") or f.name in ("loops", "instr_total"):
+            assert a == e, f.name
+
+
+class TestWalkPlan:
+    def test_plan_ir_equals_scanned_ir(self, full_trace_matrix):
+        """Over the digest matrix (its 0.35-scale half unless
+        ``--full-trace-matrix``), the IR built from each trace's plan
+        equals the IR scanned from a plan-free copy of its arrays."""
+        scales = SCALES if full_trace_matrix else (0.35,)
+        for key, model, invocation in matrix(scales):
+            trace = model.invocation_trace(invocation)
+            assert trace.walk_plan is not None, key
+            assert_same_ir(ColumnarTrace.from_trace(trace),
+                           ColumnarTrace.from_trace(plan_free(trace)))
+
+    def test_traces_share_one_pattern_per_segment(self, tiny_profile):
+        model = FunctionModel(tiny_profile, seed=7)
+        patterns, walks = {}, 0
+        for index in range(4):
+            trace = model.invocation_trace(index)
+            plan = trace.walk_plan
+            ops = walk_ops(trace.columnar())
+            assert len(ops) == len(plan.segments)
+            walks += len(ops)
+            for segment, op in zip(plan.segments.tolist(), ops):
+                assert patterns.setdefault(segment, op[4]) is op[4]
+                assert op[4] is model._patterns[segment]
+        assert walks > 2 * len(patterns)  # segments recur across traces
+        for pattern in patterns.values():
+            for name in ("addrs", "blocks", "unique_last", "page_runs"):
+                assert isinstance(getattr(pattern, name), tuple), name
+            assert isinstance(pattern.block_set, frozenset)
+
+    def test_plan_free_traces_take_the_scan(self, tiny_model, monkeypatch):
+        scanned = []
+        find_period = trace_module._find_period
+        monkeypatch.setattr(trace_module, "_find_period",
+                            lambda run: scanned.append(len(run))
+                            or find_period(run))
+        planned = ColumnarTrace.from_trace(tiny_model.invocation_trace(2))
+        assert not scanned
+
+        builder = TraceBuilder()
+        for addr in (0x4000_0000, 0x4000_0040) * 3:
+            builder.fetch(addr, 4)
+        assert walk_ops(ColumnarTrace.from_trace(builder.build()))[0][3] == 2
+        assert scanned == [6]
+
+        scanned.clear()
+        monkeypatch.setattr(function, "decode_words", lambda *args: None)
+        fallback = tiny_model.invocation_trace(2)
+        assert fallback.walk_plan is None
+        oracle = ColumnarTrace.from_trace(fallback)
+        assert len(scanned) == len(walk_ops(oracle))
+        assert_same_ir(planned, oracle)
