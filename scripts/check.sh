@@ -15,7 +15,8 @@
 # and exits 1 on any of them, warnings included.
 #
 # Everything the gate writes goes to one temp directory, removed on
-# exit, so a passing run leaves the checkout as it found it.
+# exit, so a passing run leaves the checkout as it found it; the last step
+# checks that promise against `git status`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,16 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
 work_dir="$(mktemp -d)"
 trap 'rm -rf "$work_dir"' EXIT
+
+# The checkout's status (tracked edits and untracked files, ignored ones
+# aside) as the gate found it; compared again at the end.  Outside a git
+# work tree there is nothing to compare.
+tree_before=""
+in_work_tree=""
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    in_work_tree=1
+    tree_before="$(git status --porcelain --untracked-files=all)"
+fi
 
 echo "== repro.lint (whole-program analyzer) =="
 python -m repro.lint
@@ -141,6 +152,22 @@ if [[ "${1:-}" == "--fast" ]]; then
     python scripts/coverage_gate.py --fast
 else
     python scripts/coverage_gate.py
+fi
+
+echo "== the checkout is as the gate found it (git status) =="
+# A step that writes into the checkout (a bench gate rewriting a tracked
+# render, a stray cache directory) fails here; fix the writer.
+if [[ -n "$in_work_tree" ]]; then
+    tree_after="$(git status --porcelain --untracked-files=all)"
+    if [[ "$tree_after" != "$tree_before" ]]; then
+        echo "the gate changed the checkout (< before, > after):" >&2
+        diff <(printf '%s\n' "$tree_before") \
+            <(printf '%s\n' "$tree_after") >&2 || true
+        exit 1
+    fi
+    echo "unchanged"
+else
+    echo "skipped: not a git work tree"
 fi
 
 echo "OK: lint + tests passed"

@@ -1,5 +1,6 @@
 """Analysis helpers: metrics (CPI, MPKI, Jaccard, speedups) and plain-text
-report rendering for the experiment harness."""
+report rendering (aligned tables, Fig. 2's stacked CPI bars) for the
+experiment harness."""
 
 from repro.analysis.metrics import (
     geomean,
@@ -11,16 +12,9 @@ from repro.analysis.metrics import (
     speedup,
     summarize_distribution,
 )
-from repro.analysis.report import (
-    format_bars,
-    format_percent,
-    format_stacked_bars,
-    format_table,
-)
+from repro.analysis.report import format_stacked_bars, format_table
 
 __all__ = [
-    "format_bars",
-    "format_percent",
     "format_stacked_bars",
     "format_table",
     "geomean",

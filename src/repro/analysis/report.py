@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
 Each experiment module returns structured results; these helpers render
-them as aligned ASCII tables and horizontal bar charts so the benchmark
+them as aligned ASCII tables and stacked bar charts so the benchmark
 harness can print "the same rows/series the paper reports" without any
 plotting dependency.
 """
@@ -36,31 +36,11 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def format_bars(labels: Sequence[str], values: Sequence[float],
-                title: Optional[str] = None, unit: str = "",
-                max_value: Optional[float] = None) -> str:
-    """Render a horizontal bar chart (one bar per label)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    peak = max_value if max_value is not None else max(
-        (abs(v) for v in values), default=1.0)
-    peak = peak or 1.0
-    width = max(len(label) for label in labels) if labels else 0
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(abs(value) / peak * _BAR_WIDTH)))
-        lines.append(f"{label.ljust(width)} | {bar} {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
 def format_stacked_bars(labels: Sequence[str],
                         stacks: Sequence[Dict[str, float]],
                         order: Sequence[str],
                         symbols: Optional[Dict[str, str]] = None,
-                        title: Optional[str] = None,
-                        max_value: Optional[float] = None) -> str:
+                        title: Optional[str] = None) -> str:
     """Render stacked horizontal bars (the CPI stacks of Fig. 2).
 
     ``stacks`` maps category -> value per label; ``order`` fixes segment
@@ -70,8 +50,7 @@ def format_stacked_bars(labels: Sequence[str],
         default = "RFBSD"
         symbols = {cat: default[i % len(default)] for i, cat in enumerate(order)}
     totals = [sum(stack.get(cat, 0.0) for cat in order) for stack in stacks]
-    peak = max_value if max_value is not None else max(totals, default=1.0)
-    peak = peak or 1.0
+    peak = max(totals, default=1.0) or 1.0
     width = max(len(label) for label in labels) if labels else 0
     lines: List[str] = []
     if title:
@@ -85,11 +64,3 @@ def format_stacked_bars(labels: Sequence[str],
             bar += symbols[cat] * seg
         lines.append(f"{label.ljust(width)} | {bar} {total:.2f}")
     return "\n".join(lines)
-
-
-def format_percent(value: float, signed: bool = True) -> str:
-    """Format a fraction as a percentage string (0.187 -> '+18.7%')."""
-    pct = value * 100.0
-    if signed:
-        return f"{pct:+.1f}%"
-    return f"{pct:.1f}%"

@@ -34,8 +34,6 @@ class ColdStartCharge:
     page_ms: float = 0.0
     faulted_pages: int = 0
     prefetched_pages: int = 0
-    #: True when this charge's restore recorded the page trace.
-    recorded: bool = False
 
 
 class ColdStartModel(ABC):
@@ -90,5 +88,4 @@ class SpectrumColdStart(ColdStartModel):
             page_ms=restore.page_ms,
             faulted_pages=restore.faulted_pages,
             prefetched_pages=restore.prefetched_pages,
-            recorded=restore.recorded,
         )

@@ -58,9 +58,6 @@ class RestoreCharge:
     page_ms: float
     faulted_pages: int
     prefetched_pages: int
-    #: True when this restore demand-faulted everything and *recorded*
-    #: the working-set trace for later replay (the first restore).
-    recorded: bool
 
 
 def working_set_pages(profile: FunctionProfile) -> int:
@@ -106,7 +103,6 @@ class PageReplayState:
                 page_ms=self.pages * FAULT_US / 1000.0,
                 faulted_pages=self.pages,
                 prefetched_pages=0,
-                recorded=self.replay,
             )
         residue = self.pages - self.recorded_pages
         page_ms = (REPLAY_OVERHEAD_US
@@ -116,5 +112,4 @@ class PageReplayState:
             page_ms=page_ms,
             faulted_pages=residue,
             prefetched_pages=self.recorded_pages,
-            recorded=False,
         )

@@ -1,5 +1,6 @@
 """Jukebox: the paper's record-and-replay instruction prefetcher (Sec. 3),
-plus the PIF comparison baseline (Sec. 5.5).
+plus the PIF comparison baseline (Sec. 5.5), which keeps no counters of
+its own: its effect shows in the hierarchy's statistics.
 
 Names resolve lazily from the modules in :data:`_EXPORTS` (see
 :mod:`repro._lazy`).
@@ -17,7 +18,6 @@ _EXPORTS = {
     "MetadataBuffer": "repro.core.metadata",
     "PIF": "repro.core.pif",
     "PIFParams": "repro.core.pif",
-    "PIFStats": "repro.core.pif",
     "RegionGeometry": "repro.core.regions",
     "ReplayStats": "repro.core.replayer",
     "collect_outcomes": "repro.core.replayer",

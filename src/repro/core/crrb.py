@@ -65,7 +65,3 @@ class CRRB:
         self.evictions += len(drained)
         self._entries.clear()
         return drained
-
-    def flush(self) -> None:
-        """Discard contents without draining (context obliteration)."""
-        self._entries.clear()

@@ -68,7 +68,3 @@ class MetadataBuffer:
         for region, vector in self._entries:
             blocks.update(self.geometry.expand(region, vector))
         return blocks
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.dropped_entries = 0

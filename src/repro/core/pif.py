@@ -42,7 +42,6 @@ class PIFParams:
     stream_bytes: int = 164 * KB
     lookahead: int = 12
     persistent: bool = False
-    unlimited: bool = False
 
     @property
     def index_capacity(self) -> int:
@@ -53,20 +52,11 @@ class PIFParams:
         return self.stream_bytes // _STREAM_ENTRY_BYTES
 
 
-def pif_ideal_params(lookahead: int = 12) -> PIFParams:
-    """The PIF-ideal configuration: unlimited, persistent metadata."""
+def pif_ideal_params() -> PIFParams:
+    """The PIF-ideal configuration: persistent metadata, unlimited through
+    its byte budgets."""
     return PIFParams(index_bytes=1 << 30, stream_bytes=1 << 30,
-                     lookahead=lookahead, persistent=True, unlimited=True)
-
-
-@dataclass
-class PIFStats:
-    fetches_observed: int = 0
-    prefetches_issued: int = 0
-    reindexes: int = 0
-    stream_follows: int = 0
-    index_misses: int = 0
-    prefetches_squashed: int = 0
+                     persistent=True)
 
 
 class PIF:
@@ -76,7 +66,6 @@ class PIF:
                  hierarchy: Optional[MemoryHierarchy] = None) -> None:
         self.params = params
         self.hierarchy = hierarchy
-        self.stats = PIFStats()
         #: Recorded stream of block numbers (history buffer).
         self._stream: List[int] = []
         #: Block number -> most recent stream position.
@@ -93,7 +82,6 @@ class PIF:
         if block == self._last_block:
             return
         self._last_block = block
-        self.stats.fetches_observed += 1
         # Follow first so the re-index lookup sees the *previous* stream
         # occurrence of this block, then record the new occurrence.
         self._follow(block, cycle)
@@ -136,7 +124,6 @@ class PIF:
                     break
             if matched is not None:
                 self._pointer = matched + 1
-                self.stats.stream_follows += 1
                 self._issue_lookahead(cycle)
                 return
             # Divergence: the replayed stream was wrong.  PIF stops
@@ -144,7 +131,6 @@ class PIF:
             # the dead stream -- in-flight fills and installed-but-unused
             # lines -- is squashed.  This is the mechanism that prevents
             # PIF from running far enough ahead to hide DRAM latency.
-            self.stats.reindexes += 1
             self._pointer = None
             self._squash()
         # Re-index: find the most recent stream starting at this block.
@@ -152,8 +138,6 @@ class PIF:
         if pos is not None and pos < len(stream):
             self._pointer = pos + 1
             self._issue_lookahead(cycle)
-        else:
-            self.stats.index_misses += 1
 
     def _issue_lookahead(self, cycle: float) -> None:
         hier = self.hierarchy
@@ -169,7 +153,6 @@ class PIF:
                 continue
             latency, _from_dram = hier.prefetch_source_latency(block)
             fills.append((cycle + latency, block))
-            self.stats.prefetches_issued += 1
         if fills:
             fills.sort(key=lambda item: item[0])
             hier.schedule_l1i_prefetches(fills)
@@ -179,8 +162,7 @@ class PIF:
         if hier is None:
             return
         hier.l1i_fills.clear()
-        squashed = hier.l1i.invalidate_unused_prefetches()
-        self.stats.prefetches_squashed += squashed
+        hier.l1i.invalidate_unused_prefetches()
 
     # -- lifecycle ---------------------------------------------------------
 

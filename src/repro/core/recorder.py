@@ -23,7 +23,6 @@ class JukeboxRecorder:
 
     def __init__(self, params: JukeboxParams, buffer: MetadataBuffer,
                  memory: Optional[MainMemory] = None) -> None:
-        self.params = params
         self.geometry = buffer.geometry
         self.buffer = buffer
         self.crrb = CRRB(params.crrb_entries, self.geometry)
@@ -73,18 +72,15 @@ class JukeboxRecorder:
         return self._active
 
 
-def record_miss_stream(miss_vaddrs, params: JukeboxParams,
-                       limit_bytes: Optional[int] = None) -> MetadataBuffer:
+def record_miss_stream(miss_vaddrs, params: JukeboxParams) -> MetadataBuffer:
     """Run the record logic over a raw L2-miss address stream.
 
     Standalone helper for the Fig. 8 metadata-size study: no timing, no
-    hierarchy -- just CRRB coalescing and entry production.  ``limit_bytes``
-    defaults to unlimited so the *required* metadata size can be measured.
+    hierarchy -- just CRRB coalescing and entry production, into an
+    unbounded buffer so the *required* metadata size can be measured.
     """
     geometry = RegionGeometry(params.region_size)
-    buffer = MetadataBuffer(geometry=geometry,
-                            limit_bytes=limit_bytes if limit_bytes is not None
-                            else 1 << 30)
+    buffer = MetadataBuffer(geometry=geometry, limit_bytes=1 << 30)
     recorder = JukeboxRecorder(params, buffer)
     for vaddr in miss_vaddrs:
         recorder.on_l2_inst_miss(vaddr, 0.0)

@@ -66,7 +66,6 @@ from repro.engine.job import (
     SCHEMA_VERSION,
     canonicalize,
     fingerprint,
-    invalidate_fingerprint_caches,
     source_digest,
 )
 from repro.engine.resilience import (
@@ -128,7 +127,6 @@ __all__ = [
     "execute_task",
     "fingerprint",
     "get_executor",
-    "invalidate_fingerprint_caches",
     "register_error_class",
     "run_with_policy",
     "source_digest",

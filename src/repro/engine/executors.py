@@ -90,8 +90,6 @@ def execute_job(job: "Job") -> Any:
 class SerialExecutor:
     """Run jobs one after another in the calling process."""
 
-    jobs = 1
-
     def run_tasks(self, tasks: Sequence[Task],
                   on_outcome: OutcomeCallback = None,
                   guard: Optional[Any] = None) -> List[JobOutcome]:

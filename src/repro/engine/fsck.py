@@ -70,7 +70,6 @@ class FsckReport:
     root: str
     scanned: int = 0
     ok: int = 0
-    repaired: int = 0
     quarantined: int = 0
     reaped_tmp: int = 0
     #: Entries sitting in the quarantine area when the pass finished.
@@ -171,7 +170,6 @@ def fsck(root: Union[str, Path], repair: bool = False) -> FsckReport:
                         destination.parent.mkdir(parents=True, exist_ok=True)
                         os.replace(path, destination)
                         problem.action = "moved"
-                        report.repaired += 1
                     except OSError as exc:
                         problem.defect += f" (repair failed: {exc})"
             report.problems.append(problem)

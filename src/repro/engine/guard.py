@@ -20,11 +20,11 @@ worker *livelock*.  A :class:`GuardSpec` declares two budgets:
   deadline is never useful) and nothing new is dispatched.
 
 Time only ever enters through the engine context's injected ``clock``
-callable (REPRO006): tests drive the guard with deterministic
-:class:`~repro.obs.clock.TickClock` instances, the CLI injects
-``time.monotonic`` at the sanctioned boundary.  An armed
-:class:`GuardState` carries the tracer, emitting one ``job.deadline``
-event per expired budget so every recovery action is observable.
+callable (REPRO006): tests drive the guard with deterministic logical
+clocks, the CLI injects ``time.monotonic`` at the sanctioned boundary.
+An armed :class:`GuardState` carries the tracer, emitting one
+``job.deadline`` event per expired budget so every recovery action is
+observable.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class GuardState:
         if clock is None:
             raise ConfigurationError(
                 "deadlines need an injected clock; pass clock= to "
-                "engine.configure (tests: repro.obs.clock.TickClock)")
+                "engine.configure")
         self.spec = spec
         self.clock = clock
         self.tracer = tracer
@@ -119,12 +119,10 @@ class GuardState:
 
     # -- sweep deadline ------------------------------------------------------
 
-    def sweep_expired(self, now: Optional[float] = None) -> bool:
+    def sweep_expired(self) -> bool:
         if self.spec.sweep_deadline_s is None:
             return False
-        if now is None:
-            now = self.clock()
-        return now - self.started > self.spec.sweep_deadline_s
+        return self.clock() - self.started > self.spec.sweep_deadline_s
 
     def sweep_deadline_outcome(self, task: Task) -> JobOutcome:
         """Fail one not-yet-finished cell against the expired sweep budget."""

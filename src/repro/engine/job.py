@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -69,14 +70,25 @@ def source_digest(root: Path) -> str:
 
 def _package_root(top: str) -> "Path | None":
     """Directory of top-level package ``top``, or None for a plain
-    module.  Uses ``find_spec`` on the *top-level* name only, so nothing
-    is executed."""
-    import importlib.util
+    module.
 
-    try:
-        spec = importlib.util.find_spec(top)
-    except (ImportError, ValueError):
-        return None
+    The finders on ``sys.meta_path`` are asked directly, so the answer is
+    the package an import would load now: ``importlib.util.find_spec``
+    would return the spec of an already imported ``top`` from
+    ``sys.modules``, whose directory may since have left ``sys.path``.
+    Finding executes nothing.
+    """
+    spec = None
+    for finder in sys.meta_path:
+        find_spec = getattr(finder, "find_spec", None)
+        if find_spec is None:
+            continue
+        try:
+            spec = find_spec(top, None)
+        except (ImportError, ValueError):
+            return None
+        if spec is not None:
+            break
     if spec is None:
         return None
     locations = spec.submodule_search_locations
@@ -104,12 +116,6 @@ def _provider_digest(provider: str) -> Optional[str]:
     if root is not None:
         return source_digest(root)
     return hashlib.sha256(source.read_bytes()).hexdigest()
-
-
-def invalidate_fingerprint_caches() -> None:
-    """Drop every memoized source digest (tests that edit sources on
-    disk call this between edits; production never needs it)."""
-    source_digest.cache_clear()
 
 
 def _provider_source(module: str) -> Path:

@@ -110,9 +110,6 @@ class JobError:
     traceback: str
     error_class: str
     attempt: int
-    #: Backoff delay (seconds) scheduled after this failure, 0.0 when the
-    #: attempt was final.  Filled in by the retry driver.
-    backoff_s: float = 0.0
     exception: Optional[BaseException] = None
 
     @classmethod
@@ -135,9 +132,6 @@ class JobError:
     @property
     def transient(self) -> bool:
         return self.error_class == TRANSIENT
-
-    def describe(self) -> str:
-        return f"attempt {self.attempt}: {self.type_name}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -351,7 +345,6 @@ def run_with_policy(executor: Any, tasks: Sequence[Task],
                     and outcome.last_error is not None
                     and outcome.last_error.transient):
                 delay = backoff_delay(policy, task.index, task.attempt)
-                errors = errors[:-1] + (replace(errors[-1], backoff_s=delay),)
                 history[task.index] = errors
                 if stats is not None:
                     stats.retries += 1

@@ -76,10 +76,6 @@ class SweepStats:
     #: Seconds spent simulating cache misses (via the injected clock).
     sim_seconds: float = 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.jobs if self.jobs else 0.0
-
     def snapshot(self) -> "SweepStats":
         return replace(self)
 
@@ -198,7 +194,7 @@ def configure(jobs: int = 1,
     if guard_spec and clock is None:
         raise ConfigurationError(
             "job_timeout_s/sweep_deadline_s need an injected clock; pass "
-            "clock= (e.g. time.monotonic, or TickClock in tests)")
+            "clock= (e.g. time.monotonic)")
     with ExitStack() as opened:
         if cache_dir is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -72,7 +72,6 @@ class Fig1Result:
     load: float
     #: function abbrev -> list of normalized CPI (same order as iats_ms).
     normalized_cpi: Dict[str, List[float]] = field(default_factory=dict)
-    baseline_cpi: Dict[str, float] = field(default_factory=dict)
 
 
 def run(cfg: Optional[RunConfig] = None,
@@ -97,7 +96,6 @@ def run(cfg: Optional[RunConfig] = None,
                 back_to_back = cpi  # the iat=0 point anchors normalization
             series.append(cpi / back_to_back)
         result.normalized_cpi[abbrev] = series
-        result.baseline_cpi[abbrev] = back_to_back if back_to_back else 0.0
     return result
 
 

@@ -25,6 +25,9 @@ from repro.workloads.suite import suite_subset
 DEFAULT_REGION_SIZES = (128, 256, 512, 1 * KB, 2 * KB, 4 * KB, 8 * KB)
 DEFAULT_CRRB_SIZES = (8, 16, 32)
 
+#: CRRB size of the rendered table (the paper's Fig. 8 plots 16 entries).
+_RENDER_CRRB = 16
+
 #: Registry configs this experiment sweeps (the region/CRRB grid is then
 #: replayed over each recorded stream in-process -- it is pure and cheap).
 SWEEP_CONFIGS = ("miss_stream",)
@@ -67,7 +70,6 @@ def collect_miss_stream(profile, machine: MachineParams,
 @dataclass
 class Fig8Result:
     region_sizes: List[int]
-    crrb_sizes: List[int]
     #: (abbrev, crrb_entries, region_size) -> metadata bytes.
     metadata_bytes: Dict = field(default_factory=dict)
     functions: List[str] = field(default_factory=list)
@@ -84,8 +86,7 @@ def run(cfg: Optional[RunConfig] = None,
         crrb_sizes: Sequence[int] = DEFAULT_CRRB_SIZES) -> Fig8Result:
     cfg = cfg if cfg is not None else RunConfig()
     machine = machine if machine is not None else skylake()
-    result = Fig8Result(region_sizes=list(region_sizes),
-                        crrb_sizes=list(crrb_sizes))
+    result = Fig8Result(region_sizes=list(region_sizes))
     profiles = suite_subset(list(functions) if functions else None)
     jobs = [Job.make(p, machine, cfg, "miss_stream", provider=__name__)
             for p in profiles]
@@ -102,18 +103,19 @@ def run(cfg: Optional[RunConfig] = None,
     return result
 
 
-def render(result: Fig8Result, crrb: int = 16) -> str:
+def render(result: Fig8Result) -> str:
     headers = ["Function"] + [_size_label(rs) for rs in result.region_sizes]
     rows = []
     for abbrev in result.functions:
         row: List[object] = [abbrev]
         for rs in result.region_sizes:
-            row.append(f"{result.metadata_bytes[(abbrev, crrb, rs)] / KB:.1f}K")
+            size = result.metadata_bytes[(abbrev, _RENDER_CRRB, rs)]
+            row.append(f"{size / KB:.1f}K")
         rows.append(row)
     return format_table(
         headers, rows,
         title=(f"Figure 8: metadata size vs. code region size "
-               f"(CRRB = {crrb} entries)"))
+               f"(CRRB = {_RENDER_CRRB} entries)"))
 
 
 def _size_label(nbytes: int) -> str:

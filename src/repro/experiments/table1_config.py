@@ -21,7 +21,6 @@ SWEEP_CONFIGS = ()
 
 @dataclass
 class Table1Result:
-    machine: MachineParams
     rows: List[Tuple[str, str]]
 
 
@@ -52,7 +51,7 @@ def run(cfg=None, machine: Optional[MachineParams] = None,
                     f"metadata ({jb.metadata_bytes // KB}KB record + "
                     f"{jb.metadata_bytes // KB}KB replay)"),
     ]
-    return Table1Result(machine=m, rows=rows)
+    return Table1Result(rows=rows)
 
 
 def _cache_row(c) -> str:

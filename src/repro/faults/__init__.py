@@ -213,17 +213,6 @@ class FaultSpec:
             f"injected {self.error} fault on cell #{index} "
             f"({job.describe()}), attempt {attempt}")
 
-    def describe(self) -> str:
-        if self.index is not None:
-            selector = f"#{self.index}"
-        elif self.field is not None:
-            selector = f"{self.field}={self.value}"
-        else:
-            selector = "*"
-        times = "always" if self.times == 0 else f"x{self.times}"
-        amount = f":{self.amount:g}s" if self.amount is not None else ""
-        return f"{self.action}:{selector}:{times}{amount}"
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -316,9 +305,6 @@ class FaultPlan:
         """
         return any(spec.action == "torn" and spec.matches(job, index)
                    for spec in self.specs)
-
-    def describe(self) -> str:
-        return ", ".join(spec.describe() for spec in self.specs) or "no faults"
 
 
 def parse_fault_plan(specs: Iterable[str]) -> FaultPlan:

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.fleet.config import ZIPF_ALPHA, FleetConfig
-from repro.fleet.popularity import (
-    function_profile,
-    region_functions,
-    service_scale,
-)
+from repro.fleet.popularity import region_functions, service_scale
 
 #: Seed-stream separation constants: distinct odd multipliers keep the
 #: per-instance arrival streams and the per-node service streams
@@ -33,10 +29,8 @@ class InstanceSpec:
 
     global_id: int
     function_id: int
-    profile_abbrev: str
     service_scale: float
     arrival_seed: int
-    node: int
 
     @property
     def instance_id(self) -> str:
@@ -68,17 +62,14 @@ def plan_region(config: FleetConfig) -> Dict[int, List[InstanceSpec]]:
                                                ZIPF_ALPHA):
         if count == 0:
             continue
-        profile = function_profile(function_id)
         scale = service_scale(function_id, config.jukebox)
         for _replica in range(count):
             node = global_id % config.nodes
             plan[node].append(InstanceSpec(
                 global_id=global_id,
                 function_id=function_id,
-                profile_abbrev=profile.abbrev,
                 service_scale=scale,
                 arrival_seed=arrival_seed_for(config, global_id),
-                node=node,
             ))
             global_id += 1
     return plan

@@ -121,10 +121,8 @@ class ModuleNode:
 class ProjectGraph:
     """Import + call graph over one package directory tree."""
 
-    def __init__(self, package: str, root: Path,
-                 modules: Dict[str, ModuleNode]) -> None:
+    def __init__(self, package: str, modules: Dict[str, ModuleNode]) -> None:
         self.package = package
-        self.root = root
         self.modules = modules
         self._functions: Optional[Dict[str, FunctionInfo]] = None
 
@@ -164,7 +162,7 @@ class ProjectGraph:
                 continue
             modules[name] = ModuleNode(name=name, path=path, tree=tree,
                                        is_package=is_package)
-        graph = cls(package, root, modules)
+        graph = cls(package, modules)
         for node in modules.values():
             graph._resolve_module(node)
         return graph

@@ -3,16 +3,15 @@
 Two pieces:
 
 * :class:`Tracer` -- typed event records for sweep, cache, executor,
-  retry and guard activity, timestamped only by an injectable clock
-  (:class:`TickClock` / :class:`FrozenClock` for deterministic tests) and
-  injected per engine context rather than global;
+  retry and guard activity, timestamped only by an injected zero-argument
+  clock (the CLI passes ``time.perf_counter``) and injected per engine
+  context rather than global;
 * ``python -m repro.obs summarize`` -- the trace aggregation report:
   per-kind counts, hit rate, failures and the slowest cells.
 
 See DESIGN.md §10 for the record schema and determinism rules.
 """
 
-from repro.obs.clock import FrozenClock, TickClock
 from repro.obs.records import (
     KINDS,
     SCHEMA_VERSION,
@@ -32,12 +31,10 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "FrozenClock",
     "JsonlSink",
     "KINDS",
     "NullTracer",
     "SCHEMA_VERSION",
-    "TickClock",
     "TraceEvent",
     "TraceSummary",
     "Tracer",

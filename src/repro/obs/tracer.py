@@ -11,8 +11,8 @@ content-addressed result cache.
 Every tracer keeps per-kind counters (the always-on collector the
 runner's footer reads); optional sinks fan records out, e.g. a
 :class:`JsonlSink` behind the CLI's ``--trace FILE``.  Timestamps come
-only from the injected clock (see :mod:`repro.obs.clock`); with no
-clock, ``t`` is ``None`` and the trace is a pure event sequence.
+only from the injected clock, a zero-argument callable; with no clock,
+``t`` is ``None`` and the trace is a pure event sequence.
 
 :class:`NullTracer` is the explicit no-op for hot paths that want zero
 observability overhead (e.g. microbenchmarks).

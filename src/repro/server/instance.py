@@ -21,7 +21,6 @@ from repro.workloads.profiles import FunctionProfile
 class WarmInstance:
     """One warm (memory-resident) function instance."""
 
-    instance_id: str
     profile: FunctionProfile
     last_invocation_ms: Optional[float] = None
     #: Global invocation sequence number of this instance's previous run.

@@ -80,7 +80,6 @@ class ServerConfig:
 class ServerStats:
     """Aggregate results of one server simulation."""
 
-    simulated_ms: float = 0.0
     #: Arrival events inside the simulated window (served + dropped).
     arrivals: int = 0
     invocations: int = 0
@@ -147,8 +146,7 @@ class ServerSimulator:
             raise ConfigurationError(
                 f"service_scale must be a finite positive number, got "
                 f"{service_scale}")
-        inst = WarmInstance(instance_id=instance_id, profile=profile,
-                            service_scale=service_scale)
+        inst = WarmInstance(profile=profile, service_scale=service_scale)
         inst.allocate_jukebox_metadata(
             JUKEBOX_METADATA_BYTES_PER_INSTANCE // 2)
         self._instances[instance_id] = inst
@@ -294,15 +292,8 @@ class ServerSimulator:
             if nxt <= duration_ms:
                 heapq.heappush(heap, (nxt, next(counter), iid))
 
-        stats.simulated_ms = duration_ms
         stats.peak_warm_instances = peak_warm
         stats.peak_memory_bytes = peak_mem
         stats.jukebox_metadata_bytes = sum(
             inst.jukebox_metadata_bytes for inst in instances.values())
         return stats
-
-    # ------------------------------------------------------------------
-
-    @property
-    def instances(self) -> Dict[str, WarmInstance]:
-        return dict(self._instances)

@@ -281,13 +281,8 @@ class SetAssocCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def occupancy(self) -> int:
-        """Number of resident lines."""
-        return sum(len(lru) for lru in self._sets)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SetAssocCache({self.params.name}, {self.params.size}B, "
-            f"{self.assoc}-way, occupancy={self.occupancy})"
+            f"{self.assoc}-way, occupancy={len(self._resident)})"
         )

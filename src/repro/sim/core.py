@@ -71,7 +71,6 @@ class Simulator:
                 f"expected one of {', '.join(BACKENDS)}"
             )
         self.backend = backend
-        self.machine = machine
         self.hierarchy = MemoryHierarchy(machine)
         self.btb = BTB(machine.core)
         self.branches = SiteBranchModel(self.btb)

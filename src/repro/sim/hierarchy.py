@@ -161,12 +161,7 @@ class MemoryHierarchy:
 
         if self.l1i_fills.inflight or self.l1i_fills.pending:
             for b in self.l1i_fills.drain(cycle):
-                # A completed L1-I prefetch fill also installs into the
-                # lower levels it travelled through.
-                if self.l1i_fill_allocates_lower and not self.l2.contains(b):
-                    self.llc.insert(b, prefetch=True)
-                    self.l2.insert(b, prefetch=True)
-                self.l1i.insert(b, prefetch=True)
+                self._install_l1i_fill(b)
         if self.l2_fills.inflight or self.l2_fills.pending:
             for b in self.l2_fills.drain(cycle):
                 # Replay fills take the normal fill path: they install into
@@ -409,11 +404,17 @@ class MemoryHierarchy:
                 self.stats.l2.prefetched_unused += 1
         self.l2_fills.clear()
         for b in self.l1i_fills.drain(float("inf")):
-            if not self.l2.contains(b):
-                self.llc.insert(b, prefetch=True)
-                self.l2.insert(b, prefetch=True)
-            self.l1i.insert(b, prefetch=True)
+            self._install_l1i_fill(b)
         self.l1i_fills.clear()
+
+    def _install_l1i_fill(self, block: int) -> None:
+        """Install a completed L1-I prefetch fill.  It also installs into
+        the lower levels it travelled through, unless L1-I fills do not
+        allocate there (the prefetch-into-L1-I ablation)."""
+        if self.l1i_fill_allocates_lower and not self.l2.contains(block):
+            self.llc.insert(block, prefetch=True)
+            self.l2.insert(block, prefetch=True)
+        self.l1i.insert(block, prefetch=True)
 
     # ------------------------------------------------------------------
     # State management for interleaving experiments

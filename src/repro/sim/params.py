@@ -11,7 +11,6 @@ All latencies are in core clock cycles; all sizes in bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.units import KB, MB, LINE_SIZE, is_power_of_two
@@ -133,7 +132,6 @@ class CoreParams:
     #: per branch site (:class:`repro.sim.branch.SiteBranchModel`).
     bimodal_entries: int = 4096
     gshare_entries: int = 16384
-    gshare_history_bits: int = 12
     btb_entries: int = 8192
     btb_assoc: int = 8
 
@@ -211,10 +209,6 @@ class JukeboxParams:
         if self.metadata_bytes <= 0:
             raise ConfigurationError("metadata budget must be positive")
 
-    @property
-    def lines_per_region(self) -> int:
-        return self.region_size // LINE_SIZE
-
 
 @dataclass(frozen=True)
 class MachineParams:
@@ -268,12 +262,12 @@ def core_params_for_mode(mode: str, freq_ghz: float = 2.6) -> CoreParams:
     return CoreParams(freq_ghz=freq_ghz, **factors)
 
 
-def skylake(jukebox: Optional[JukeboxParams] = None,
-            mode: str = MODE_EVALUATION) -> MachineParams:
-    """The Skylake-like configuration of Table 1 (1MB L2, 8MB LLC)."""
+def skylake() -> MachineParams:
+    """The Skylake-like configuration of Table 1 (1MB L2, 8MB LLC), in
+    evaluation mode."""
     return MachineParams(
         name="skylake",
-        core=core_params_for_mode(mode),
+        core=core_params_for_mode(MODE_EVALUATION),
         l1i=CacheParams("L1I", size=32 * KB, assoc=8, latency=4, mshrs=10),
         l1d=CacheParams("L1D", size=32 * KB, assoc=8, latency=12, mshrs=10),
         l2=CacheParams("L2", size=1 * MB, assoc=8, latency=36, mshrs=32),
@@ -281,12 +275,11 @@ def skylake(jukebox: Optional[JukeboxParams] = None,
         itlb=TLBParams("ITLB", entries=128, assoc=8),
         dtlb=TLBParams("DTLB", entries=64, assoc=4),
         memory=MemoryParams(),
-        jukebox=jukebox if jukebox is not None else JukeboxParams(),
+        jukebox=JukeboxParams(),
     )
 
 
-def broadwell(jukebox: Optional[JukeboxParams] = None,
-              mode: str = MODE_CHARACTERIZATION) -> MachineParams:
+def broadwell(mode: str = MODE_CHARACTERIZATION) -> MachineParams:
     """The Broadwell-like configuration (Secs. 4.1 and 5.6).
 
     Distinguishing feature: a small 256KB L2.  The paper finds that the
@@ -296,8 +289,6 @@ def broadwell(jukebox: Optional[JukeboxParams] = None,
     studies; the Sec. 5.6 simulation comparison uses
     ``broadwell(mode=MODE_EVALUATION)``.
     """
-    if jukebox is None:
-        jukebox = JukeboxParams(metadata_bytes=32 * KB)
     return MachineParams(
         name="broadwell",
         core=core_params_for_mode(mode, freq_ghz=2.4),
@@ -308,5 +299,5 @@ def broadwell(jukebox: Optional[JukeboxParams] = None,
         itlb=TLBParams("ITLB", entries=128, assoc=8),
         dtlb=TLBParams("DTLB", entries=64, assoc=4),
         memory=MemoryParams(),
-        jukebox=jukebox,
+        jukebox=JukeboxParams(metadata_bytes=32 * KB),
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.lint import contracts
-
 
 @dataclass
 class AccessStats:
@@ -76,19 +74,6 @@ class AccessStats:
             prefetched_unused=self.prefetched_unused - earlier.prefetched_unused,
         )
 
-    def reset(self) -> None:
-        self.inst_hits = 0
-        self.inst_misses = 0
-        self.data_hits = 0
-        self.data_misses = 0
-        self.inst_prefetch_hits = 0
-        self.data_prefetch_hits = 0
-        self.prefetched_unused = 0
-
-    def validate(self, name: str = "") -> None:
-        """Contract check: counters balance and nothing went negative."""
-        contracts.check_access_stats(self, name=name)
-
 
 @dataclass
 class MemoryTraffic:
@@ -100,41 +85,6 @@ class MemoryTraffic:
     prefetch_overpredicted: int = 0
     metadata_record: int = 0
     metadata_replay: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.demand_inst
-            + self.demand_data
-            + self.prefetch_useful
-            + self.prefetch_overpredicted
-            + self.metadata_record
-            + self.metadata_replay
-        )
-
-    @property
-    def baseline_equivalent(self) -> int:
-        """Traffic that a no-prefetcher baseline would also incur.
-
-        Correct timely prefetches replace demand fetches one-for-one
-        (Sec. 5.4: "Jukebox does not change the amount of bandwidth consumed
-        for correct timely prefetches"), so the baseline-equivalent traffic
-        is demand plus useful-prefetch bytes.
-        """
-        return self.demand_inst + self.demand_data + self.prefetch_useful
-
-    @property
-    def overhead(self) -> int:
-        """Extra bytes relative to the no-prefetcher baseline."""
-        return (
-            self.prefetch_overpredicted + self.metadata_record + self.metadata_replay
-        )
-
-    def overhead_fraction(self) -> float:
-        base = self.baseline_equivalent
-        if base == 0:
-            return 0.0
-        return self.overhead / base
 
     def snapshot(self) -> "MemoryTraffic":
         return MemoryTraffic(
@@ -157,18 +107,6 @@ class MemoryTraffic:
             metadata_record=self.metadata_record - earlier.metadata_record,
             metadata_replay=self.metadata_replay - earlier.metadata_replay,
         )
-
-    def reset(self) -> None:
-        self.demand_inst = 0
-        self.demand_data = 0
-        self.prefetch_useful = 0
-        self.prefetch_overpredicted = 0
-        self.metadata_record = 0
-        self.metadata_replay = 0
-
-    def validate(self, name: str = "memory traffic") -> None:
-        """Contract check: demand/metadata traffic classes are sane."""
-        contracts.check_memory_traffic(self, name=name)
 
 
 @dataclass
@@ -214,12 +152,3 @@ class HierarchyStats:
             dtlb=self.dtlb.delta(earlier.dtlb),
             memory=self.memory.delta(earlier.memory),
         )
-
-    def reset(self) -> None:
-        for stats in self.levels().values():
-            stats.reset()
-        self.memory.reset()
-
-    def validate(self, name: str = "hierarchy") -> None:
-        """Contract check across every level plus DRAM traffic."""
-        contracts.check_hierarchy_stats(self, name=name)

@@ -18,7 +18,6 @@ class TLB:
     """A small set-associative TLB with LRU replacement."""
 
     def __init__(self, params: TLBParams) -> None:
-        self.params = params
         self.num_sets = params.num_sets
         self.assoc = params.assoc
         self._set_mask = self.num_sets - 1
@@ -37,10 +36,6 @@ class TLB:
         lru.append(page)
         return False
 
-    def contains(self, page: int) -> bool:
-        """Return True if ``page`` is resident, without LRU side effects."""
-        return page in self._sets[page & self._set_mask]
-
     def warm(self, page: int) -> bool:
         """Pre-populate a translation (Jukebox replay warms the I-TLB).
 
@@ -58,7 +53,3 @@ class TLB:
         """Invalidate all translations (in place, so aliases stay valid)."""
         for lru in filter(None, self._sets):
             del lru[:]
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(lru) for lru in self._sets)

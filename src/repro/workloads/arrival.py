@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -54,15 +54,6 @@ class ArrivalProcess(ABC):
     @abstractmethod
     def next_iat(self) -> float:
         """Return the next inter-arrival time in milliseconds."""
-
-    def arrivals(self, until_ms: float, start_ms: float = 0.0) -> Iterator[float]:
-        """Yield absolute arrival times up to ``until_ms``."""
-        t = start_ms
-        while True:
-            t += self.next_iat()
-            if t > until_ms:
-                return
-            yield t
 
 
 class FixedIAT(ArrivalProcess):

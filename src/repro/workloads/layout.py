@@ -34,6 +34,13 @@ ROLE_LIBRARY = "library"
 ROLE_USER = "user"
 ROLES = (ROLE_RUNTIME, ROLE_LIBRARY, ROLE_USER)
 
+#: Mean segment length in blocks (segments are geometric, 2 to 96 blocks).
+_MEAN_SEGMENT_BLOCKS = 14
+#: Shares of the footprint laid out as runtime and as library code; user
+#: code takes the rest.
+_RUNTIME_FRACTION = 0.45
+_LIBRARY_FRACTION = 0.30
+
 
 @dataclass(frozen=True)
 class CodeSegment:
@@ -64,10 +71,6 @@ class CodeSegment:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def size_bytes(self) -> int:
-        return self.n_blocks * LINE_SIZE
-
 
 @dataclass(frozen=True)
 class CodeLayout:
@@ -95,9 +98,6 @@ def build_layout(
     optional_fraction: float,
     hot_fraction: float,
     seed: int,
-    mean_segment_blocks: int = 14,
-    runtime_fraction: float = 0.45,
-    library_fraction: float = 0.30,
 ) -> CodeLayout:
     """Generate a layout with the requested aggregate properties.
 
@@ -124,8 +124,8 @@ def build_layout(
     rng = np.random.default_rng(seed)
     total_blocks = footprint_bytes // LINE_SIZE
     role_budget = {
-        ROLE_RUNTIME: int(total_blocks * runtime_fraction),
-        ROLE_LIBRARY: int(total_blocks * library_fraction),
+        ROLE_RUNTIME: int(total_blocks * _RUNTIME_FRACTION),
+        ROLE_LIBRARY: int(total_blocks * _LIBRARY_FRACTION),
     }
     role_budget[ROLE_USER] = total_blocks - sum(role_budget.values())
     role_base = {
@@ -140,12 +140,11 @@ def build_layout(
         budget = role_budget[role]
         cursor = role_base[role] + int(rng.integers(0, 64)) * LINE_SIZE
         while budget > 0:
-            n_blocks = int(rng.geometric(1.0 / mean_segment_blocks))
+            n_blocks = int(rng.geometric(1.0 / _MEAN_SEGMENT_BLOCKS))
             n_blocks = max(2, min(n_blocks, 96, budget))
             blocks = _segment_blocks(cursor, n_blocks, density, rng)
             # Gap to the next segment: small for dense binaries (code is
             # contiguous), larger for interpreters/JITs.
-            span = blocks[-1] - blocks[0] + LINE_SIZE
             gap_lines = int(rng.geometric(density)) * 4
             cursor = blocks[-1] + LINE_SIZE + gap_lines * LINE_SIZE
             segments.append(

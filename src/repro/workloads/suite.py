@@ -33,11 +33,13 @@ APP_HOTEL = "Hotel Reservation"
 APP_BOUTIQUE = "Online Boutique"
 APP_OTHER = "Other"
 
+#: Share of every function's footprint in hot (revisited) segments.
+_HOT_FRACTION = 0.35
+
 
 def _profile(name: str, abbrev: str, language: str, application: str,
              footprint_kb: int, instructions: int, data_ws_kb: int,
-             loopiness: float, hot_fraction: float = 0.35,
-             branch_bias: float = 0.85) -> FunctionProfile:
+             loopiness: float, branch_bias: float = 0.85) -> FunctionProfile:
     defaults = LANGUAGE_DEFAULTS[language]
     return FunctionProfile(
         name=name,
@@ -52,7 +54,7 @@ def _profile(name: str, abbrev: str, language: str, application: str,
         optional_include_prob=float(defaults["optional_include_prob"]),
         insts_per_block=int(defaults["insts_per_block"]),
         loopiness=loopiness,
-        hot_fraction=hot_fraction,
+        hot_fraction=_HOT_FRACTION,
         branch_bias=branch_bias,
     )
 

@@ -365,7 +365,11 @@ class MachineColumns:
         return ret_final, fb_final
 
 
-def _find_period(addrs: np.ndarray, max_candidates: int = 4) -> int:
+#: Recurrences of a run's leading address that :func:`_find_period` tries.
+_PERIOD_CANDIDATES = 4
+
+
+def _find_period(addrs: np.ndarray) -> int:
     """Smallest period ``p`` such that the run is whole repetitions of its
     first ``p`` elements, or ``len(addrs)`` when it is not periodic.
 
@@ -375,7 +379,7 @@ def _find_period(addrs: np.ndarray, max_candidates: int = 4) -> int:
     """
     n = len(addrs)
     candidates = np.nonzero(addrs == addrs[0])[0]
-    for p in candidates[1:1 + max_candidates]:
+    for p in candidates[1:1 + _PERIOD_CANDIDATES]:
         p = int(p)
         if n % p == 0 and np.array_equal(addrs[p:], addrs[:-p]):
             return p
@@ -439,8 +443,8 @@ def _planned_ops(plan: WalkPlan, addrs: np.ndarray,
 class ColumnarTrace:
     """Columnar IR of one :class:`InvocationTrace`.
 
-    Parallel columns (event kind / block / page / arg / arg2)
-    plus a decoded *op program* that run-length-encodes repeated block
+    Per-event columns (event kind / address / block / page / arg /
+    arg2) plus a decoded *op program* that run-length-encodes repeated block
     walks: the batch interpreter in :mod:`repro.sim.batch` consumes ops,
     not events, and charges whole walks at a time.  A generated trace's
     ops come from its checked :class:`WalkPlan` and share its segments'
@@ -452,19 +456,15 @@ class ColumnarTrace:
     Built once per trace via :meth:`InvocationTrace.columnar`.
     """
 
-    #: The originating trace (loops table and event arrays are shared).
-    kinds: np.ndarray
-    addrs: np.ndarray
+    #: The originating trace's argument arrays and loops table (shared).
     args: np.ndarray
     args2: np.ndarray
-    #: Cache-block and page number per event (valid for memory events).
-    blocks: np.ndarray
-    pages: np.ndarray
     #: Decoded op program (``OP_WALKS`` / ``OP_EVENTS`` tuples).
     ops: List[tuple]
     loops: List[LoopSpec]
-    #: Plain-int copies of the columns for the scalar fallback paths
-    #: (indexing a Python list returns ``int``, not ``np.int64``).
+    #: Plain-int columns for the scalar fallback paths (indexing a Python
+    #: list returns ``int``, not ``np.int64``): event kind, address, arg,
+    #: and the cache-block and page number (valid for memory events).
     kinds_list: List[int]
     addrs_list: List[int]
     args_list: List[int]
@@ -499,8 +499,6 @@ class ColumnarTrace:
     def from_trace(cls, trace: "InvocationTrace") -> "ColumnarTrace":
         kinds = trace.kinds
         addrs = trace.addrs
-        blocks = addrs >> LINE_SHIFT
-        pages = addrs >> PAGE_SHIFT
         is_fetch = kinds == IFETCH
         if trace.walk_plan is None:
             ops = _scanned_ops(addrs, is_fetch)
@@ -508,20 +506,16 @@ class ColumnarTrace:
             ops = _planned_ops(trace.walk_plan, addrs, is_fetch)
         ifetch_idx = np.nonzero(is_fetch)[0]
         loop_idx = np.nonzero(kinds == LOOP)[0]
-        _freeze(blocks, pages, ifetch_idx, loop_idx)
+        _freeze(ifetch_idx, loop_idx)
         return cls(
-            kinds=kinds, addrs=addrs, args=trace.args, args2=trace.args2,
-            blocks=blocks, pages=pages, ops=ops,
-            loops=trace.loops,
+            args=trace.args, args2=trace.args2, ops=ops, loops=trace.loops,
             kinds_list=kinds.tolist(), addrs_list=addrs.tolist(),
             args_list=trace.args.tolist(),
-            blocks_list=blocks.tolist(), pages_list=pages.tolist(),
+            blocks_list=(addrs >> LINE_SHIFT).tolist(),
+            pages_list=(addrs >> PAGE_SHIFT).tolist(),
             ifetch_idx=ifetch_idx, loop_idx=loop_idx,
             instr_total=trace.total_instructions,
         )
-
-    def __len__(self) -> int:
-        return len(self.kinds)
 
     def machine_columns(self, width: int,
                         taken_penalty: float) -> MachineColumns:

@@ -1,13 +1,6 @@
 """Tests for plain-text report rendering."""
 
-import pytest
-
-from repro.analysis.report import (
-    format_bars,
-    format_percent,
-    format_stacked_bars,
-    format_table,
-)
+from repro.analysis.report import format_stacked_bars, format_table
 
 
 class TestFormatTable:
@@ -27,25 +20,6 @@ class TestFormatTable:
         out = format_table(["v"], [[3.14159]])
         assert "3.14" in out
         assert "3.1415" not in out
-
-
-class TestFormatBars:
-    def test_bar_lengths_proportional(self):
-        out = format_bars(["a", "b"], [1.0, 2.0])
-        bars = [line.count("#") for line in out.splitlines()]
-        assert bars[1] == 2 * bars[0]
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            format_bars(["a"], [1.0, 2.0])
-
-    def test_unit_suffix(self):
-        out = format_bars(["a"], [5.0], unit="%")
-        assert "5.00%" in out
-
-    def test_zero_values_no_crash(self):
-        out = format_bars(["a"], [0.0])
-        assert "0.00" in out
 
 
 class TestFormatStackedBars:
@@ -68,12 +42,3 @@ class TestFormatStackedBars:
                                   symbols={"x": "X", "y": "Y"})
         row = out.splitlines()[-1]
         assert row.count("X") == 3 * row.count("Y")
-
-
-class TestFormatPercent:
-    def test_signed(self):
-        assert format_percent(0.187) == "+18.7%"
-        assert format_percent(-0.05) == "-5.0%"
-
-    def test_unsigned(self):
-        assert format_percent(0.187, signed=False) == "18.7%"

@@ -28,11 +28,10 @@ class TestPages:
     def test_first_restore_records_then_replays(self):
         state = PageReplayState(pages=1000)
         first = state.restore()
-        assert first.recorded
+        assert state.recorded_pages is not None  # the trace is recorded
         assert first.faulted_pages == 1000
         assert first.prefetched_pages == 0
         second = state.restore()
-        assert not second.recorded
         assert second.prefetched_pages == state.recorded_pages
         assert second.faulted_pages == 1000 - state.recorded_pages
         assert second.page_ms < first.page_ms
@@ -41,7 +40,7 @@ class TestPages:
         state = PageReplayState(pages=1000, replay=False)
         first = state.restore()
         second = state.restore()
-        assert not first.recorded and not second.recorded
+        assert state.recorded_pages is None  # nothing recorded
         assert first.page_ms == second.page_ms
         assert second.faulted_pages == 1000
 
@@ -53,7 +52,7 @@ class TestPages:
         used.restore()
         fresh = PageReplayState(pages=500)
         again = fresh.restore()
-        assert again.recorded
+        assert fresh.recorded_pages is not None
         assert again.page_ms == first.page_ms
         assert fresh.restore().page_ms == used.restore().page_ms
 
@@ -70,7 +69,6 @@ class TestPages:
         charge = state.restore()
         assert charge.page_ms == 1001 * 35.0 / 1000.0
         assert (charge.faulted_pages, charge.prefetched_pages) == (1001, 0)
-        assert charge.recorded
         assert state.recorded_pages == 921  # round(920.92)
 
     def test_replayed_restore_charge(self):
@@ -80,7 +78,6 @@ class TestPages:
             charge = state.restore()
             assert charge.page_ms == (150.0 + 921 * 3.2 + 80 * 35.0) / 1000.0
             assert (charge.faulted_pages, charge.prefetched_pages) == (80, 921)
-            assert not charge.recorded
 
     def test_restore_charge_without_replay(self):
         state = PageReplayState(pages=1001, replay=False)
@@ -88,7 +85,6 @@ class TestPages:
             charge = state.restore()
             assert charge.page_ms == 1001 * 35.0 / 1000.0
             assert (charge.faulted_pages, charge.prefetched_pages) == (1001, 0)
-            assert not charge.recorded
         assert state.recorded_pages is None
 
 
@@ -162,7 +158,8 @@ class TestModels:
         init_ms = import_graph_for(language).init_cost_ms(trim=init_trim)
         assert first.init_ms == second.init_ms == init_ms
         assert first.faulted_pages == working_set_pages(profile)
-        assert first.recorded == page_replay and not second.recorded
+        recorded = model.snapshot.pages.recorded_pages is not None
+        assert recorded == page_replay
         if page_replay:
             assert second.prefetched_pages > 0
             assert second.page_ms < first.page_ms
@@ -182,8 +179,7 @@ class TestSnapshotState:
         state = SnapshotState(PageReplayState(pages=100))
         first = state.restore_pages()
         second = state.restore_pages()
-        assert first.recorded and first.faulted_pages == 100
-        assert not second.recorded
+        assert first.faulted_pages == 100 and first.prefetched_pages == 0
         assert second.prefetched_pages == state.pages.recorded_pages > 0
 
     def test_composes_page_and_jukebox_sides(self, tiny_machine,

@@ -194,7 +194,8 @@ def test_replayed_restore_strictly_cheaper_than_first(profile):
     state = PageReplayState(pages=working_set_pages(profile))
     first = state.restore()
     second = state.restore()
-    assert first.recorded and not second.recorded
+    # The first restore records the trace, the second replays it.
+    assert first.prefetched_pages == 0 < second.prefetched_pages
     assert second.page_ms < first.page_ms
 
 

@@ -41,8 +41,7 @@ def test_warm_cache_skips_all_simulation(module, tmp_path):
         delta = ctx.stats.since(before)
     assert warm == cold
     assert delta.misses == 0
-    assert delta.hits == cells
-    assert delta.hit_rate == 1.0
+    assert delta.hits == cells == delta.jobs
 
 
 def test_parallel_and_cache_compose(tmp_path):

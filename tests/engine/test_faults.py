@@ -68,10 +68,11 @@ class TestParse:
         with pytest.raises(ConfigurationError):
             FaultSpec.parse(bad)
 
-    def test_describe_round_trips_the_essentials(self):
-        assert FaultSpec.parse("fail:#3").describe() == "fail:#3:x1"
-        assert (FaultSpec.parse("fail:config=jukebox:always").describe()
-                == "fail:config=jukebox:always")
+    def test_parse_fills_the_essentials(self):
+        assert FaultSpec.parse("fail:#3") == FaultSpec("fail", index=3)
+        assert (FaultSpec.parse("fail:config=jukebox:always")
+                == FaultSpec("fail", field="config", value="jukebox",
+                             times=0))
 
     @pytest.mark.parametrize("action", ["hang", "slow", "enospc", "torn"])
     def test_chaos_actions_parse(self, action):
@@ -92,9 +93,10 @@ class TestParse:
         with pytest.raises(ConfigurationError):
             FaultSpec.parse(bad)
 
-    def test_describe_includes_the_amount(self):
-        assert FaultSpec.parse("hang:#1:0.25").describe() == "hang:#1:x1:0.25s"
-        assert FaultSpec.parse("slow:*").describe() == "slow:*:x1"
+    def test_parse_keeps_the_amount(self):
+        assert (FaultSpec.parse("hang:#1:0.25")
+                == FaultSpec("hang", index=1, amount=0.25))
+        assert FaultSpec.parse("slow:*") == FaultSpec("slow")
 
 
 class TestMatching:
@@ -198,7 +200,8 @@ class TestPlan:
         plan = parse_fault_plan(["fail:#1", "corrupt:*"])
         assert [s.action for s in plan.specs] == ["fail", "corrupt"]
 
-    def test_describe(self):
+    def test_plan_keeps_its_specs_in_order(self):
         plan = parse_fault_plan(["fail:#1", "kill:#2:always"])
-        assert plan.describe() == "fail:#1:x1, kill:#2:always"
-        assert FaultPlan().describe() == "no faults"
+        assert plan.specs == (FaultSpec("fail", index=1),
+                              FaultSpec("kill", index=2, times=0))
+        assert FaultPlan().specs == ()

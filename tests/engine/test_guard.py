@@ -21,7 +21,7 @@ from repro.engine import (
 from repro.engine.resilience import PERMANENT, TRANSIENT, Task, classify_error
 from repro.errors import ConfigurationError
 from repro.experiments.common import RunConfig
-from repro.obs.clock import FrozenClock, TickClock
+from tests.obs.clocks import FrozenClock, TickClock
 from repro.obs.records import JOB_DEADLINE, POOL_DEGRADE, WORKER_KILL
 from repro.obs.tracer import Tracer
 from repro.sim.params import skylake

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -17,7 +18,6 @@ from repro.engine import (
     Job,
     canonicalize,
     fingerprint,
-    invalidate_fingerprint_caches,
     source_digest,
 )
 from repro.errors import ConfigurationError
@@ -34,9 +34,9 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 @pytest.fixture()
 def fresh_caches():
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
     yield
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
 
 
 def _job(**overrides):
@@ -177,7 +177,7 @@ class TestSourceDigest:
         assert len(first) == 64
         assert source_digest(root) == first
         assert source_digest.cache_info().hits >= 1
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) == first
 
     def test_rename_with_the_same_bytes_changes_the_digest(
@@ -185,7 +185,7 @@ class TestSourceDigest:
         root = _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
         before = source_digest(root)
         (root / "helper.py").rename(root / "helpers.py")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) != before
 
     def test_file_boundaries_are_part_of_the_digest(self, tmp_path):
@@ -202,14 +202,14 @@ class TestSourceDigest:
         before = source_digest(root)
         helper = root / "helper.py"
         helper.write_text(helper.read_text() + "\nEXTRA = 1\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) != before
 
     def test_bytecode_caches_are_not_sources(self, tmp_path, fresh_caches):
         root = _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
         before = source_digest(root)
         _write_tree(root, {"__pycache__/helper.py": "stale = True\n"})
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) == before
 
 
@@ -255,7 +255,7 @@ class TestSourceDigest:
         root = _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
         before = source_digest(root)
         (root / "helper.py").unlink()
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) != before
 
     def test_moving_a_source_into_a_subpackage_changes_the_digest(
@@ -264,7 +264,7 @@ class TestSourceDigest:
                            {**PROVIDER_FILES, "sub/__init__.py": ""})
         before = source_digest(root)
         (root / "helper.py").rename(root / "sub" / "helper.py")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) != before
 
     def test_touching_without_editing_keeps_the_digest(self, tmp_path,
@@ -276,17 +276,17 @@ class TestSourceDigest:
         for path in root.rglob("*.py"):
             stat = path.stat()
             os.utime(path, (stat.st_atime + 3600, stat.st_mtime + 3600))
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) == before
 
     def test_memoized_until_invalidated(self, tmp_path, fresh_caches):
         """A process digests each root once; an edit is seen only after
-        :func:`invalidate_fingerprint_caches`."""
+        ``source_digest.cache_clear()``."""
         root = _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
         before = source_digest(root)
         (root / "helper.py").write_text("SCALE = 3\n")
         assert source_digest(root) == before
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) != before
 
     def test_roots_are_digested_independently(self, tmp_path,
@@ -296,7 +296,7 @@ class TestSourceDigest:
         edited_before, control_before = (source_digest(edited),
                                           source_digest(control))
         (edited / "helper.py").write_text("SCALE = 3\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(edited) != edited_before
         assert source_digest(control) == control_before
 
@@ -307,7 +307,7 @@ class TestSourceDigest:
         before = source_digest(root)
         _write_tree(root, {"sub/__pycache__/deep.py": "stale = True\n",
                            "sub/__pycache__/x/y.py": ""})
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert source_digest(root) == before
 
 
@@ -346,7 +346,7 @@ class TestProviderDigest:
         before = _job(provider="cljob.prov").key()
         (cljob / "util.py").write_text(
             "def shape(cfg):\n    return cfg * 2\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job(provider="cljob.prov").key() != before
 
     @pytest.mark.parametrize("name,source", [
@@ -357,8 +357,29 @@ class TestProviderDigest:
             self, cljob, name, source):
         before = _job(provider="cljob.prov").key()
         (cljob / name).write_text(source)
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job(provider="cljob.prov").key() != before
+
+    def test_package_root_is_found_on_sys_path_not_in_sys_modules(
+            self, tmp_path, monkeypatch, fresh_caches):
+        """A provider package imported from one directory, then removed
+        there and shadowed from another directory first on ``sys.path``,
+        keys the sources the import system would load now."""
+        first = _write_tree(tmp_path / "a" / "shadowpkg",
+                            {"__init__.py": "", "prov.py": "X = 1\n"})
+        second = _write_tree(tmp_path / "b" / "shadowpkg",
+                             {"__init__.py": "", "prov.py": "X = 2\n"})
+        monkeypatch.syspath_prepend(str(first.parent))
+        try:
+            importlib.import_module("shadowpkg")
+            shutil.rmtree(first)
+            sys.path.remove(str(first.parent))
+            monkeypatch.syspath_prepend(str(second.parent))
+            assert jobmod._package_root("shadowpkg") == second
+            assert (jobmod._provider_digest("shadowpkg.prov")
+                    == source_digest(second))
+        finally:
+            sys.modules.pop("shadowpkg", None)
 
     def test_repro_edit_no_provider_imports_changes_the_key(
             self, tmp_path, monkeypatch, fresh_caches):
@@ -372,7 +393,7 @@ class TestProviderDigest:
         before = _job().key()
         cli = copy / "lint" / "cli.py"
         cli.write_text(cli.read_text() + "\n# edited\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job().key() != before
 
 
@@ -385,7 +406,7 @@ class TestProviderDigest:
         shutil.copytree(SRC / "repro", copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
         monkeypatch.setattr(jobmod, "_REPRO_ROOT", copy)
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert [_job().key(), _job(provider="json").key()] == expected
 
     def test_the_experiments_providers_key_apart(self):
@@ -427,7 +448,7 @@ class TestProviderDigest:
         before = _job(provider="cljob.prov").key()
         core = copy / "sim" / "core.py"
         core.write_text(core.read_text() + "\n# edited\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job(provider="cljob.prov").key() != before
 
     def test_a_non_repro_package_edit_leaves_repro_providers_warm(
@@ -438,7 +459,7 @@ class TestProviderDigest:
         other = _job(provider="cljob.prov").key()
         (cljob / "util.py").write_text(
             "def shape(cfg):\n    return cfg * 2\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job(provider="cljob.prov").key() != other
         assert _job().key() == before
 
@@ -464,7 +485,7 @@ class TestProviderDigest:
         before = _job(provider="plainprov_mod").key()
         assert _job(provider="plainprov_mod").key() == before
         src.write_text("def build(cfg):\n    return cfg * 2\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert _job(provider="plainprov_mod").key() != before
         assert "plainprov_mod" not in sys.modules
 

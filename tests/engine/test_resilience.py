@@ -150,13 +150,18 @@ class TestRetry:
 
     def test_retry_history_lands_on_the_final_outcome(self):
         policy = FailurePolicy(retries=2)
-        with configure(policy=policy, faults="fail:#0:x2"):
+        slept = []
+        with configure(policy=policy, faults="fail:#0:x2",
+                       sleep=slept.append):
             outcomes = sweep_outcomes(echo_jobs(1))
         assert outcomes[0].ok
         assert outcomes[0].attempts == 3
         assert len(outcomes[0].errors) == 2
         assert [e.attempt for e in outcomes[0].errors] == [0, 1]
-        assert outcomes[0].errors[0].backoff_s > 0
+        # Each recorded failure was followed by its backoff.
+        assert slept == [backoff_delay(policy, 0, 0),
+                         backoff_delay(policy, 0, 1)]
+        assert all(delay > 0 for delay in slept)
 
     def test_permanent_failure_is_never_retried(self):
         slept = []
@@ -170,14 +175,15 @@ class TestRetry:
         assert slept == []
 
     def test_retries_exhausted_keeps_every_error_record(self):
+        slept = []
         with configure(policy=FailurePolicy(retries=2),
-                       faults="fail:#0:always"):
+                       faults="fail:#0:always", sleep=slept.append):
             outcomes = sweep_outcomes(echo_jobs(1))
         assert outcomes[0].failed
         assert outcomes[0].attempts == 3
         assert len(outcomes[0].errors) == 3
         # The final attempt scheduled no backoff.
-        assert outcomes[0].errors[-1].backoff_s == 0
+        assert len(slept) == 2
 
     def test_sweep_raises_once_retries_are_exhausted(self):
         with configure(policy=FailurePolicy(retries=2),

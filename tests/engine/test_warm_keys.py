@@ -22,7 +22,7 @@ import pytest
 
 import repro.engine.job as jobmod
 from repro import engine
-from repro.engine import Job, ResultCache, invalidate_fingerprint_caches
+from repro.engine import Job, ResultCache, source_digest
 from repro.engine.fsck import fsck
 from repro.experiments.common import RunConfig
 from repro.experiments.runner import run_experiment
@@ -39,9 +39,9 @@ FAKE_PROVIDER = "tests.engine.fake_provider"
 
 @pytest.fixture()
 def fresh_caches():
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
     yield
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
 
 
 def _fresh_interpreter(script: str, *args: str) -> str:
@@ -193,7 +193,7 @@ class TestWarmRoots:
         before = _stored_keys(root)
         render = copy / "obs" / "summarize.py"
         render.write_text(render.read_text() + "\n# edited\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         with engine.configure(cache_dir=root):
             edited = engine.sweep_outcomes(jobs)
         assert not any(o.from_cache for o in edited)

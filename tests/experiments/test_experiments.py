@@ -155,6 +155,16 @@ class TestFig08:
     def test_render(self, result):
         assert "Figure 8" in fig08_metadata.render(result)
 
+    def test_render_shows_the_16_entry_crrb(self):
+        """The table renders the 16-entry CRRB column of the grid."""
+        result = fig08_metadata.Fig8Result(region_sizes=[1 * KB],
+                                           functions=["F"])
+        for crrb, size in ((8, 8 * KB), (16, 16 * KB), (32, 32 * KB)):
+            result.metadata_bytes[("F", crrb, 1 * KB)] = size
+        text = fig08_metadata.render(result)
+        assert "CRRB = 16 entries" in text
+        assert "16.0K" in text and "8.0K" not in text and "32.0K" not in text
+
 
 class TestFig09:
     @pytest.fixture(scope="class")

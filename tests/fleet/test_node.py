@@ -26,7 +26,7 @@ def test_node_takes_each_setting_from_its_constant(constant, field, value):
     with mock.patch.object(fleet_node, constant, value):
         sim = build_node(cfg, 1, specs)
     assert getattr(sim.config, field) == value
-    assert sorted(sim.instances) == sorted(s.instance_id for s in specs)
+    assert sorted(sim._instances) == sorted(s.instance_id for s in specs)
 
 
 def test_short_ttl_constant_evicts_on_the_node():

@@ -78,13 +78,6 @@ class TestDrain:
         crrb.drain()
         assert crrb.evictions == 2
 
-    def test_flush_discards_silently(self):
-        crrb = CRRB(8, GEO)
-        crrb.record(region_addr(1))
-        crrb.flush()
-        assert len(crrb) == 0
-        assert crrb.evictions == 0
-
 
 class TestConfiguration:
     def test_rejects_zero_capacity(self):

@@ -69,11 +69,3 @@ class TestAccounting:
         for e in entries:
             buf.append(e)
         assert list(buf) == entries
-
-    def test_clear(self):
-        buf = buffer(limit_bytes=7)
-        buf.append((1, 1))
-        buf.append((2, 1))  # dropped
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.dropped_entries == 0

@@ -15,6 +15,20 @@ def feed(pif, blocks, cycle=0.0):
         pif.on_fetch(BASE + b * LINE_SIZE, cycle)
 
 
+def record_prefetches(hier):
+    """Record every fill PIF schedules into ``hier``'s L1-I, still
+    scheduling it."""
+    issued = []
+    schedule = hier.schedule_l1i_prefetches
+
+    def recording(fills):
+        issued.extend(fills)
+        schedule(fills)
+
+    hier.schedule_l1i_prefetches = recording
+    return issued
+
+
 class TestParams:
     def test_paper_configuration(self):
         p = PIFParams()
@@ -25,7 +39,7 @@ class TestParams:
     def test_ideal_configuration(self):
         p = pif_ideal_params()
         assert p.persistent
-        assert p.unlimited
+        assert p.index_capacity > 10 ** 6
         assert p.stream_capacity > 10 ** 6
 
 
@@ -61,18 +75,24 @@ class TestReplay:
     def test_repeating_pattern_followed(self):
         hier = MemoryHierarchy(skylake())
         pif = PIF(pif_ideal_params(), hier)
+        issued = record_prefetches(hier)
         pattern = list(range(50))
         feed(pif, pattern)
+        assert not issued  # nothing recorded to follow yet
         feed(pif, pattern)
-        assert pif.stats.stream_follows > 30
-        assert pif.stats.prefetches_issued > 0
+        # The re-index at block 0 and a match at every later block leave
+        # the pointer just past the first recording's last block.
+        assert pif._pointer == len(pattern)
+        assert issued
 
     def test_divergence_reindexes_and_squashes(self):
         hier = MemoryHierarchy(skylake())
         pif = PIF(pif_ideal_params(), hier)
         feed(pif, range(30))
-        feed(pif, list(range(10)) + [100, 101, 102])
-        assert pif.stats.reindexes >= 1
+        feed(pif, range(10))
+        assert pif._pointer == 10 and hier.l1i_fills.pending > 0
+        feed(pif, [100, 101, 102])
+        assert pif._pointer is None  # diverged, and no stream starts at 100
         assert hier.l1i_fills.pending == 0  # squashed
 
     def test_non_persistent_flush_clears_state(self):
@@ -89,14 +109,18 @@ class TestReplay:
         assert pif._stream
         assert pif._pointer is None  # pointer is a core register: reset
 
-    def test_index_miss_counted(self):
-        pif = PIF(PIFParams())
-        feed(pif, [5])
-        assert pif.stats.index_misses == 1  # nothing recorded before it
+    def test_index_miss_follows_nothing(self):
+        hier = MemoryHierarchy(skylake())
+        pif = PIF(PIFParams(), hier)
+        issued = record_prefetches(hier)
+        feed(pif, [5])  # nothing recorded before it
+        assert pif._pointer is None
+        assert not issued
 
     def test_prefetches_not_reissued_for_resident_lines(self):
         hier = MemoryHierarchy(skylake())
         pif = PIF(pif_ideal_params(), hier)
+        issued = record_prefetches(hier)
         pattern = list(range(20))
         # Demand-load the pattern so everything is in the L1-I.
         for b in pattern:
@@ -106,7 +130,8 @@ class TestReplay:
             hier.access_instr(BASE + b * LINE_SIZE, 1000.0)
         for b in pattern:
             hier.access_instr(BASE + b * LINE_SIZE, 2000.0)
-        assert pif.stats.prefetches_issued == 0
+        assert pif._pointer == len(pattern)  # followed the stream
+        assert not issued
 
 
 class TestEndToEnd:

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metadata import MetadataBuffer
-from repro.core.recorder import record_miss_stream, record_miss_stream_merging
+from repro.core.recorder import (JukeboxRecorder, record_miss_stream,
+                                 record_miss_stream_merging)
 from repro.core.regions import RegionGeometry
 from repro.core.replayer import JukeboxReplayer
 from repro.sim.hierarchy import MemoryHierarchy
@@ -64,8 +65,11 @@ class TestRecordProperties:
         geometry = RegionGeometry(params.region_size)
         limit_bytes = -(-limit_entries * geometry.entry_bits // 8)
         full = list(record_miss_stream(addrs, params))
-        bounded_buf = record_miss_stream(addrs, params,
-                                         limit_bytes=limit_bytes)
+        recorder = JukeboxRecorder(
+            params, MetadataBuffer(geometry=geometry, limit_bytes=limit_bytes))
+        for vaddr in addrs:
+            recorder.on_l2_inst_miss(vaddr, 0.0)
+        bounded_buf = recorder.finish()
         bounded = list(bounded_buf)
         assert bounded == full[: len(bounded)]
         assert len(bounded) <= bounded_buf.capacity_entries

@@ -79,9 +79,12 @@ class TestRecordMissStream:
         assert len(buf) == 100
         assert buf.dropped_entries == 0
 
-    def test_stream_helper_respects_limit(self):
-        stream = [region * 1024 for region in range(100)]
-        buf = record_miss_stream(stream, JukeboxParams(), limit_bytes=70)
+    def test_bounded_recorder_drops_what_does_not_fit(self):
+        """The same stream into a 70-byte buffer keeps ten 7-byte entries."""
+        rec = make_recorder(metadata_bytes=70, crrb_entries=16)
+        for region in range(100):
+            rec.on_l2_inst_miss(region * 1024, 0.0)
+        buf = rec.finish()
         assert len(buf) == 10
         assert buf.dropped_entries == 90
 

@@ -8,6 +8,7 @@ from repro.core.replayer import JukeboxReplayer
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.params import skylake
 from repro.units import KB, LINE_SHIFT, PAGE_SHIFT
+from tests.sim.resident import is_resident
 
 GEO = RegionGeometry(1 * KB)
 BASE = 0x5555_0000_0000
@@ -72,7 +73,7 @@ class TestReplay:
         buf = make_buffer([(region, 1)])
         stats = JukeboxReplayer(hier).replay(buf)
         assert stats.tlb_warmed_pages == 1
-        assert hier.itlb.contains(BASE >> PAGE_SHIFT)
+        assert is_resident(hier.itlb, BASE >> PAGE_SHIFT)
 
     def test_prefetch_traffic_charged_per_line(self, hier):
         region = GEO.region_of(BASE)

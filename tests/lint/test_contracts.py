@@ -25,7 +25,7 @@ class TestAlwaysOn:
         corrupt = AccessStats(inst_hits=1)
         corrupt.inst_misses = -3
         with pytest.raises(ContractViolationError):
-            corrupt.validate("l1i")
+            contracts.check_access_stats(corrupt, name="l1i")
 
     def test_generic_hook(self):
         contracts.check(True, "never raised")
@@ -36,13 +36,13 @@ class TestAlwaysOn:
 class TestAccessStatsContracts:
     def test_clean_stats_pass(self):
         stats = AccessStats(inst_hits=10, inst_misses=2, data_hits=5)
-        stats.validate("l1i")
+        contracts.check_access_stats(stats, name="l1i")
 
     def test_negative_counter_caught(self):
         stats = AccessStats(inst_hits=10)
         stats.data_misses = -1
         with pytest.raises(ContractViolationError, match="negative"):
-            stats.validate("l1d")
+            contracts.check_access_stats(stats, name="l1d")
 
     def test_unbalanced_accessor_caught(self):
         class LyingStats(AccessStats):
@@ -57,14 +57,14 @@ class TestAccessStatsContracts:
         stats = AccessStats(inst_hits=2, inst_misses=1)
         stats.inst_prefetch_hits = 7
         with pytest.raises(ContractViolationError, match="prefetch"):
-            stats.validate("l2")
+            contracts.check_access_stats(stats, name="l2")
 
 
 class TestTrafficAndTopdownContracts:
     def test_negative_demand_traffic_caught(self):
         traffic = MemoryTraffic(demand_inst=-64)
         with pytest.raises(ContractViolationError, match="demand_inst"):
-            traffic.validate()
+            contracts.check_memory_traffic(traffic)
 
     def test_negative_topdown_component_caught(self):
         breakdown = TopDownBreakdown(retiring=10.0, backend_bound=-5.0)
@@ -84,7 +84,7 @@ class TestTrafficAndTopdownContracts:
         stats = HierarchyStats()
         stats.llc.data_hits = -2
         with pytest.raises(ContractViolationError, match="llc"):
-            stats.validate()
+            contracts.check_hierarchy_stats(stats)
 
 
 class TestCacheContracts:

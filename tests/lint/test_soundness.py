@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cache import ResultCache
-from repro.engine.job import Job, invalidate_fingerprint_caches
+from repro.engine.job import Job, source_digest
 from repro.lint import soundness
 from repro.lint.graph import ProjectGraph
 
@@ -48,9 +48,9 @@ def provider_packages(tmp_path, monkeypatch):
     _write_tree(tmp_path / "provpkg", PROVIDER_FILES)
     _write_tree(tmp_path / "ctrlpkg", CONTROL_FILES)
     monkeypatch.syspath_prepend(str(tmp_path))
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
     yield tmp_path
-    invalidate_fingerprint_caches()
+    source_digest.cache_clear()
 
 
 class TestStaleCacheHazard:
@@ -64,7 +64,7 @@ class TestStaleCacheHazard:
         helper = provider_packages / "provpkg" / "helper.py"
         helper.write_text(helper.read_text().replace("SCALE = 2",
                                                      "SCALE = 3"))
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert job.key() != before
 
     def test_helper_edit_invalidates_exactly_one_provider(
@@ -80,7 +80,7 @@ class TestStaleCacheHazard:
 
         helper = provider_packages / "provpkg" / "helper.py"
         helper.write_text(helper.read_text() + "\nEXTRA = 1\n")
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
 
         # The edited provider addresses a different cell now...
         assert edited.key() != key_edited
@@ -119,7 +119,7 @@ class TestStaleCacheHazard:
             (pkg / "helper.py").rename(pkg / "helpers.py")
         else:
             _write_tree(pkg, {"sub/__init__.py": ""})
-        invalidate_fingerprint_caches()
+        source_digest.cache_clear()
         assert edited.key() != key_edited
         assert control.key() == key_control
 

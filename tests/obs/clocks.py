@@ -1,12 +1,12 @@
-"""Injectable clocks: the only source of trace timestamps.
+"""Deterministic clocks for tests.
 
 The observability layer never reads host time itself (lint rule REPRO006
 covers ``obs/``): every timestamp on a :class:`~repro.obs.records
 .TraceEvent` comes from a zero-argument callable injected at
-:class:`~repro.obs.tracer.Tracer` construction.  The CLI layer injects
-``time.perf_counter`` for real wall-clock traces; tests inject the
-deterministic clocks below so traces are bit-stable under
-``--inject-fault`` drills and golden comparisons.
+:class:`~repro.obs.tracer.Tracer` construction, and the engine's guard
+reads deadlines from the same injected clock.  The CLI layer injects
+``time.perf_counter``; tests inject the clocks below so traces and
+deadlines are bit-stable under ``--inject-fault`` drills.
 """
 
 from __future__ import annotations

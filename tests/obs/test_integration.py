@@ -16,7 +16,7 @@ import tests.engine.fake_provider  # noqa: F401  (registers diff_numeric)
 from repro.engine import FailurePolicy, configure, sweep
 from repro.engine.job import Job
 from repro.experiments.common import RunConfig
-from repro.obs.clock import FrozenClock, TickClock
+from tests.obs.clocks import FrozenClock, TickClock
 from repro.obs.summarize import read_trace, summarize
 from repro.workloads.suite import suite_subset
 

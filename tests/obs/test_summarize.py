@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TraceSchemaError
 from repro.obs import records
 from repro.obs.__main__ import main as obs_main
-from repro.obs.clock import TickClock
+from tests.obs.clocks import TickClock
 from repro.obs.records import TraceEvent
 from repro.obs.summarize import read_trace, render_summary, summarize
 from repro.obs.tracer import JsonlSink, Tracer

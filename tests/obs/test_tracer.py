@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import records
-from repro.obs.clock import FrozenClock, TickClock
+from tests.obs.clocks import FrozenClock, TickClock
 from repro.obs.tracer import JsonlSink, NullTracer, Tracer
 from tests.obs.capture import CaptureSink
 

@@ -138,7 +138,6 @@ class ReferenceServerSimulator(ServerSimulator):
             if nxt <= duration_ms:
                 heapq.heappush(heap, (nxt, next(self._counter), iid))
 
-        stats.simulated_ms = duration_ms
         stats.peak_warm_instances = peak_warm
         stats.peak_memory_bytes = peak_mem
         stats.jukebox_metadata_bytes = sum(

@@ -43,7 +43,7 @@ def assert_same(sim, ref, duration_ms):
     """Run both simulators; every stats field and instance must match."""
     want = ref.run(duration_ms)
     assert sim.run(duration_ms) == want
-    assert sim.instances == ref.instances
+    assert sim._instances == ref._instances
     return want
 
 

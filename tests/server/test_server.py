@@ -15,16 +15,16 @@ from repro.workloads.suite import SUITE, get_profile
 
 class TestWarmInstance:
     def test_cold_start_counted(self):
-        inst = WarmInstance("i", get_profile("Auth-G"))
+        inst = WarmInstance(get_profile("Auth-G"))
         inst.record_invocation(0.0, 0, cold=True)
         assert inst.cold_starts == 1
 
     def test_memory_includes_runtime_overhead(self):
-        inst = WarmInstance("i", get_profile("Auth-G"))
+        inst = WarmInstance(get_profile("Auth-G"))
         assert inst.memory_bytes > 20 * MB
 
     def test_jukebox_metadata_allocation(self):
-        inst = WarmInstance("i", get_profile("Auth-G"))
+        inst = WarmInstance(get_profile("Auth-G"))
         inst.allocate_jukebox_metadata(16 * 1024)
         assert inst.jukebox_metadata_bytes == 32 * 1024
 
@@ -60,7 +60,7 @@ class TestServerSimulator:
         server = self.make_server(instances=30, seed=seed, ttl_minutes=0.02)
         stats = server.run(20_000.0)
         assert stats.evictions > 0
-        served = [inst for inst in server.instances.values()
+        served = [inst for inst in server._instances.values()
                   if inst.invocations]
         reinvocations = stats.invocations - len(served)
         assert len(stats.iats_ms) == reinvocations
@@ -131,7 +131,7 @@ class TestServerSimulator:
     def test_no_evictions_with_long_ttl(self):
         server = self.make_server(ttl_minutes=60)
         stats = server.run(20_000.0)
-        invoked = sum(1 for inst in server.instances.values()
+        invoked = sum(1 for inst in server._instances.values()
                       if inst.invocations > 0)
         assert stats.evictions == 0
         # Only each instance's first touch is cold.

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.server.stressor import Stressor
 from repro.sim.core import Simulator
 from repro.sim.params import skylake
+from tests.sim.resident import resident_lines
 
 ADDR = 0x5555_0000_0000
 
@@ -24,29 +25,29 @@ class TestFullThrash:
     def test_obliterates_all_state(self, core):
         warm_up(core)
         core.flush_microarch_state()
-        assert core.hierarchy.l1i.occupancy == 0
-        assert core.hierarchy.l2.occupancy == 0
-        assert core.hierarchy.llc.occupancy == 0
+        assert resident_lines(core.hierarchy.l1i) == 0
+        assert resident_lines(core.hierarchy.l2) == 0
+        assert resident_lines(core.hierarchy.llc) == 0
 
 
 class TestIdleGap:
     def test_zero_gap_is_noop(self, core):
         warm_up(core)
-        occupancy = core.hierarchy.llc.occupancy
+        occupancy = resident_lines(core.hierarchy.llc)
         Stressor(load=0.5).idle_gap(core, 0.0)
-        assert core.hierarchy.llc.occupancy == occupancy
+        assert resident_lines(core.hierarchy.llc) == occupancy
 
     def test_zero_load_is_noop(self, core):
         warm_up(core)
-        before = core.hierarchy.l1i.occupancy
+        before = resident_lines(core.hierarchy.l1i)
         Stressor(load=0.0).idle_gap(core, 1000.0)
-        assert core.hierarchy.l1i.occupancy == before
+        assert resident_lines(core.hierarchy.l1i) == before
 
     def test_long_gap_thrashes_private_caches(self, core):
         warm_up(core)
         Stressor(load=0.5).idle_gap(core, 10.0)
-        assert core.hierarchy.l1i.occupancy == 0
-        assert core.hierarchy.l2.occupancy == 0
+        assert resident_lines(core.hierarchy.l1i) == 0
+        assert resident_lines(core.hierarchy.l2) == 0
 
     def test_short_gap_keeps_some_private_state(self, core):
         warm_up(core, n_blocks=256)

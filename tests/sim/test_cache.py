@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.cache import SetAssocCache
 from repro.sim.params import CacheParams
 from repro.units import KB
+from tests.sim.resident import resident_lines
 
 
 def small_cache(size=4 * KB, assoc=4) -> SetAssocCache:
@@ -70,7 +71,7 @@ class TestBasicOperations:
             cache.insert(b)
         dropped = cache.flush()
         assert dropped == 32
-        assert cache.occupancy == 0
+        assert resident_lines(cache) == 0
 
     def test_blocks_map_to_correct_set(self):
         cache = small_cache(size=4 * KB, assoc=4)
@@ -145,7 +146,7 @@ class TestPollution:
     def test_pollute_fills_cache(self):
         cache = small_cache()
         cache.pollute(cache.params.num_lines * 2)
-        assert cache.occupancy > cache.params.num_lines * 0.5
+        assert resident_lines(cache) > cache.params.num_lines * 0.5
 
     def test_pollute_evicts_resident_lines(self):
         cache = small_cache(size=256, assoc=2)
@@ -212,7 +213,7 @@ class TestCacheProperties:
         cache = small_cache(size=1 * KB, assoc=2)
         for b in blocks:
             cache.insert(b)
-        assert cache.occupancy <= cache.params.num_lines
+        assert resident_lines(cache) <= cache.params.num_lines
         for lru in cache._sets:
             assert len(lru) <= cache.assoc
             assert len(set(lru)) == len(lru)  # no duplicate tags in a set

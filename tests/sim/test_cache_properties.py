@@ -17,6 +17,7 @@ from repro.sim.cache import SetAssocCache
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.params import CacheParams
 from repro.units import KB
+from tests.sim.resident import resident_lines
 
 SEEDS = (0, 1, 2, 3, 4)
 OPS_PER_RUN = 800
@@ -60,7 +61,7 @@ class TestSetAssocCacheProperties:
             elif op == 4 and rng.random() < 0.1:
                 cache.invalidate_unused_prefetches()
             cache.check_invariants(deep=True)
-            assert cache.occupancy <= capacity, f"seed={seed} step={step}"
+            assert resident_lines(cache) <= capacity, f"seed={seed} step={step}"
             for lru in cache._sets:
                 assert len(lru) <= cache.assoc, f"seed={seed} step={step}"
                 assert len(lru) == len(set(lru)), f"seed={seed} step={step}"

@@ -241,6 +241,23 @@ class TestL1IPrefetchFills:
         stall, level = hier.access_instr(ADDR, 10.0)
         assert level == "prefetch_late"
 
+    @pytest.mark.parametrize("allocates_lower", [True, False])
+    def test_leftover_fill_installs_like_a_drained_one(self, hier,
+                                                       allocates_lower):
+        """A fill still queued when the invocation ends lands where a fill
+        drained by a fetch does: in the L2 and the LLC too only when L1-I
+        fills allocate in the lower levels."""
+        hier.l1i_fill_allocates_lower = allocates_lower
+        drained = ADDR >> LINE_SHIFT
+        leftover = drained + 1
+        hier.schedule_l1i_prefetches([(10.0, drained), (1000.0, leftover)])
+        hier.access_instr(ADDR, 100.0)
+        hier.finish_invocation()
+        for block in (drained, leftover):
+            assert hier.l1i.contains(block)
+            assert hier.l2.contains(block) == allocates_lower
+            assert hier.llc.contains(block) == allocates_lower
+
 
 class TestPrefetchSourceLatency:
     def test_from_l2(self, hier):

@@ -66,23 +66,24 @@ class TestMetadataPath:
 
 
 class TestTrafficAccounting:
-    def test_total_and_overhead(self, memory):
+    def test_traffic_classes(self, memory):
         memory.demand_fetch(instruction=True)
         memory.prefetch_fetch()
         memory.prefetch_fetch()
         memory.credit_useful_prefetch()
         memory.metadata_write(100)
         t = memory.traffic
-        assert t.total == 2 * LINE_SIZE + LINE_SIZE + 100
-        # Overhead = unused prefetch + metadata.
-        assert t.overhead == LINE_SIZE + 100
-        assert t.baseline_equivalent == 2 * LINE_SIZE
+        assert t.demand_inst == LINE_SIZE and t.demand_data == 0
+        # One of the two prefetched lines was credited as useful.
+        assert t.prefetch_useful == t.prefetch_overpredicted == LINE_SIZE
+        assert t.metadata_record == 100 and t.metadata_replay == 0
 
-    def test_overhead_fraction(self, memory):
+    def test_unused_prefetch_counts_as_overpredicted(self, memory):
         memory.demand_fetch(instruction=True)
         memory.prefetch_fetch()
-        frac = memory.traffic.overhead_fraction()
-        assert frac == pytest.approx(1.0)
+        t = memory.traffic
+        assert t.prefetch_overpredicted == t.demand_inst == LINE_SIZE
+        assert t.prefetch_useful == 0
 
     def test_snapshot_delta(self, memory):
         memory.demand_fetch(instruction=True)

@@ -49,7 +49,6 @@ class TestJukeboxParams:
         assert jb.crrb_entries == 16
         assert jb.region_size == 1 * KB
         assert jb.metadata_bytes == 16 * KB
-        assert jb.lines_per_region == 16
 
     def test_rejects_tiny_region(self):
         with pytest.raises(ConfigurationError):
@@ -114,10 +113,10 @@ class TestModes:
         with pytest.raises(ConfigurationError):
             core_params_for_mode("bogus")
 
-    def test_skylake_accepts_mode(self):
-        m = skylake(mode=MODE_CHARACTERIZATION)
+    def test_skylake_is_evaluation_mode(self):
+        m = skylake()
         assert m.core.inst_stall_onchip == core_params_for_mode(
-            MODE_CHARACTERIZATION).inst_stall_onchip
+            MODE_EVALUATION).inst_stall_onchip
 
     def test_broadwell_evaluation_mode(self):
         m = broadwell(mode=MODE_EVALUATION)
@@ -135,9 +134,9 @@ class TestMachineHelpers:
         assert base.jukebox.metadata_bytes == 16 * KB  # original untouched
 
     @pytest.mark.parametrize("factory", [skylake, broadwell])
-    def test_factory_takes_a_jukebox_override(self, factory):
+    def test_each_factory_takes_a_jukebox_override(self, factory):
         jb = JukeboxParams(metadata_bytes=4 * KB, crrb_entries=8)
-        m = factory(jukebox=jb)
+        m = factory().with_jukebox(jb)
         assert m.jukebox == jb
         assert m.l2 == factory().l2
 

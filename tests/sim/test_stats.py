@@ -41,25 +41,8 @@ class TestAccessStats:
         assert d.data_misses == 1
         assert d.inst_misses == 0
 
-    def test_reset(self):
-        s = AccessStats(inst_hits=5)
-        s.reset()
-        assert s.accesses == 0
-
 
 class TestMemoryTraffic:
-    def test_baseline_equivalent_includes_useful_prefetch(self):
-        t = MemoryTraffic(demand_inst=100, demand_data=50, prefetch_useful=64)
-        assert t.baseline_equivalent == 214
-
-    def test_overhead(self):
-        t = MemoryTraffic(prefetch_overpredicted=64, metadata_record=54,
-                          metadata_replay=10)
-        assert t.overhead == 128
-
-    def test_overhead_fraction_empty(self):
-        assert MemoryTraffic().overhead_fraction() == 0.0
-
     def test_delta(self):
         t = MemoryTraffic(demand_inst=64)
         snap = t.snapshot()
@@ -83,9 +66,3 @@ class TestHierarchyStats:
         assert d.l2.inst_misses == 7
         assert d.memory.demand_inst == 64
         assert d.l1i.inst_misses == 0
-
-    def test_reset(self):
-        h = HierarchyStats()
-        h.llc.data_hits += 3
-        h.reset()
-        assert h.llc.data_hits == 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.params import TLBParams
 from repro.sim.tlb import TLB
+from tests.sim.resident import is_resident, resident_lines
 
 
 def make_tlb(entries=16, assoc=4) -> TLB:
@@ -22,8 +23,8 @@ class TestTLB:
             tlb.access(page * tlb.num_sets)
         tlb.access(0)  # refresh page 0
         tlb.access(99 * tlb.num_sets)  # evicts LRU = page 1*num_sets
-        assert tlb.contains(0)
-        assert not tlb.contains(1 * tlb.num_sets)
+        assert is_resident(tlb, 0)
+        assert not is_resident(tlb, 1 * tlb.num_sets)
 
     def test_warm_prepopulates(self):
         tlb = make_tlb()
@@ -40,16 +41,8 @@ class TestTLB:
         for page in range(8):
             tlb.access(page)
         tlb.flush()
-        assert tlb.occupancy == 0
+        assert resident_lines(tlb) == 0
         assert not tlb.access(0)
-
-    def test_contains_no_side_effect(self):
-        tlb = make_tlb(entries=2, assoc=2)
-        tlb.access(0)
-        tlb.access(tlb.num_sets)  # same set
-        tlb.contains(0)
-        tlb.access(2 * tlb.num_sets)  # evicts true LRU (0)
-        assert not tlb.contains(0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=200), max_size=200))
@@ -57,4 +50,4 @@ class TestTLB:
         tlb = make_tlb(entries=16, assoc=4)
         for page in pages:
             tlb.access(page)
-        assert tlb.occupancy <= 16
+        assert resident_lines(tlb) <= 16

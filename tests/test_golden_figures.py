@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (fig02_topdown, fig05_mpki, fig06_footprints,
-                               fig10_speedup)
+                               fig10_speedup, fig13_pif)
 from repro.experiments.common import RunConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -42,6 +42,7 @@ FIGURES = {
     "fig05_mpki": fig05_mpki,
     "fig06_footprints": fig06_footprints,
     "fig10_speedup": fig10_speedup,
+    "fig13_pif": fig13_pif,
 }
 
 

@@ -33,10 +33,6 @@ class TestFixedIAT:
         with pytest.raises(ConfigurationError):
             FixedIAT(0)
 
-    def test_arrivals_generator(self):
-        times = list(FixedIAT(10.0).arrivals(35.0))
-        assert times == [10.0, 20.0, 30.0]
-
 
 class TestPoissonArrivals:
     def test_mean_matches(self):

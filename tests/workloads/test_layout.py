@@ -14,15 +14,13 @@ from repro.workloads.layout import (
 )
 
 
-def layout(footprint_kb=128, density=0.8, optional=0.15, hot=0.3, seed=1,
-           **kwargs):
+def layout(footprint_kb=128, density=0.8, optional=0.15, hot=0.3, seed=1):
     return build_layout(
         footprint_bytes=footprint_kb * KB,
         density=density,
         optional_fraction=optional,
         hot_fraction=hot,
         seed=seed,
-        **kwargs,
     )
 
 
@@ -42,7 +40,6 @@ class TestCodeSegment:
     def test_basic_properties(self):
         seg = CodeSegment("s", ROLE_USER, blocks=(0, 64, 256))
         assert seg.n_blocks == 3
-        assert seg.size_bytes == 3 * LINE_SIZE
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -57,6 +54,18 @@ class TestBuildLayout:
     def test_total_size_close_to_target(self):
         lay = layout(footprint_kb=256)
         assert abs(total_blocks(lay) * LINE_SIZE - 256 * KB) < 16 * KB
+
+    def test_runtime_and_library_shares_of_the_footprint(self):
+        """Runtime code takes 45% of the blocks and libraries 30%; user
+        code gets the rest (each role's last segment may overshoot its
+        budget by the one block of the two-block minimum)."""
+        lay = layout(footprint_kb=512, seed=7)
+        total = 512 * KB // LINE_SIZE
+        share = {role: sum(s.n_blocks for s in by_role(lay, role))
+                 for role in ROLES}
+        assert int(total * 0.45) <= share[ROLE_RUNTIME] <= int(total * 0.45) + 1
+        assert int(total * 0.30) <= share[ROLE_LIBRARY] <= int(total * 0.30) + 1
+        assert abs(sum(share.values()) - total) <= 3
 
     def test_all_roles_present(self):
         lay = layout()
@@ -90,7 +99,8 @@ class TestBuildLayout:
         sparse = layout(density=0.45, seed=3)
 
         def mean_density(lay):
-            return sum(s.size_bytes / span_bytes(s) for s in lay.segments) \
+            return sum(s.n_blocks * LINE_SIZE / span_bytes(s)
+                       for s in lay.segments) \
                 / len(lay.segments)
 
         assert mean_density(dense) > mean_density(sparse)

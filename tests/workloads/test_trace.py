@@ -20,6 +20,7 @@ from repro.workloads.trace import (
     SegmentPatterns,
     TraceBuilder,
     WalkPlan,
+    _find_period,
 )
 
 CODE = 0x5555_0000_0000
@@ -189,6 +190,24 @@ def planned_trace(fetch_runs, starts, visits, segments):
                     segments=np.array(segments), patterns=table)
     return InvocationTrace(trace.kinds, trace.addrs, trace.args,
                            trace.args2, walk_plan=plan)
+
+
+class TestFindPeriod:
+    """The walk scan of plan-free traces (the walk plan's oracle)."""
+
+    def test_whole_repetitions_give_the_smallest_period(self):
+        run = np.array([7, 1, 2] * 4)
+        assert _find_period(run) == 3
+
+    def test_a_run_that_does_not_repeat_is_its_own_period(self):
+        assert _find_period(np.array([7, 1, 7, 2, 7])) == 5
+
+    def test_only_the_first_four_recurrences_are_tried(self):
+        """The leading address recurs four times inside the period, so
+        the true period (its fifth recurrence) is never tried."""
+        period = [7, 1, 7, 2, 7, 3, 7, 4, 7, 5]
+        assert _find_period(np.array(period[:8] * 2)) == 8
+        assert _find_period(np.array(period * 2)) == 20
 
 
 class TestWalkPlan:
